@@ -46,7 +46,7 @@ from .master_eq import (
     detection_probability_me,
     integrate,
 )
-from .husimi import QGrid, coherent_overlap_row, q_grid, q_mixed, q_pure
+from .husimi import QGrid, q_grid
 
 __all__ = [
     "AtomState",
@@ -64,7 +64,6 @@ __all__ = [
     "analytic_precession",
     "bloch_to_ge",
     "build_spin_coherent",
-    "coherent_overlap_row",
     "conditional_density",
     "conditional_gaussian",
     "conditional_state",
@@ -79,7 +78,5 @@ __all__ = [
     "outcome_cutoff",
     "port_amplitudes",
     "q_grid",
-    "q_mixed",
-    "q_pure",
     "spin_operator_matrices",
 ]

@@ -57,6 +57,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
+VALIDATION_SUITES = ("normalization", "fock", "crosscheck", "stirling")
+
 
 def fmt(x: float) -> str:
     """17 significant digits, scientific; round-trips any double."""
@@ -124,7 +126,10 @@ class ExperimentConfig:
     def resolve_outcome(self) -> DetectionOutcome:
         if self.outcome in ("most-probable", "auto"):
             return most_probable_outcome(self.light())
-        return DetectionOutcome(*_parse_outcome(self.outcome))
+        try:
+            return DetectionOutcome(*_parse_outcome(self.outcome))
+        except ValueError as exc:
+            raise ConfigError(f"bad outcome {self.outcome!r}: {exc}") from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -310,6 +315,7 @@ def _write_q_csv(path: Path, echo: list[str], source, cfg: ExperimentConfig):
 
 
 def _conditional_timeseries(params: ModelParams, samples, outcome: DetectionOutcome):
+    """One row of floats per sample, in _TIMESERIES_COLUMNS order."""
     rows = []
     for s in samples:
         cond = conditional_density(params, s, outcome)
@@ -317,16 +323,16 @@ def _conditional_timeseries(params: ModelParams, samples, outcome: DetectionOutc
         norm = 4.0 / params.n_atoms
         rows.append(
             [
-                fmt(s.t),
-                fmt(params.omega * s.t),
-                fmt(m.jx_mean),
-                fmt(m.jy_mean),
-                fmt(m.jz_mean),
-                fmt(norm * m.jx_var),
-                fmt(norm * m.jy_var),
-                fmt(norm * m.jz_var),
-                fmt(s.trace_error()),
-                fmt(s.herm_error()),
+                s.t,
+                params.omega * s.t,
+                m.jx_mean,
+                m.jy_mean,
+                m.jz_mean,
+                norm * m.jx_var,
+                norm * m.jy_var,
+                norm * m.jz_var,
+                s.trace_error(),
+                s.herm_error(),
             ]
         )
     return rows
@@ -354,10 +360,10 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.t_max <= 0:
         raise ConfigError("master run requires t_max > 0")
     params = _master_params(cfg)
+    outcome = cfg.resolve_outcome()
     state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
     samples = integrate(params, rho0, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride))
-    outcome = cfg.resolve_outcome()
     echo = config_echo_lines(cfg, "master")
 
     # validate before conditioning: a drifted sample makes the conditional
@@ -372,7 +378,7 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
         out_dir / "master_timeseries.csv",
         echo + [f"outcome = {outcome.n_c},{outcome.n_d}"],
         _TIMESERIES_COLUMNS,
-        rows,
+        ([fmt(x) for x in row] for row in rows),
     )
 
     for idx, target in enumerate(cfg.q_omega_t):
@@ -436,8 +442,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
         outcome = point.resolve_outcome()
         ts = _conditional_timeseries(params, samples, outcome)
-        omega_t = np.array([float(r[1]) for r in ts])
-        jx_var = np.array([float(r[5]) for r in ts])
+        omega_t = np.array([r[1] for r in ts])
+        jx_var = np.array([r[5] for r in ts])
         i_min = int(np.argmin(jx_var))
         rows.append(
             [
@@ -504,15 +510,19 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """
     if cfg is None:
         cfg = ExperimentConfig(n_atoms=2)
-        selected = {"normalization", "fock", "crosscheck", "stirling"}
-        reports = _default_validation_suite(selected)
+        reports = _default_validation_suite(set(VALIDATION_SUITES))
     else:
         selected = (
-            {"normalization", "fock", "crosscheck", "stirling"}
+            set(VALIDATION_SUITES)
             if cfg.suites == "all"
             else {s.strip() for s in cfg.suites.split(",") if s.strip()}
         )
-        if "normalization" in selected and cfg.n_atoms >= 1:
+        unknown = selected.difference(VALIDATION_SUITES)
+        if unknown:
+            raise ConfigError(
+                f"unknown suites {sorted(unknown)}; choose from {VALIDATION_SUITES}"
+            )
+        if "normalization" in selected:
             ge = cfg.ge()
             entry = {
                 "n_atoms": cfg.n_atoms,

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .spin_core import AtomState, BlochAngles, _log_coherent_amplitudes
+from .spin_core import AtomState, _log_coherent_amplitudes
 
 MIN_GRID = 16
 
@@ -52,33 +51,6 @@ def _eta_pair(theta, phi):
     return (b + a) / rt2, (b - a) / rt2
 
 
-def coherent_overlap_row(angles: BlochAngles, n_atoms: int) -> np.ndarray:
-    """Vector <theta,phi|k,N-k> over k = 0..N, unit norm."""
-    eta_l, eta_r = _eta_pair(angles.theta, angles.phi)
-    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
-    row = np.exp(log_mag) * np.exp(-1j * phase)
-    return row / np.linalg.norm(row)
-
-
-def q_pure(state: AtomState, angles: BlochAngles) -> float:
-    """Q = (N+1)/(4 pi) |<theta,phi|psi>|^2."""
-    row = coherent_overlap_row(angles, state.n_atoms)
-    overlap = row @ state.amplitudes
-    return float((state.n_atoms + 1) / (4.0 * np.pi) * np.abs(overlap) ** 2)
-
-
-def q_mixed(rho: np.ndarray, angles: BlochAngles) -> float:
-    """Q = (N+1)/(4 pi) <theta,phi|rho|theta,phi>, clamped at tiny negatives."""
-    rho = np.asarray(rho, dtype=complex)
-    n_atoms = rho.shape[0] - 1
-    row = coherent_overlap_row(angles, n_atoms)
-    val = float(np.real(row @ rho @ row.conj()))
-    val *= (n_atoms + 1) / (4.0 * np.pi)
-    if val < -1e-10:
-        raise ValueError(f"Q value {val} below roundoff tolerance")
-    return max(val, 0.0)
-
-
 def _fejer_weights(thetas: np.ndarray) -> np.ndarray:
     """Fejer first-rule weights for the n nodes theta_j = (j + 1/2) pi / n.
 
@@ -94,18 +66,7 @@ def _fejer_weights(thetas: np.ndarray) -> np.ndarray:
 def _overlap_matrix(n_atoms: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """<theta_i, phi_j | k> stacked as (n_theta, n_phi, N+1), rows unit norm."""
     eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
-    k = np.arange(n_atoms + 1)[None, None, :]
-    log_binom = 0.5 * (
-        gammaln(n_atoms + 1) - gammaln(k + 1) - gammaln(n_atoms - k + 1)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_l = k * np.log(np.abs(eta_l))[:, :, None]
-        log_r = (n_atoms - k) * np.log(np.abs(eta_r))[:, :, None]
-    # kill the 0*log(0) indeterminate forms at the k range edges
-    log_l = np.where(k == 0, 0.0, log_l)
-    log_r = np.where(k == n_atoms, 0.0, log_r)
-    log_mag = log_binom + log_l + log_r
-    phase = k * np.angle(eta_l)[:, :, None] + (n_atoms - k) * np.angle(eta_r)[:, :, None]
+    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
     rows = np.exp(log_mag) * np.exp(-1j * phase)
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
     return rows

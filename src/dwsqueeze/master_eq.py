@@ -2,14 +2,16 @@
 
 The joint atom-light state is expanded as rho = sum_{kk'} rho_{kk'}
 |k; a_{k,l}, a_{k,r}><k'; a_{k',l}, a_{k',r}| where the light amplitudes
-a_{k,s}(t) follow the atoms analytically and only the atomic matrix
-rho_{kk'} is integrated.  Tunneling couples neighboring k with the usual
-ladder factors, weighted by the overlap of the displaced light states;
+a_{k,l} = a_l e^{-i phi}, a_{k,r} = a_r e^{+i phi}, phi = gt(k - N/2),
+follow the atoms analytically and only the atomic matrix rho_{kk'} is
+integrated.  Tunneling couples neighboring k with the usual ladder
+factors, weighted by the overlap of the displaced light states;
 dephasing damps off-diagonals.
 
-Detection enters at readout time: the two beamsplitter-output brackets
-u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2, u_d(k) = (i a_{k,l} + a_{k,r})/sqrt2
-give a per-k amplitude factor whose outer product conditions rho.
+Detection enters at readout time through the detection factor A(k) of
+pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
+= alpha_c(k)/sqrt2 and u_d(k) = (i a_{k,l} + a_{k,r})/sqrt2 = alpha_d(k)/sqrt2,
+so rho_{kk'} is conditioned by the outer product A(k) A(k')^*.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .pure_measure import (
     PROB_FLOOR,
     DetectionOutcome,
     ImpossibleOutcomeError,
+    InteractionSetting,
     LightPair,
+    _log_detection_amplitudes,
 )
 
 DEPHASING_FORMS = ("lindblad", "literal")
@@ -107,19 +110,6 @@ class TimeGrid:
             abs(params.g) * params.n_atoms,
             params.gamma * params.n_atoms**2,
         )
-
-
-def light_amplitudes(params: ModelParams, k, t: float):
-    """Arm amplitudes dressed by the atom imbalance: a_l e^{-i(2k-N)gt/2}, a_r e^{+i...}."""
-    k = np.asarray(k)
-    if np.any(k < 0) or np.any(k > params.n_atoms):
-        raise ValueError(f"k out of range 0..{params.n_atoms}")
-    phase = (2.0 * k - params.n_atoms) * params.g * t / 2.0
-    a_l = params.light.alpha_l * np.exp(-1j * phase)
-    a_r = params.light.alpha_r * np.exp(1j * phase)
-    if k.ndim == 0:
-        return complex(a_l), complex(a_r)
-    return a_l, a_r
 
 
 def coherent_overlaps(params: ModelParams, t: float):
@@ -225,40 +215,13 @@ def integrate(
     return samples
 
 
-def _log_detection_brackets(
-    params: ModelParams, state: HybridState, outcome: DetectionOutcome
-):
-    """Per-k log magnitude and phase of the detection factor B(k).
-
-    B(k) = e^{-(|a_l|^2+|a_r|^2)/2} u_c(k)^{n_c} u_d(k)^{n_d} / sqrt(n_c! n_d!)
-    built from the beamsplitter brackets of the dressed arm amplitudes.
-    """
-    nc, nd = outcome.n_c, outcome.n_d
-    k = np.arange(params.n_atoms + 1)
-    a_l, a_r = light_amplitudes(params, k, state.t)
-    u_c = (a_l + 1j * a_r) / np.sqrt(2.0)
-    u_d = (1j * a_l + a_r) / np.sqrt(2.0)
-    mag_c, mag_d = np.abs(u_c), np.abs(u_d)
-    with np.errstate(divide="ignore"):
-        term_c = np.where(nc > 0, nc * np.log(np.where(mag_c > 0, mag_c, 1.0)), 0.0)
-        term_c = np.where((nc > 0) & (mag_c == 0), -np.inf, term_c)
-        term_d = np.where(nd > 0, nd * np.log(np.where(mag_d > 0, mag_d, 1.0)), 0.0)
-        term_d = np.where((nd > 0) & (mag_d == 0), -np.inf, term_d)
-    log_mag = (
-        -params.light.total_intensity / 2.0
-        + term_c
-        + term_d
-        - 0.5 * (gammaln(nc + 1) + gammaln(nd + 1))
-    )
-    phase = nc * np.angle(u_c) + nd * np.angle(u_d)
-    return log_mag, phase
-
-
 def detection_probability_me(
     params: ModelParams, state: HybridState, outcome: DetectionOutcome
 ) -> float:
-    """Probability of counting (n_c, n_d) on the recombined light."""
-    log_mag, _ = _log_detection_brackets(params, state, outcome)
+    """Probability of counting (n_c, n_d): sum_k rho_kk |A(k)|^2."""
+    log_mag, _ = _log_detection_amplitudes(
+        params.light, InteractionSetting(params.g, state.t), outcome, params.n_atoms
+    )
     shift = log_mag.max()
     weights = np.exp(2.0 * (log_mag - shift))
     raw = np.sum(np.diag(state.rho) * weights)
@@ -272,10 +235,12 @@ def conditional_density(
 ) -> np.ndarray:
     """Atomic density matrix conditioned on the photon-count pair.
 
-    rho_{kk'} -> rho_{kk'} B(k) B(k')^* / P, computed with a joint log
+    rho_{kk'} -> rho_{kk'} A(k) A(k')^* / P, computed with a joint log
     rescale so deep-tail outcomes stay finite.
     """
-    log_mag, phase = _log_detection_brackets(params, state, outcome)
+    log_mag, phase = _log_detection_amplitudes(
+        params.light, InteractionSetting(params.g, state.t), outcome, params.n_atoms
+    )
     prob = detection_probability_me(params, state, outcome)
     if prob < PROB_FLOOR:
         raise ImpossibleOutcomeError(
@@ -291,30 +256,3 @@ def conditional_density(
         )
     return cond / tr
 
-
-def detection_pmf_grid_me(
-    params: ModelParams, state: HybridState, n_max: int
-) -> np.ndarray:
-    """P(n_c, n_d) table over 0..n_max per detector for the hybrid state."""
-    k = np.arange(params.n_atoms + 1)
-    a_l, a_r = light_amplitudes(params, k, state.t)
-    lam_c = np.abs((a_l + 1j * a_r) / np.sqrt(2.0)) ** 2
-    lam_d = np.abs((1j * a_l + a_r) / np.sqrt(2.0)) ** 2
-    n = np.arange(n_max + 1)
-
-    def poisson_rows(lam):
-        with np.errstate(divide="ignore"):
-            log_p = (
-                n[None, :] * np.log(np.where(lam > 0, lam, 1.0))[:, None]
-                - lam[:, None]
-                - gammaln(n + 1)[None, :]
-            )
-        rows = np.exp(log_p)
-        zero = lam == 0
-        if np.any(zero):
-            rows[zero] = 0.0
-            rows[zero, 0] = 1.0
-        return rows
-
-    p_k = np.diag(state.rho).real
-    return np.einsum("k,kn,km->nm", p_k, poisson_rows(lam_c), poisson_rows(lam_d))

@@ -69,6 +69,8 @@ class DetectionOutcome:
             raise ValueError("photon counts must be nonnegative")
         if self.n_c != int(self.n_c) or self.n_d != int(self.n_d):
             raise ValueError("photon counts must be integers")
+        if self.n_c > MAX_COUNT or self.n_d > MAX_COUNT:
+            raise ValueError(f"photon counts exceed log-domain capacity {MAX_COUNT}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,13 @@ def _log_detection_amplitudes(
     outcome: DetectionOutcome,
     n_atoms: int,
 ):
-    """log|A(k)| and arg A(k) over the whole k range, vectorized."""
+    """log|A(k)| and arg A(k) over the whole k range, vectorized.
+
+    A(k) = e^{-(|a_l|^2+|a_r|^2)/2} u_c^{n_c} u_d^{n_d} / sqrt(n_c! n_d!) with
+    u_{c,d} = alpha_{c,d}(k)/sqrt2.  The factor is the same with or without
+    tunneling, so the master-equation readout conditions through it too.
+    """
     nc, nd = outcome.n_c, outcome.n_d
-    if nc > MAX_COUNT or nd > MAX_COUNT:
-        raise OverflowError(f"counts exceed log-domain capacity {MAX_COUNT}")
     k = np.arange(n_atoms + 1)
     alpha_c, alpha_d = port_amplitudes(light, setting, k, n_atoms)
     mag_c = np.abs(alpha_c) / np.sqrt(2.0)
@@ -263,12 +268,8 @@ def detection_pmf_grid(
     return np.einsum("k,kn,km->nm", state.pmf(), pc, pd)
 
 
-def gaussian_window(
-    light: LightPair, setting: InteractionSetting, outcome: DetectionOutcome
-) -> GaussianWindow:
-    """Peak x0 and inverse-width X0 of the detection window in k space."""
-    if setting.gt <= 0:
-        raise ValueError("gaussian_window requires gt > 0")
+def _window_geometry(light: LightPair, outcome: DetectionOutcome):
+    """(gt*x0, X0/gt^2) of the detection window; neither depends on gt."""
     nc, nd = outcome.n_c, outcome.n_d
     if nc + nd == 0:
         raise AsymptoticsDomainError("window undefined for the vacuum outcome")
@@ -281,14 +282,24 @@ def gaussian_window(
         raise AsymptoticsDomainError(
             f"outcome inconsistent with asymptotics: arcsin argument {arg}"
         )
-    gt = setting.gt
-    x0 = (light.rel_phase - math.asin(arg)) / (2.0 * gt)
-    big = (
-        gt**2
-        * ((nc + nd) / (nc * nd if nc * nd > 0 else np.inf))
-        * ((nc + nd) ** 2 * (cross / s_tot) ** 2 - (nd - nc) ** 2)
+    half_angle = (light.rel_phase - math.asin(arg)) / 2.0
+    if nc * nd == 0:
+        return half_angle, 0.0
+    kfac = ((nc + nd) / (nc * nd)) * (
+        (nc + nd) ** 2 * (cross / s_tot) ** 2 - (nd - nc) ** 2
     )
-    return GaussianWindow(x0=x0, big_x0=max(big, 0.0))
+    return half_angle, max(kfac, 0.0)
+
+
+def gaussian_window(
+    light: LightPair, setting: InteractionSetting, outcome: DetectionOutcome
+) -> GaussianWindow:
+    """Peak x0 and inverse-width X0 of the detection window in k space."""
+    if setting.gt <= 0:
+        raise ValueError("gaussian_window requires gt > 0")
+    half_angle, kfac = _window_geometry(light, outcome)
+    gt = setting.gt
+    return GaussianWindow(x0=half_angle / gt, big_x0=kfac * gt**2)
 
 
 def _window_products(
@@ -299,23 +310,9 @@ def _window_products(
     x0 carries a 1/gt and X0 a gt^2, so the products have smooth gt -> 0
     limits even where x0 alone diverges.
     """
-    nc, nd = outcome.n_c, outcome.n_d
-    s_tot = light.total_intensity
-    cross = 2.0 * abs(light.alpha_l * light.alpha_r)
-    if nc + nd == 0 or nc * nd == 0:
+    if outcome.n_c * outcome.n_d == 0:
         return 0.0, 0.0, 0.0
-    if cross == 0:
-        raise AsymptoticsDomainError("window undefined when one arm is dark")
-    arg = (s_tot / cross) * (nc - nd) / (nc + nd)
-    if abs(arg) > 1.0:
-        raise AsymptoticsDomainError(
-            f"outcome inconsistent with asymptotics: arcsin argument {arg}"
-        )
-    half_angle = (light.rel_phase - math.asin(arg)) / 2.0  # = gt * x0
-    kfac = ((nc + nd) / (nc * nd)) * (
-        (nc + nd) ** 2 * (cross / s_tot) ** 2 - (nd - nc) ** 2
-    )
-    kfac = max(kfac, 0.0)
+    half_angle, kfac = _window_geometry(light, outcome)
     gt = setting.gt
     return kfac * gt**2, kfac * gt * half_angle, kfac * half_angle**2
 

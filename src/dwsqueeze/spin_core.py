@@ -100,12 +100,18 @@ def bloch_to_ge(angles: BlochAngles) -> GroundExcitedAmplitudes:
     )
 
 
-def _log_coherent_amplitudes(eta_l: complex, eta_r: complex, n_atoms: int):
-    """Log magnitude and phase of binom(N,k)^(1/2) eta_l^k eta_r^(N-k)."""
+def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int):
+    """Log magnitude and phase of binom(N,k)^(1/2) eta_l^k eta_r^(N-k).
+
+    eta_l and eta_r are scalars or arrays of one shape; k = 0..N runs
+    along a new last axis.
+    """
     k = np.arange(n_atoms + 1)
     log_binom = 0.5 * (
         gammaln(n_atoms + 1) - gammaln(k + 1) - gammaln(n_atoms - k + 1)
     )
+    eta_l = np.asarray(eta_l)[..., None]
+    eta_r = np.asarray(eta_r)[..., None]
     # k*log|eta| with the 0*log(0) = 0 convention at the endpoints
     with np.errstate(divide="ignore", invalid="ignore"):
         log_l = np.where(k > 0, k * np.log(np.abs(eta_l)), 0.0)

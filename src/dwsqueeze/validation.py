@@ -177,7 +177,10 @@ def me_vs_pure_crosscheck(
 
     The hybrid equation has a vanishing generator at omega = gamma = 0, so
     the readout-time matrix is the initial projector; conditioning it must
-    reproduce the pure conditional state's projector elementwise.
+    reproduce the pure conditional state's projector elementwise.  Both
+    models take A(k) from the same pure_measure kernel, so this checks
+    the wiring (coupling, readout time, outer product, normalization),
+    not a second derivation of A(k); the Fock oracle checks A(k) itself.
     """
     if params.omega != 0.0 or params.gamma != 0.0:
         raise ValueError("crosscheck requires omega = 0 and gamma = 0")

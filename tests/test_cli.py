@@ -205,6 +205,16 @@ def test_sweep_summary(tmp_path):
     cross_weak = float(data[0][3])
     cross_strong = float(data[1][3])
     assert cross_weak < cross_strong
+    # each row summarizes exactly the master run at that gamma
+    for row, gamma in zip(data, (0.1 * g, 3 * g)):
+        point_cfg = base_config(dt="0.005", sample_stride="200", gamma=fmt(gamma))
+        point = write(tmp_path / "p.cfg", point_cfg)
+        run_out = tmp_path / f"master_{row[0]}"
+        assert main(["master", "--config", point, "--out", str(run_out)]) == EXIT_OK
+        _, ts = read_rows(run_out / "master_timeseries.csv")
+        i_min = int(np.argmin([float(r[5]) for r in ts]))
+        assert row[1] == ts[i_min][5]
+        assert row[2] == ts[i_min][1]
 
 
 def test_validate_default_passes(tmp_path, capsys):
@@ -233,6 +243,39 @@ def test_validate_empty_suite_selection(tmp_path, capsys):
     assert main(["validate", "--config", cfg2, "--out", str(out)]) == EXIT_OK
     _, data = read_rows(out / "validation_report.csv")
     assert data == []
+
+
+def test_validate_unknown_suite_name(tmp_path, capsys):
+    for suites in ("fock,crosschek", "typo"):
+        cfg = write(tmp_path / "c.cfg", base_config(suites=suites))
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["pure", "master"])
+@pytest.mark.parametrize(
+    "config_outcome, flag",
+    [
+        ("4,4", "4.5,4"),  # not an integer
+        ("-1,4", None),  # negative; argparse would read -1,4 as a flag
+        ("4,4", "2000000,0"),  # beyond the log-domain count capacity
+    ],
+    ids=["non_integer", "negative", "over_capacity"],
+)
+def test_bad_outcome_exit(tmp_path, capsys, command, config_outcome, flag):
+    overrides = {"outcome": config_outcome}
+    if command == "pure":
+        overrides.update(t="0.01", g="1.0", t_max=None)
+    cfg = write(tmp_path / "c.cfg", base_config(**overrides))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if flag is not None:
+        argv += ["--outcome", flag]
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_outcome_flag_overrides_config(tmp_path):

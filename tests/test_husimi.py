@@ -1,4 +1,4 @@
-"""Husimi Q evaluation: overlap rows, pointwise values, grid quadrature."""
+"""Husimi Q evaluation: overlap rows, grid values, grid quadrature."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwsqueeze.husimi import MIN_GRID, coherent_overlap_row, q_grid, q_mixed, q_pure
+from dwsqueeze.husimi import MIN_GRID, _overlap_matrix, q_grid
 from dwsqueeze.pure_measure import (
     DetectionOutcome,
     InteractionSetting,
@@ -24,13 +24,22 @@ from dwsqueeze.spin_core import (
 RT2 = math.sqrt(2.0)
 
 
+def overlap_row(theta, phi, n):
+    return _overlap_matrix(n, np.array([theta]), np.array([phi]))[0, 0]
+
+
+def grid_node(n_grid, i, j):
+    """Angles of cell (i, j) of an n_grid x n_grid q_grid."""
+    return (i + 0.5) * math.pi / n_grid, (j + 0.5) * 2 * math.pi / n_grid
+
+
 def test_overlap_row_pole():
-    row = coherent_overlap_row(BlochAngles(0.0, 0.0), 2)
+    row = overlap_row(0.0, 0.0, 2)
     assert np.allclose(row, [0.5, 1 / RT2, 0.5], atol=1e-12)
 
 
 def test_overlap_row_equator_concentrates():
-    row = coherent_overlap_row(BlochAngles(math.pi / 2, 0.0), 5)
+    row = overlap_row(math.pi / 2, 0.0, 5)
     assert abs(row[5]) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(row[:5])) < 1e-12
 
@@ -42,49 +51,48 @@ def test_overlap_row_equator_concentrates():
     n=st.integers(0, 60),
 )
 def test_overlap_row_unit_norm(theta, phi, n):
-    row = coherent_overlap_row(BlochAngles(theta, phi), n)
+    row = overlap_row(theta, phi, n)
     assert abs(np.linalg.norm(row) - 1.0) < 1e-10
 
 
 def test_q_pure_self_overlap_peak():
-    n = 24
-    angles = BlochAngles(1.1, 2.3)
-    state = build_spin_coherent(bloch_to_ge(angles), n)
-    assert q_pure(state, angles) == pytest.approx((n + 1) / (4 * math.pi), rel=1e-10)
+    n, n_grid, i, j = 24, 16, 5, 6
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(*grid_node(n_grid, i, j))), n)
+    qg = q_grid(state, n_grid, n_grid)
+    assert qg.values[i, j] == pytest.approx((n + 1) / (4 * math.pi), rel=1e-10)
 
 
 def test_q_pure_antipodal_zero():
-    n = 16
-    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.0, 0.0)), n)
-    assert q_pure(state, BlochAngles(math.pi, 0.0)) == pytest.approx(0.0, abs=1e-20)
+    # the antipode of node (i, j) is node (n - 1 - i, j + n/2)
+    n, n_grid, i, j = 16, 16, 3, 2
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(*grid_node(n_grid, i, j))), n)
+    qg = q_grid(state, n_grid, n_grid)
+    assert qg.values[n_grid - 1 - i, j + n_grid // 2] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_q_pure_bounds():
     n = 20
     state = build_spin_coherent(bloch_to_ge(BlochAngles(0.7, 0.4)), n)
     cap = (n + 1) / (4 * math.pi)
-    for theta in (0.0, 0.9, 2.2, math.pi):
-        for phi in (0.0, 1.7, 4.4):
-            v = q_pure(state, BlochAngles(theta, phi))
-            assert 0.0 <= v <= cap * (1 + 1e-12)
+    values = q_grid(state, 16, 16).values
+    assert values.min() >= 0.0
+    assert values.max() <= cap * (1 + 1e-12)
 
 
 def test_q_mixed_projector_matches_pure():
     n = 15
     state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 5.1)), n)
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    for theta, phi in [(0.3, 0.1), (1.5, 2.0), (2.9, 4.0)]:
-        angles = BlochAngles(theta, phi)
-        assert q_mixed(rho, angles) == pytest.approx(q_pure(state, angles), abs=1e-12)
+    q_rho = q_grid(rho, 16, 16).values
+    q_psi = q_grid(state, 16, 16).values
+    assert np.max(np.abs(q_rho - q_psi)) <= 1e-12
 
 
 def test_q_mixed_maximally_mixed_flat():
     n = 9
     rho = np.eye(n + 1) / (n + 1)
-    for theta, phi in [(0.2, 0.0), (1.1, 3.0), (2.8, 5.9)]:
-        assert q_mixed(rho, BlochAngles(theta, phi)) == pytest.approx(
-            1 / (4 * math.pi), rel=1e-10
-        )
+    values = q_grid(rho, 16, 16).values
+    assert np.allclose(values, 1 / (4 * math.pi), rtol=1e-10, atol=0)
 
 
 def test_q_grid_normalization_coherent():

@@ -12,10 +12,8 @@ from dwsqueeze.master_eq import (
     TimeGrid,
     coherent_overlaps,
     conditional_density,
-    detection_pmf_grid_me,
     detection_probability_me,
     integrate,
-    light_amplitudes,
     rhs,
 )
 from dwsqueeze.pure_measure import (
@@ -23,7 +21,9 @@ from dwsqueeze.pure_measure import (
     ImpossibleOutcomeError,
     LightPair,
     conditional_state,
+    detection_pmf_grid,
     InteractionSetting,
+    port_amplitudes,
 )
 from dwsqueeze.spin_core import (
     GroundExcitedAmplitudes,
@@ -60,24 +60,35 @@ def random_density(n, seed=7):
 
 
 def test_light_amplitudes_examples():
-    params = make_params(n=4, g=0.3, light=LightPair(1.5, 0.7j))
-    al, ar = light_amplitudes(params, 1, 0.0)
-    assert al == pytest.approx(1.5) and ar == pytest.approx(0.7j)
-    al, ar = light_amplitudes(params, 2, 5.0)  # k = N/2
-    assert al == pytest.approx(1.5) and ar == pytest.approx(0.7j)
-    # g(2k-N)t/2 = pi at k=4, t = pi/(0.3*4/2)... choose t directly
-    t = math.pi / (0.3 * (2 * 4 - 4) / 2)
-    al, ar = light_amplitudes(params, 4, t)
-    assert al == pytest.approx(-1.5, abs=1e-12)
-    assert ar == pytest.approx(-0.7j, abs=1e-12)
+    # the readout sees the arms dressed by the atoms, a_l e^{-i phi} and
+    # a_r e^{+i phi} with phi = gt(k - N/2), through the beamsplitter:
+    # port_amplitudes(k) = (a_l + i a_r, i a_l + a_r) of the dressed pair
+    light, n, g = LightPair(1.5, 0.7j), 4, 0.3
+    k = np.arange(n + 1)
+    t_flip = math.pi / (g * (2 * 4 - 4) / 2)  # phi = pi at k = 4
+    for t in (0.0, 5.0, t_flip, 2.37):
+        phi = g * t * (k - n / 2)
+        a_l = light.alpha_l * np.exp(-1j * phi)
+        a_r = light.alpha_r * np.exp(1j * phi)
+        ac, ad = port_amplitudes(light, InteractionSetting(g, t), k, n)
+        assert np.max(np.abs(ac - (a_l + 1j * a_r))) < 1e-12
+        assert np.max(np.abs(ad - (1j * a_l + a_r))) < 1e-12
+    # no dressing at t = 0 or at k = N/2, a sign flip at phi = pi
+    bare_c, bare_d = 1.5 + 1j * 0.7j, 1j * 1.5 + 0.7j
+    for t, kk, sign in ((0.0, 1, 1.0), (5.0, 2, 1.0), (t_flip, 4, -1.0)):
+        ac, ad = port_amplitudes(light, InteractionSetting(g, t), kk, n)
+        assert ac == pytest.approx(sign * bare_c, abs=1e-12)
+        assert ad == pytest.approx(sign * bare_d, abs=1e-12)
 
 
 def test_light_amplitudes_magnitude_preserved():
-    params = make_params(n=10, g=0.7, light=LightPair(1.1 + 0.3j, 0.4 - 0.9j))
+    # inverting the beamsplitter, a_l = (alpha_c - i alpha_d)/2 and
+    # a_r = (alpha_d - i alpha_c)/2 keep the bare arm magnitudes for every k
+    light = LightPair(1.1 + 0.3j, 0.4 - 0.9j)
     k = np.arange(11)
-    al, ar = light_amplitudes(params, k, 2.37)
-    assert np.allclose(np.abs(al), abs(1.1 + 0.3j))
-    assert np.allclose(np.abs(ar), abs(0.4 - 0.9j))
+    ac, ad = port_amplitudes(light, InteractionSetting(0.7, 2.37), k, 10)
+    assert np.allclose(np.abs(ac - 1j * ad) / 2, abs(1.1 + 0.3j))
+    assert np.allclose(np.abs(ad - 1j * ac) / 2, abs(0.4 - 0.9j))
 
 
 def test_coherent_overlaps_examples():
@@ -234,9 +245,10 @@ def test_detection_probability_independent_of_rho_when_g0():
 
 
 def test_detection_grid_completeness():
-    params = make_params(n=10, g=0.3, light=LightPair(2.0, 2.0))
-    state = HybridState(coherent_rho(GroundExcitedAmplitudes(0, 1), 10), 1.7)
-    grid = detection_pmf_grid_me(params, state, n_max=24)
+    # the grid depends on rho only through its diagonal, the pure pmf here
+    state = build_spin_coherent(GroundExcitedAmplitudes(0, 1), 10)
+    light = LightPair(2.0, 2.0)
+    grid = detection_pmf_grid(state, light, InteractionSetting(0.3, 1.7), n_max=24)
     assert abs(grid.sum() - 1.0) < 1e-6
 
 
