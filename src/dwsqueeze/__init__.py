@@ -21,7 +21,6 @@ from .spin_core import (
     build_spin_coherent,
     ge_to_lr_amplitudes,
     moments_from_density,
-    moments_from_state,
     spin_operator_matrices,
 )
 from .pure_measure import (
@@ -31,7 +30,6 @@ from .pure_measure import (
     LightPair,
     conditional_gaussian,
     conditional_state,
-    detection_amplitude,
     detection_probability,
     gaussian_window,
     most_probable_outcome,
@@ -43,7 +41,6 @@ from .master_eq import (
     ModelParams,
     TimeGrid,
     conditional_density,
-    detection_probability_me,
     integrate,
 )
 from .husimi import QGrid, q_grid
@@ -67,13 +64,10 @@ __all__ = [
     "conditional_density",
     "conditional_gaussian",
     "conditional_state",
-    "detection_amplitude",
     "detection_probability",
-    "detection_probability_me",
     "ge_to_lr_amplitudes",
     "integrate",
     "moments_from_density",
-    "moments_from_state",
     "most_probable_outcome",
     "outcome_cutoff",
     "port_amplitudes",

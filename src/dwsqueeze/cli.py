@@ -355,24 +355,30 @@ def _master_params(cfg: ExperimentConfig) -> ModelParams:
     )
 
 
+def _evolve(cfg: ExperimentConfig) -> tuple[ModelParams, list[HybridState]]:
+    """Integrate the initial coherent state and gate every sample on tol_trace/tol_herm."""
+    params = _master_params(cfg)
+    state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
+    rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
+    samples = integrate(params, rho0, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride))
+    # validate before conditioning: a drifted sample makes the conditional
+    # quantities meaningless and can raise far from the root cause; the
+    # comparison is written so that an overflowed (nan) sample fails too
+    for s in samples:
+        if not (s.trace_error() <= cfg.tol_trace and s.herm_error() <= cfg.tol_herm):
+            raise IntegrationError(
+                f"sample at t={s.t} violates trace/Hermiticity tolerances"
+            )
+    return params, samples
+
+
 def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Hybrid-equation time series of conditional moments, optional Q snapshots."""
     if cfg.t_max <= 0:
         raise ConfigError("master run requires t_max > 0")
-    params = _master_params(cfg)
     outcome = cfg.resolve_outcome()
-    state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
-    rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
-    samples = integrate(params, rho0, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride))
+    params, samples = _evolve(cfg)
     echo = config_echo_lines(cfg, "master")
-
-    # validate before conditioning: a drifted sample makes the conditional
-    # quantities meaningless and can raise far from the root cause
-    for s in samples:
-        if s.trace_error() > cfg.tol_trace or s.herm_error() > cfg.tol_herm:
-            raise IntegrationError(
-                f"sample at t={s.t} violates trace/Hermiticity tolerances"
-            )
     rows = _conditional_timeseries(params, samples, outcome)
     write_csv(
         out_dir / "master_timeseries.csv",
@@ -398,15 +404,11 @@ def run_qfunc(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Q grid of the conditional state; master evolution when t_max > 0."""
     outcome = cfg.resolve_outcome()
     echo = config_echo_lines(cfg, "qfunc")
-    state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
     if cfg.t_max > 0:
-        params = _master_params(cfg)
-        rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
-        samples = integrate(
-            params, rho0, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride)
-        )
+        params, samples = _evolve(cfg)
         source = conditional_density(params, samples[-1], outcome)
     else:
+        state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
         source = conditional_state(
             state, cfg.light(), InteractionSetting(g=cfg.g, t=cfg.t), outcome
         )
@@ -430,17 +432,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("sweep_values must be a nonempty list")
     if cfg.t_max <= 0:
         raise ConfigError("sweep requires t_max > 0")
-    state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
-    rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
+    # the outcome depends on the light only, never on the swept parameter
+    outcome = cfg.resolve_outcome()
     echo = config_echo_lines(cfg, "sweep")
     rows = []
     for value in cfg.sweep_values:
-        point = replace(cfg, **{cfg.sweep_param: value})
-        params = _master_params(point)
-        samples = integrate(
-            params, rho0, TimeGrid(point.t_max, point.dt, point.sample_stride)
-        )
-        outcome = point.resolve_outcome()
+        params, samples = _evolve(replace(cfg, **{cfg.sweep_param: value}))
         ts = _conditional_timeseries(params, samples, outcome)
         omega_t = np.array([r[1] for r in ts])
         jx_var = np.array([r[5] for r in ts])

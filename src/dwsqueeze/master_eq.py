@@ -11,7 +11,11 @@ dephasing damps off-diagonals.
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
 = alpha_c(k)/sqrt2 and u_d(k) = (i a_{k,l} + a_{k,r})/sqrt2 = alpha_d(k)/sqrt2,
-so rho_{kk'} is conditioned by the outer product A(k) A(k')^*.
+so rho_{kk'} is conditioned by the outer product A(k) A(k')^*.  The pure
+model's readout kernel evaluates A(k) once for p_k = rho_kk and also
+yields P = sum_k rho_kk |A(k)|^2 and its reachability check; only the
+trace normalization is done here.  Moments of the result come from
+spin_core.moments_from_density, the one moment routine of the package.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pure_measure import (
-    PROB_FLOOR,
     DetectionOutcome,
-    ImpossibleOutcomeError,
     InteractionSetting,
     LightPair,
-    _log_detection_amplitudes,
+    _reachable_factor,
 )
+from .spin_core import _ladder_factors
 
 DEPHASING_FORMS = ("lindblad", "literal")
 
@@ -131,11 +134,6 @@ def coherent_overlaps(params: ModelParams, t: float):
     return complex(ov_plus), complex(ov_minus)
 
 
-def _ladder(n_atoms: int) -> np.ndarray:
-    m = np.arange(1, n_atoms + 1, dtype=float)
-    return np.sqrt(m * (n_atoms - m + 1.0)) / 2.0
-
-
 def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
     """Time derivative of rho_{kk'}.
 
@@ -146,7 +144,7 @@ def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
     """
     n = params.n_atoms
     om = params.omega
-    s = _ladder(n)
+    s = _ladder_factors(n)
     ov_plus, ov_minus = coherent_overlaps(params, t)
     d = np.zeros_like(rho)
     if om != 0.0:
@@ -215,44 +213,24 @@ def integrate(
     return samples
 
 
-def detection_probability_me(
-    params: ModelParams, state: HybridState, outcome: DetectionOutcome
-) -> float:
-    """Probability of counting (n_c, n_d): sum_k rho_kk |A(k)|^2."""
-    log_mag, _ = _log_detection_amplitudes(
-        params.light, InteractionSetting(params.g, state.t), outcome, params.n_atoms
-    )
-    shift = log_mag.max()
-    weights = np.exp(2.0 * (log_mag - shift))
-    raw = np.sum(np.diag(state.rho) * weights)
-    if abs(raw.imag) > 1e-10 * max(abs(raw.real), 1.0):
-        raise AssertionError(f"detection probability has imaginary residue {raw.imag}")
-    return float(raw.real * np.exp(2.0 * shift))
-
-
 def conditional_density(
     params: ModelParams, state: HybridState, outcome: DetectionOutcome
 ) -> np.ndarray:
     """Atomic density matrix conditioned on the photon-count pair.
 
-    rho_{kk'} -> rho_{kk'} A(k) A(k')^* / P, computed with a joint log
-    rescale so deep-tail outcomes stay finite.
+    rho_{kk'} -> rho_{kk'} A(k) A(k')^* / P with A(k) rescaled by its
+    maximum, so deep-tail outcomes stay finite; P and the reachability
+    check come from rho_kk through the same kernel as the pure model.
     """
-    log_mag, phase = _log_detection_amplitudes(
-        params.light, InteractionSetting(params.g, state.t), outcome, params.n_atoms
+    mag, rot = _reachable_factor(
+        params.light,
+        InteractionSetting(params.g, state.t),
+        outcome,
+        np.diag(state.rho).real,
     )
-    prob = detection_probability_me(params, state, outcome)
-    if prob < PROB_FLOOR:
-        raise ImpossibleOutcomeError(
-            f"unreachable outcome (n_c={outcome.n_c}, n_d={outcome.n_d}): "
-            f"probability {prob:.3e}"
-        )
-    b = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
+    b = mag * rot
     cond = state.rho * np.outer(b, b.conj())
-    tr = np.trace(cond).real
-    if tr <= 0:
-        raise ImpossibleOutcomeError(
-            f"unreachable outcome (n_c={outcome.n_c}, n_d={outcome.n_d})"
-        )
-    return cond / tr
-
+    tr = np.trace(cond)
+    if abs(tr.imag) > 1e-10 * max(abs(tr.real), 1.0):
+        raise IntegrationError(f"detection probability has imaginary residue {tr.imag}")
+    return cond / tr.real

@@ -166,18 +166,43 @@ def _log_detection_amplitudes(
     return log_mag, phase
 
 
-def detection_amplitude(
+def _conditioning_factor(
     light: LightPair,
     setting: InteractionSetting,
     outcome: DetectionOutcome,
-    k: int,
-    n_atoms: int,
-) -> complex:
-    """Amplitude factor A_{n_c,n_d}(k) multiplying C_k upon detection."""
-    if not 0 <= k <= n_atoms:
-        raise ValueError(f"k out of range 0..{n_atoms}")
-    log_mag, phase = _log_detection_amplitudes(light, setting, outcome, n_atoms)
-    return complex(np.exp(log_mag[k]) * np.exp(1j * phase[k]))
+    pk: np.ndarray,
+):
+    """(|A(k)| / max_k |A(k)|, A(k)/|A(k)|, P) for a distribution p_k, k = 0..N.
+
+    P = sum_k p_k |A(k)|^2 is summed in the rescaled form.  Both models
+    condition through this one evaluation of A(k): p_k is |C_k|^2 for a
+    state and the real diagonal rho_kk for a density matrix.
+    """
+    log_mag, phase = _log_detection_amplitudes(light, setting, outcome, len(pk) - 1)
+    # P <= max_k |A(k)|^2, so flooring the shift only touches outcomes below
+    # PROB_FLOOR; it keeps the rescaled magnitude finite where A(k) = 0 for all k
+    shift = max(log_mag.max(), 0.5 * math.log(PROB_FLOOR))
+    mag = np.exp(log_mag - shift)
+    p = float(np.sum(pk * mag**2)) * math.exp(2.0 * shift)
+    if p > 1.0 + 1e-10:
+        raise AssertionError(f"detection probability {p} exceeds 1")
+    return mag, np.exp(1j * phase), min(p, 1.0)
+
+
+def _reachable_factor(
+    light: LightPair,
+    setting: InteractionSetting,
+    outcome: DetectionOutcome,
+    pk: np.ndarray,
+):
+    """Rescaled magnitude and phase factor of A(k); refuses outcomes below PROB_FLOOR."""
+    mag, rot, p = _conditioning_factor(light, setting, outcome, pk)
+    if not p >= PROB_FLOOR:  # a nan P is refused too
+        raise ImpossibleOutcomeError(
+            f"impossible outcome (n_c={outcome.n_c}, n_d={outcome.n_d}): "
+            f"probability {p:.3e}"
+        )
+    return mag, rot
 
 
 def detection_probability(
@@ -187,11 +212,7 @@ def detection_probability(
     outcome: DetectionOutcome,
 ) -> float:
     """P(n_c, n_d) = sum_k |C_k|^2 |A_{n_c,n_d}(k)|^2."""
-    log_mag, _ = _log_detection_amplitudes(light, setting, outcome, state.n_atoms)
-    p = float(np.sum(state.pmf() * np.exp(2.0 * log_mag)))
-    if p > 1.0 + 1e-10:
-        raise AssertionError(f"detection probability {p} exceeds 1")
-    return min(p, 1.0)
+    return _conditioning_factor(light, setting, outcome, state.pmf())[2]
 
 
 def conditional_state(
@@ -205,14 +226,8 @@ def conditional_state(
     The phases of A(k) are kept; they carry the k-dependent rotation that
     shows up in the transverse spin moments.
     """
-    log_mag, phase = _log_detection_amplitudes(light, setting, outcome, state.n_atoms)
-    prob = detection_probability(state, light, setting, outcome)
-    if prob < PROB_FLOOR:
-        raise ImpossibleOutcomeError(
-            f"impossible outcome (n_c={outcome.n_c}, n_d={outcome.n_d}): "
-            f"probability {prob:.3e}"
-        )
-    amp = state.amplitudes * np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
+    mag, rot = _reachable_factor(light, setting, outcome, state.pmf())
+    amp = state.amplitudes * mag * rot
     amp /= np.linalg.norm(amp)
     return AtomState(n_atoms=state.n_atoms, amplitudes=amp)
 

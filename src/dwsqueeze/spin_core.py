@@ -134,12 +134,17 @@ def build_spin_coherent(ge: GroundExcitedAmplitudes, n_atoms: int) -> AtomState:
     return AtomState(n_atoms=n_atoms, amplitudes=amp)
 
 
+def _ladder_factors(n_atoms: int) -> np.ndarray:
+    """sqrt((k+1)(N-k))/2 between |k> and |k+1>, k = 0..N-1."""
+    k = np.arange(n_atoms, dtype=float)
+    return np.sqrt((k + 1.0) * (n_atoms - k)) / 2.0
+
+
 @lru_cache(maxsize=16)
 def _spin_matrices_cached(n_atoms: int):
     k = np.arange(n_atoms + 1, dtype=float)
     jx = np.diag(k - n_atoms / 2.0).astype(complex)
-    # ladder factor between |k> and |k+1>
-    s = np.sqrt((k[:-1] + 1.0) * (n_atoms - k[:-1])) / 2.0
+    s = _ladder_factors(n_atoms)
     jy = np.zeros_like(jx)
     jz = np.zeros_like(jx)
     idx = np.arange(n_atoms)
@@ -170,20 +175,6 @@ def _clamp_variance(var: float) -> float:
     if var < _VAR_FLAG:
         raise ValueError(f"variance {var} below roundoff tolerance {_VAR_FLAG}")
     return max(var, 0.0)
-
-
-def moments_from_state(state: AtomState) -> SpinMoments:
-    """Means and variances of J_x, J_y, J_z for a pure state."""
-    jx, jy, jz = spin_operator_matrices(state.n_atoms)
-    psi = state.amplitudes
-    out = []
-    for op in (jx, jy, jz):
-        op_psi = op @ psi
-        mean = float(np.real(np.vdot(psi, op_psi)))
-        second = float(np.real(np.vdot(op_psi, op_psi)))
-        out.append((mean, _clamp_variance(second - mean**2)))
-    (mx, vx), (my, vy), (mz, vz) = out
-    return SpinMoments(mx, my, mz, vx, vy, vz)
 
 
 def moments_from_density(rho: np.ndarray) -> SpinMoments:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dwsqueeze.cli as cli
 from dwsqueeze.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -15,6 +16,7 @@ from dwsqueeze.cli import (
     load_config,
     main,
 )
+from dwsqueeze.master_eq import HybridState
 from dwsqueeze.spin_core import (
     GroundExcitedAmplitudes,
     analytic_precession,
@@ -317,28 +319,67 @@ def test_dephasing_flag_and_seedless(tmp_path):
     assert any("dephasing_form = literal" in h for h in header)
 
 
-def test_literal_dephasing_trips_herm_tolerance(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["master", "qfunc", "sweep"])
+def test_literal_dephasing_trips_herm_tolerance(tmp_path, capsys, command):
     # the literal rate term is not of Lindblad form; with gamma > 0 it
-    # breaks Hermiticity past the default tolerance and the run must abort
-    cfg = write(tmp_path / "c.cfg", base_config(gamma=fmt(0.0001)))
+    # breaks Hermiticity past the default tolerance and every run of the
+    # master model must abort before conditioning on the drifted samples
+    gamma = fmt(0.0001)
+    cfg = write(
+        tmp_path / "c.cfg",
+        base_config(gamma=gamma, sweep_param="gamma", sweep_values=gamma),
+    )
     code = main(
-        ["master", "--config", cfg, "--out", str(tmp_path / "o"),
+        [command, "--config", cfg, "--out", str(tmp_path / "o"),
          "--dephasing", "literal"]
     )
+    assert code == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "tolerances" in errors[0]
+
+
+def test_nan_sample_trips_drift_gate(tmp_path, capsys, monkeypatch):
+    # an overflowed literal-mode trajectory ends in a nan sample, whose drift
+    # compares false against any tolerance; the gate must still reject it
+    def overflowed(params, rho0, grid):
+        nan_rho = np.full_like(rho0, np.nan)
+        return [HybridState(rho0, 0.0), HybridState(nan_rho, grid.t_max)]
+
+    monkeypatch.setattr(cli, "integrate", overflowed)
+    cfg = write(tmp_path / "c.cfg", base_config())
+    code = main(["master", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CHECK_FAILED
     assert "tolerances" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(tmp_path):
-    cfg = write(tmp_path / "c.cfg", base_config(t="0.005", g="1.0", t_max=None))
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["pure", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-    assert main(["pure", "--config", cfg, "--out", str(out2)]) == EXIT_OK
-    for name in ("pure_pmf.csv", "pure_detection_grid.csv"):
-        b1 = (out1 / name).read_bytes()
-        b2 = (out2 / name).read_bytes()
-        assert b1 == b2
-        assert b"\r" not in b1
+    runs = {
+        "pure": (
+            base_config(t="0.005", g="1.0", t_max=None),
+            ("pure_pmf.csv", "pure_detection_grid.csv"),
+        ),
+        "master": (
+            base_config(q_omega_t="10", n_theta="16", n_phi="16"),
+            ("master_timeseries.csv", "master_q_00.csv"),
+        ),
+        "qfunc": (base_config(n_theta="16", n_phi="16"), ("qfunc.csv",)),
+        "sweep": (
+            base_config(sweep_param="gamma", sweep_values="0,0.001"),
+            ("sweep_summary.csv",),
+        ),
+    }
+    for command, (text, names) in runs.items():
+        cfg = write(tmp_path / f"{command}.cfg", text)
+        out1, out2 = tmp_path / f"{command}1", tmp_path / f"{command}2"
+        assert main([command, "--config", cfg, "--out", str(out1)]) == EXIT_OK
+        assert main([command, "--config", cfg, "--out", str(out2)]) == EXIT_OK
+        for name in names:
+            b1 = (out1 / name).read_bytes()
+            b2 = (out2 / name).read_bytes()
+            assert b1 == b2
+            assert b"\r" not in b1
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -12,7 +12,6 @@ from dwsqueeze.master_eq import (
     TimeGrid,
     coherent_overlaps,
     conditional_density,
-    detection_probability_me,
     integrate,
     rhs,
 )
@@ -24,6 +23,7 @@ from dwsqueeze.pure_measure import (
     detection_pmf_grid,
     InteractionSetting,
     port_amplitudes,
+    _conditioning_factor,
 )
 from dwsqueeze.spin_core import (
     GroundExcitedAmplitudes,
@@ -225,10 +225,15 @@ def test_boundary_safety_smallest_system():
     assert all(np.all(np.isfinite(s.rho)) for s in samples)
 
 
+def probability_from_rho(params, state, outcome):
+    setting = InteractionSetting(params.g, state.t)
+    return _conditioning_factor(params.light, setting, outcome, np.diag(state.rho).real)[2]
+
+
 def test_detection_probability_poisson_at_t0():
     params = make_params(n=6, g=0.4, light=LightPair(2.0, 2.0))
     rho0 = coherent_rho(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 6)
-    p = detection_probability_me(params, HybridState(rho0, 0.0), DetectionOutcome(4, 4))
+    p = probability_from_rho(params, HybridState(rho0, 0.0), DetectionOutcome(4, 4))
     expected = (math.exp(-4) * 4.0**4 / math.factorial(4)) ** 2
     assert p == pytest.approx(expected, rel=1e-12)
     assert p == pytest.approx(3.816819e-2, rel=1e-6)
@@ -237,10 +242,10 @@ def test_detection_probability_poisson_at_t0():
 def test_detection_probability_independent_of_rho_when_g0():
     params = make_params(n=8, g=0.0, light=LightPair(1.7, 0.6))
     outcome = DetectionOutcome(2, 1)
-    p1 = detection_probability_me(
+    p1 = probability_from_rho(
         params, HybridState(coherent_rho(GroundExcitedAmplitudes(0, 1), 8), 2.0), outcome
     )
-    p2 = detection_probability_me(params, HybridState(random_density(8), 2.0), outcome)
+    p2 = probability_from_rho(params, HybridState(random_density(8), 2.0), outcome)
     assert p1 == pytest.approx(p2, rel=1e-12)
 
 
@@ -303,6 +308,15 @@ def test_conditional_density_unreachable_outcome():
     state = HybridState(coherent_rho(GroundExcitedAmplitudes(0, 1), 6), 0.5)
     with pytest.raises(ImpossibleOutcomeError):
         conditional_density(params, state, DetectionOutcome(300, 300))
+
+
+def test_conditional_density_imaginary_trace_is_integration_error():
+    # a drifted trajectory can leave an imaginary diagonal; conditioning on
+    # it must fail as an integration error, not as a bare assertion
+    params = make_params(n=6, g=0.2, light=LightPair(1.0, 1.0))
+    rho = coherent_rho(GroundExcitedAmplitudes(0, 1), 6) + 1e-3j * np.eye(7)
+    with pytest.raises(IntegrationError, match="imaginary residue"):
+        conditional_density(params, HybridState(rho, 0.5), DetectionOutcome(1, 1))
 
 
 def test_literal_mode_skips_hermiticity_validation():

@@ -16,13 +16,14 @@ from dwsqueeze.pure_measure import (
     approx_detection_probability,
     conditional_gaussian,
     conditional_state,
-    detection_amplitude,
     detection_pmf_grid,
     detection_probability,
     gaussian_window,
     most_probable_outcome,
     outcome_cutoff,
     port_amplitudes,
+    _conditioning_factor,
+    _log_detection_amplitudes,
 )
 from dwsqueeze.spin_core import GroundExcitedAmplitudes, build_spin_coherent
 
@@ -76,9 +77,14 @@ def test_port_energy_conservation(re_l, im_l, re_r, im_r, gt, k):
     )
 
 
+def amplitude_at(light, setting, outcome, k, n_atoms):
+    log_mag, phase = _log_detection_amplitudes(light, setting, outcome, n_atoms)
+    return complex(np.exp(log_mag[k]) * np.exp(1j * phase[k]))
+
+
 def test_detection_amplitude_balanced_mean():
     light = LightPair(RT20, RT20)
-    a = detection_amplitude(
+    a = amplitude_at(
         light, InteractionSetting(1.0, 0.0), DetectionOutcome(20, 20), 5, 200
     )
     expected = poisson(20, 20.0) ** 2
@@ -89,7 +95,7 @@ def test_detection_amplitude_balanced_mean():
 def test_detection_amplitude_vacuum_outcome():
     light = LightPair(1.2, 0.7j)
     vals = [
-        detection_amplitude(
+        amplitude_at(
             light, InteractionSetting(1.0, 0.0), DetectionOutcome(0, 0), k, 6
         )
         for k in range(7)
@@ -100,7 +106,7 @@ def test_detection_amplitude_vacuum_outcome():
 def test_detection_amplitude_k_independent_at_gt0():
     light = LightPair(1.5, 0.9)
     vals = [
-        detection_amplitude(
+        amplitude_at(
             light, InteractionSetting(1.0, 0.0), DetectionOutcome(2, 3), k, 10
         )
         for k in range(11)
@@ -164,6 +170,34 @@ def test_conditional_state_impossible_outcome():
             InteractionSetting(1.0, 0.01),
             DetectionOutcome(400, 400),
         )
+
+
+def test_detection_probability_below_floor_does_not_raise():
+    state = build_spin_coherent(GROUND, 10)
+    p = detection_probability(
+        state, LightPair(2.0, 2.0), InteractionSetting(1.0, 0.01), DetectionOutcome(400, 400)
+    )
+    assert 0.0 <= p < 1e-280
+
+
+def test_dark_light_with_counts_is_impossible():
+    # A(k) = 0 for every k: P is exactly 0 and conditioning refuses the outcome
+    state = build_spin_coherent(GROUND, 10)
+    setting, outcome = InteractionSetting(1.0, 0.3), DetectionOutcome(1, 0)
+    assert detection_probability(state, LightPair(0.0, 0.0), setting, outcome) == 0.0
+    with pytest.raises(ImpossibleOutcomeError):
+        conditional_state(state, LightPair(0.0, 0.0), setting, outcome)
+
+
+def test_conditioning_factor_matches_unshifted_sum():
+    state = build_spin_coherent(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 40)
+    light, setting = LightPair(RT20, RT20), InteractionSetting(1.0, 0.02)
+    outcome = DetectionOutcome(23, 17)
+    log_mag, phase = _log_detection_amplitudes(light, setting, outcome, 40)
+    mag, rot, p = _conditioning_factor(light, setting, outcome, state.pmf())
+    assert mag.max() == 1.0
+    assert np.allclose(mag * rot, np.exp(log_mag - log_mag.max() + 1j * phase), atol=1e-15)
+    assert p == pytest.approx(np.sum(state.pmf() * np.exp(2.0 * log_mag)), rel=1e-12)
 
 
 def test_conditional_pmf_matches_gaussian_in_many_photon_regime():

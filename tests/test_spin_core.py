@@ -17,7 +17,6 @@ from dwsqueeze.spin_core import (
     build_spin_coherent,
     ge_to_lr_amplitudes,
     moments_from_density,
-    moments_from_state,
     spin_operator_matrices,
 )
 
@@ -123,15 +122,19 @@ def test_commutation_and_casimir(n):
     assert np.max(np.abs(casimir - expected)) < 1e-9
 
 
+def pure_moments(state):
+    return moments_from_density(np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
 def test_moments_ground_state():
-    m = moments_from_state(build_spin_coherent(GroundExcitedAmplitudes(0.0, 1.0), 30))
+    m = pure_moments(build_spin_coherent(GroundExcitedAmplitudes(0.0, 1.0), 30))
     assert m.jz_mean == pytest.approx(-15.0, abs=1e-9)
     assert m.jz_var == pytest.approx(0.0, abs=1e-9)
 
 
 def test_moments_tilted_state():
     ge = GroundExcitedAmplitudes(math.sqrt(0.001), math.sqrt(0.999))
-    m = moments_from_state(build_spin_coherent(ge, 30))
+    m = pure_moments(build_spin_coherent(ge, 30))
     assert m.jz_mean == pytest.approx(30 * (0.001 - 0.999) / 2, abs=1e-9)
     assert abs(m.jz_mean - (-14.97)) < 1e-9
     assert m.jz_var == pytest.approx(30 * 0.001 * 0.999, abs=1e-9)
@@ -141,12 +144,13 @@ def test_moments_tilted_state():
 
 def test_moments_from_density_matches_state():
     ge = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7) * 1j)
-    state = build_spin_coherent(ge, 12)
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    ms = moments_from_state(state)
-    md = moments_from_density(rho)
-    for field in ("jx_mean", "jy_mean", "jz_mean", "jx_var", "jy_var", "jz_var"):
-        assert getattr(ms, field) == pytest.approx(getattr(md, field), abs=1e-10)
+    psi = build_spin_coherent(ge, 12).amplitudes
+    md = moments_from_density(np.outer(psi, psi.conj()))
+    for axis, op in zip("xyz", spin_operator_matrices(12)):
+        mean = np.vdot(psi, op @ psi).real
+        var = np.vdot(op @ psi, op @ psi).real - mean**2
+        assert getattr(md, f"j{axis}_mean") == pytest.approx(mean, abs=1e-10)
+        assert getattr(md, f"j{axis}_var") == pytest.approx(var, abs=1e-10)
 
 
 def test_moments_from_density_rejects_bad_trace():
@@ -192,7 +196,7 @@ def test_precession_transverse_radius_conserved(theta, phi, t):
 )
 def test_coherent_state_moments_match_analytic(theta, phi, n):
     ge = bloch_to_ge(BlochAngles(theta, phi))
-    ms = moments_from_state(build_spin_coherent(ge, n))
+    ms = pure_moments(build_spin_coherent(ge, n))
     ma = analytic_precession(ge, n, 1.0, 0.0)
     for field in ("jx_mean", "jy_mean", "jz_mean", "jx_var", "jy_var", "jz_var"):
         assert getattr(ms, field) == pytest.approx(getattr(ma, field), abs=1e-9)
