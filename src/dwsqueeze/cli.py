@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .husimi import q_grid
 from .master_eq import (
-    DEPHASING_FORMS,
     HybridState,
     IntegrationError,
     ModelParams,
@@ -86,7 +85,6 @@ class ExperimentConfig:
     omega: float = 0.0
     g: float = 0.0
     gamma: float = 0.0
-    dephasing_form: str = "lindblad"
     alpha_l: complex = 0j
     alpha_r: complex = 0j
     t: float = 0.0
@@ -102,8 +100,6 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] = ()
     suites: str = "all"
     out_dir: str = "out"
-    tol_trace: float = 1e-8
-    tol_herm: float = 1e-9
 
     def ge(self) -> GroundExcitedAmplitudes:
         has_ab = self.alpha is not None or self.beta is not None
@@ -134,14 +130,10 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _INT_KEYS = {"n_atoms", "sample_stride", "n_theta", "n_phi"}
-_FLOAT_KEYS = {
-    "theta", "phi", "omega", "g", "gamma", "t", "t_max", "dt",
-    "tol_trace", "tol_herm",
-}
+_FLOAT_KEYS = {"theta", "phi", "omega", "g", "gamma", "t", "t_max", "dt"}
 _COMPLEX_KEYS = {"alpha", "beta", "alpha_l", "alpha_r"}
 _BOOL_KEYS = {"emit_q"}
 _FLOAT_TUPLE_KEYS = {"q_omega_t", "sweep_values"}
-_STR_KEYS = {"dephasing_form", "outcome", "sweep_param", "suites", "out_dir"}
 
 
 def _parse_complex(text: str) -> complex:
@@ -208,8 +200,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     cfg = ExperimentConfig(**values)
     if cfg.n_atoms < 1:
         raise ConfigError("n_atoms must be set to a positive integer")
-    if cfg.dephasing_form not in DEPHASING_FORMS:
-        raise ConfigError(f"dephasing_form must be one of {DEPHASING_FORMS}")
     return cfg
 
 
@@ -344,31 +334,14 @@ _TIMESERIES_COLUMNS = [
 ]
 
 
-def _master_params(cfg: ExperimentConfig) -> ModelParams:
-    return ModelParams(
-        n_atoms=cfg.n_atoms,
-        omega=cfg.omega,
-        g=cfg.g,
-        gamma=cfg.gamma,
-        light=cfg.light(),
-        dephasing_form=cfg.dephasing_form,
-    )
-
-
 def _evolve(cfg: ExperimentConfig) -> tuple[ModelParams, list[HybridState]]:
-    """Integrate the initial coherent state and gate every sample on tol_trace/tol_herm."""
-    params = _master_params(cfg)
+    """Integrate the initial coherent state; integrate validates every sample."""
+    params = ModelParams(
+        n_atoms=cfg.n_atoms, omega=cfg.omega, g=cfg.g, gamma=cfg.gamma, light=cfg.light()
+    )
     state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
     samples = integrate(params, rho0, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride))
-    # validate before conditioning: a drifted sample makes the conditional
-    # quantities meaningless and can raise far from the root cause; the
-    # comparison is written so that an overflowed (nan) sample fails too
-    for s in samples:
-        if not (s.trace_error() <= cfg.tol_trace and s.herm_error() <= cfg.tol_herm):
-            raise IntegrationError(
-                f"sample at t={s.t} violates trace/Hermiticity tolerances"
-            )
     return params, samples
 
 
@@ -577,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="photon-count pair 'nc,nd' or 'auto' (most probable)",
         )
-        p.add_argument("--dephasing", default=None, choices=DEPHASING_FORMS)
         p.add_argument(
             "--seedless",
             action="store_true",
@@ -598,11 +570,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
-        if cfg is not None:
-            if args.outcome:
-                cfg = replace(cfg, outcome=args.outcome)
-            if args.dephasing:
-                cfg = replace(cfg, dephasing_form=args.dephasing)
+        if cfg is not None and args.outcome:
+            cfg = replace(cfg, outcome=args.outcome)
         out_dir = Path(args.out) if args.out else Path(cfg.out_dir if cfg else "out")
         if args.command == "validate":
             return run_validate(cfg, out_dir)

@@ -6,7 +6,7 @@ a_{k,l} = a_l e^{-i phi}, a_{k,r} = a_r e^{+i phi}, phi = gt(k - N/2),
 follow the atoms analytically and only the atomic matrix rho_{kk'} is
 integrated.  Tunneling couples neighboring k with the usual ladder
 factors, weighted by the overlap of the displaced light states;
-dephasing damps off-diagonals.
+Lindblad dephasing damps rho_{mm'} at the rate gamma (m - m')^2 / 2.
 
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
@@ -32,8 +32,6 @@ from .pure_measure import (
 )
 from .spin_core import _ladder_factors
 
-DEPHASING_FORMS = ("lindblad", "literal")
-
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-8
 
@@ -49,18 +47,12 @@ class ModelParams:
     g: float
     gamma: float
     light: LightPair
-    dephasing_form: str = "lindblad"
 
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be >= 1")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.dephasing_form not in DEPHASING_FORMS:
-            raise ValueError(
-                f"dephasing_form must be one of {DEPHASING_FORMS}, "
-                f"got {self.dephasing_form!r}"
-            )
 
 
 @dataclass
@@ -83,10 +75,11 @@ class HybridState:
         return float(abs(np.trace(self.rho) - 1.0))
 
     def validate(self):
+        # written as `not <=` so that a nan (overflowed) sample fails too
         he, te = self.herm_error(), self.trace_error()
-        if he > HERM_TOL:
+        if not he <= HERM_TOL:
             raise IntegrationError(f"Hermiticity broken at t={self.t}: {he:.3e}")
-        if te > TRACE_TOL:
+        if not te <= TRACE_TOL:
             raise IntegrationError(f"trace drift at t={self.t}: {te:.3e}")
         d = np.diag(self.rho)
         if np.min(d.real) < -1e-10 or np.max(d.real) > 1.0 + 1e-10:
@@ -138,7 +131,7 @@ def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
     """Time derivative of rho_{kk'}.
 
     Four tunneling terms (row and column neighbors, each weighted by the
-    matching light overlap) plus the dephasing damping of off-diagonals.
+    matching light overlap) plus the Lindblad dephasing -gamma/2 (m - m')^2 rho.
     Ladder factors vanish at the k = 0 and k = N edges, so boundary terms
     drop out by construction.
     """
@@ -156,12 +149,7 @@ def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
         d[:, :-1] -= 1j * om * s[None, :] * ov_minus * rho[:, 1:]
     if params.gamma != 0.0:
         m = np.arange(n + 1, dtype=float)
-        diff = m[:, None] - m[None, :]
-        if params.dephasing_form == "lindblad":
-            d -= 0.5 * params.gamma * diff**2 * rho
-        else:
-            # printed damping, linear in (m - m'); not Hermiticity-preserving
-            d -= params.gamma * diff * rho
+        d -= 0.5 * params.gamma * (m[:, None] - m[None, :]) ** 2 * rho
     return d
 
 
@@ -183,10 +171,11 @@ def integrate(
 
     The step count is rounded so the trajectory lands exactly on t_max.
     With strict=True the step-bound invariant is enforced up front and
-    every emitted sample is validated (Hermiticity, trace, diagonal
-    range); violations abort with the offending time in the message.
-    The literal dephasing form breaks Hermiticity by construction, so
-    validation only applies in lindblad mode.
+    every emitted sample must pass HybridState.validate: trace drift
+    <= TRACE_TOL, Hermiticity drift <= HERM_TOL and a diagonal in [0, 1],
+    where a nan sample fails.  A violation raises IntegrationError with
+    the offending time in the message.  strict=False checks nothing, so
+    callers can report a broken trajectory instead of aborting on it.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     n_steps = max(1, int(round(grid.t_max / grid.dt)))
@@ -197,9 +186,8 @@ def integrate(
             raise ValueError(
                 f"step bound violated: dt*max(omega, g*N, gamma*N^2) = {eff:.3f} > 0.05"
             )
-    validate = strict and params.dephasing_form == "lindblad"
     samples = [HybridState(rho0.copy(), 0.0)]
-    if validate:
+    if strict:
         samples[0].validate()
     rho = rho0.copy()
     for step in range(1, n_steps + 1):
@@ -207,7 +195,7 @@ def integrate(
         rho = _rk4_step(params, rho, t_prev, dt)
         if step % grid.sample_stride == 0 or step == n_steps:
             sample = HybridState(rho.copy(), step * dt)
-            if validate:
+            if strict:
                 sample.validate()
             samples.append(sample)
     return samples

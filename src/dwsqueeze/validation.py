@@ -17,6 +17,8 @@ from scipy.special import gammaln
 
 from .husimi import q_grid
 from .master_eq import (
+    HERM_TOL,
+    TRACE_TOL,
     HybridState,
     ModelParams,
     TimeGrid,
@@ -288,7 +290,8 @@ def normalization_sweep(entries: list[dict] | None = None) -> list[OracleReport]
     Each entry is a flat parameter dict; defaults cover N in {2, 5, 30}
     with tunneling/coupling values at the squeezing operating point.
     Integrations run non-strict so that injected faults (for example an
-    unstable dt) show up as failed reports instead of aborts.
+    unstable dt) show up as failed reports instead of aborts; the drift
+    maxima propagate nan, so an overflowed trajectory fails them too.
     """
     if entries is None:
         entries = _default_sweep_entries()
@@ -325,16 +328,16 @@ def normalization_sweep(entries: list[dict] | None = None) -> list[OracleReport]
         reports.append(
             OracleReport.make(
                 f"trace_drift[{tag}]",
-                max(s.trace_error() for s in samples),
-                1e-8,
+                np.max([s.trace_error() for s in samples]),
+                TRACE_TOL,
                 dt=e["dt"],
             )
         )
         reports.append(
             OracleReport.make(
                 f"hermiticity[{tag}]",
-                max(s.herm_error() for s in samples),
-                1e-9,
+                np.max([s.herm_error() for s in samples]),
+                HERM_TOL,
                 dt=e["dt"],
             )
         )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import dwsqueeze.cli as cli
+import dwsqueeze.master_eq as master_eq
 from dwsqueeze.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -16,7 +16,6 @@ from dwsqueeze.cli import (
     load_config,
     main,
 )
-from dwsqueeze.master_eq import HybridState
 from dwsqueeze.spin_core import (
     GroundExcitedAmplitudes,
     analytic_precession,
@@ -239,7 +238,7 @@ def test_validate_fault_injection_fails(tmp_path, capsys):
 
 def test_validate_empty_suite_selection(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", base_config(suites='""'))
-    # an empty suites value: use a literal empty string after '='
+    # an empty suites value: nothing after '='
     cfg2 = write(tmp_path / "c2.cfg", base_config(suites=""))
     out = tmp_path / "out"
     assert main(["validate", "--config", cfg2, "--out", str(out)]) == EXIT_OK
@@ -307,51 +306,50 @@ def test_step_bound_violation_exit(tmp_path, capsys):
 
 
 def test_dephasing_flag_and_seedless(tmp_path):
+    # the Lindblad generator is the only dephasing form, so there is no
+    # flag to choose one; --seedless stays an accepted no-op
     cfg = write(tmp_path / "c.cfg", base_config())
     out = tmp_path / "out"
-    assert main(
-        [
-            "master", "--config", cfg, "--out", str(out),
-            "--dephasing", "literal", "--seedless",
-        ]
-    ) == EXIT_OK
-    header, _ = read_rows(out / "master_timeseries.csv")
-    assert any("dephasing_form = literal" in h for h in header)
+    with pytest.raises(SystemExit) as exc:
+        main(["master", "--config", cfg, "--out", str(out), "--dephasing", "lindblad"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert not out.exists()
+    assert main(["master", "--config", cfg, "--out", str(out), "--seedless"]) == EXIT_OK
+    assert (out / "master_timeseries.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dephasing_form", "lindblad"), ("tol_trace", "1e-8"), ("tol_herm", "1e-9")],
+)
+def test_removed_config_keys_refused(tmp_path, capsys, key, value):
+    cfg = write(tmp_path / "c.cfg", base_config(**{key: value}))
+    code = main(["master", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"unknown key {key!r}" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["master", "qfunc", "sweep"])
-def test_literal_dephasing_trips_herm_tolerance(tmp_path, capsys, command):
-    # the literal rate term is not of Lindblad form; with gamma > 0 it
-    # breaks Hermiticity past the default tolerance and every run of the
-    # master model must abort before conditioning on the drifted samples
-    gamma = fmt(0.0001)
+def test_nan_sample_trips_drift_gate(tmp_path, capsys, monkeypatch, command):
+    # an overflowed trajectory holds nan, whose drift compares false against
+    # any tolerance; the per-sample gate of integrate must still reject it,
+    # so every command of the master model exits 1 before conditioning
+    def overflowed(params, rho, t, dt):
+        return np.full_like(rho, np.nan)
+
+    monkeypatch.setattr(master_eq, "_rk4_step", overflowed)
     cfg = write(
-        tmp_path / "c.cfg",
-        base_config(gamma=gamma, sweep_param="gamma", sweep_values=gamma),
+        tmp_path / "c.cfg", base_config(sweep_param="gamma", sweep_values="0")
     )
-    code = main(
-        [command, "--config", cfg, "--out", str(tmp_path / "o"),
-         "--dephasing", "literal"]
-    )
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CHECK_FAILED
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    assert "tolerances" in errors[0]
-
-
-def test_nan_sample_trips_drift_gate(tmp_path, capsys, monkeypatch):
-    # an overflowed literal-mode trajectory ends in a nan sample, whose drift
-    # compares false against any tolerance; the gate must still reject it
-    def overflowed(params, rho0, grid):
-        nan_rho = np.full_like(rho0, np.nan)
-        return [HybridState(rho0, 0.0), HybridState(nan_rho, grid.t_max)]
-
-    monkeypatch.setattr(cli, "integrate", overflowed)
-    cfg = write(tmp_path / "c.cfg", base_config())
-    code = main(["master", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == EXIT_CHECK_FAILED
-    assert "tolerances" in capsys.readouterr().err
+    assert "Hermiticity broken" in errors[0]
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -36,14 +36,13 @@ from dwsqueeze.spin_core import (
 TILTED = GroundExcitedAmplitudes(math.sqrt(0.001), math.sqrt(0.999))
 
 
-def make_params(n=30, omega=0.0, g=0.0, gamma=0.0, light=None, form="lindblad"):
+def make_params(n=30, omega=0.0, g=0.0, gamma=0.0, light=None):
     return ModelParams(
         n_atoms=n,
         omega=omega,
         g=g,
         gamma=gamma,
         light=light or LightPair(2.0, 2.0),
-        dephasing_form=form,
     )
 
 
@@ -130,15 +129,6 @@ def test_rhs_trace_free_lindblad():
     params = make_params(n=10, omega=0.6, g=0.2, gamma=0.05)
     rho = random_density(10)
     assert abs(np.trace(rhs(params, rho, 0.9))) < 1e-12
-
-
-def test_rhs_literal_dephasing_term():
-    n = 6
-    params = make_params(n=n, omega=0.0, g=0.0, gamma=0.3, form="literal")
-    rho = random_density(n)
-    m = np.arange(n + 1)
-    expected = -0.3 * (m[:, None] - m[None, :]) * rho
-    assert np.max(np.abs(rhs(params, rho, 0.0) - expected)) < 1e-14
 
 
 def test_lindblad_dephasing_closed_form():
@@ -319,20 +309,9 @@ def test_conditional_density_imaginary_trace_is_integration_error():
         conditional_density(params, HybridState(rho, 0.5), DetectionOutcome(1, 1))
 
 
-def test_literal_mode_skips_hermiticity_validation():
-    # the printed dephasing term is not Hermiticity-preserving; integration
-    # must still run in literal mode without tripping the validator
-    params = make_params(n=5, omega=0.4, g=0.0, gamma=0.1, form="literal")
-    rho0 = coherent_rho(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 5)
-    samples = integrate(params, rho0, TimeGrid(1.0, 0.01, sample_stride=20))
-    assert samples[-1].herm_error() > 1e-9  # demonstrates the asymmetry
-
-
 def test_model_params_validation():
     with pytest.raises(ValueError):
         make_params(gamma=-0.1)
-    with pytest.raises(ValueError):
-        make_params(form="bogus")
     with pytest.raises(ValueError):
         TimeGrid(t_max=1.0, dt=-0.1)
 
@@ -343,3 +322,7 @@ def test_hybrid_state_validate():
     bad = HybridState(np.eye(3), 0.0)
     with pytest.raises(IntegrationError):
         bad.validate()
+    # an overflowed sample: every drift is nan and must fail, not pass
+    overflowed = HybridState(np.full((3, 3), np.nan), 0.0)
+    with pytest.raises(IntegrationError):
+        overflowed.validate()

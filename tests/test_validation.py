@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dwsqueeze.master_eq import ModelParams
+import dwsqueeze.validation as validation
+from dwsqueeze.master_eq import HybridState, ModelParams
 from dwsqueeze.pure_measure import (
     DetectionOutcome,
     InteractionSetting,
@@ -171,6 +172,22 @@ def test_normalization_sweep_fault_injection():
     assert trace_reports and not trace_reports[0].passed
     herm_reports = [r for r in reports if r.name.startswith("hermiticity")]
     assert herm_reports and not herm_reports[0].passed
+
+
+def test_normalization_sweep_nan_trajectory_fails(monkeypatch):
+    # an overflowed trajectory ends in a nan sample after finite ones; the
+    # drift maxima must propagate the nan and fail, not report the finite part
+    def overflowed(params, rho0, grid, strict=True):
+        nan_rho = np.full_like(rho0, np.nan)
+        return [HybridState(rho0, 0.0), HybridState(nan_rho, grid.t_max)]
+
+    monkeypatch.setattr(validation, "integrate", overflowed)
+    entries = validation._default_sweep_entries()[:1]  # N = 2
+    reports = {r.name: r for r in normalization_sweep(entries)}
+    for name in ("trace_drift[N=2]", "hermiticity[N=2]"):
+        assert math.isnan(reports[name].max_abs_error)
+        assert not reports[name].passed
+    assert reports["completeness[N=2]"].passed
 
 
 def test_normalization_sweep_empty_is_success():
