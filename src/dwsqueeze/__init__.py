@@ -25,12 +25,10 @@ from .spin_core import (
 )
 from .pure_measure import (
     DetectionOutcome,
-    GaussianWindow,
     InteractionSetting,
     LightPair,
     conditional_gaussian,
     conditional_state,
-    detection_probability,
     gaussian_window,
     most_probable_outcome,
     outcome_cutoff,
@@ -49,7 +47,6 @@ __all__ = [
     "AtomState",
     "BlochAngles",
     "DetectionOutcome",
-    "GaussianWindow",
     "GroundExcitedAmplitudes",
     "HybridState",
     "InteractionSetting",
@@ -64,7 +61,6 @@ __all__ = [
     "conditional_density",
     "conditional_gaussian",
     "conditional_state",
-    "detection_probability",
     "ge_to_lr_amplitudes",
     "integrate",
     "moments_from_density",

@@ -261,7 +261,7 @@ def run_pure(cfg: ExperimentConfig, out_dir: Path) -> int:
     cond = conditional_state(state, light, setting, outcome)
     p_exact = cond.pmf()
     try:
-        _, pdf = conditional_gaussian(cfg.ge(), cfg.n_atoms, light, setting, outcome)
+        *_, pdf = conditional_gaussian(cfg.ge(), cfg.n_atoms, light, setting, outcome)
         p_gauss = pdf(np.arange(cfg.n_atoms + 1))
     except (AsymptoticsDomainError, ValueError) as exc:
         print(f"warning: Gaussian column unavailable: {exc}", file=sys.stderr)
@@ -549,11 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--outcome",
             default=None,
             help="photon-count pair 'nc,nd' or 'auto' (most probable)",
-        )
-        p.add_argument(
-            "--seedless",
-            action="store_true",
-            help="no-op: all computation is deterministic; no RNG is linked",
         )
     return parser
 

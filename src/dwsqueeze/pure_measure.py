@@ -89,28 +89,6 @@ class InteractionSetting:
         return self.g * self.t
 
 
-@dataclass(frozen=True)
-class GaussianWindow:
-    """Peak/width parameters of the measurement window and conditional Gaussian.
-
-    x0 is the window-peak offset from k = N/2 and big_x0 the inverse
-    squared width of the detection window; sigma (a variance) and k0
-    describe the conditional atom-number Gaussian.  Operations fill the
-    part they compute and leave the rest None.
-    """
-
-    x0: float | None = None
-    big_x0: float | None = None
-    sigma: float | None = None
-    k0: float | None = None
-
-    def __post_init__(self):
-        if self.big_x0 is not None and self.big_x0 < -1e-12:
-            raise ValueError("big_x0 must be nonnegative")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-
 def port_amplitudes(
     light: LightPair, setting: InteractionSetting, k, n_atoms: int
 ):
@@ -203,16 +181,6 @@ def _reachable_factor(
             f"probability {p:.3e}"
         )
     return mag, rot
-
-
-def detection_probability(
-    state: AtomState,
-    light: LightPair,
-    setting: InteractionSetting,
-    outcome: DetectionOutcome,
-) -> float:
-    """P(n_c, n_d) = sum_k |C_k|^2 |A_{n_c,n_d}(k)|^2."""
-    return _conditioning_factor(light, setting, outcome, state.pmf())[2]
 
 
 def conditional_state(
@@ -308,28 +276,28 @@ def _window_geometry(light: LightPair, outcome: DetectionOutcome):
 
 def gaussian_window(
     light: LightPair, setting: InteractionSetting, outcome: DetectionOutcome
-) -> GaussianWindow:
-    """Peak x0 and inverse-width X0 of the detection window in k space."""
+) -> tuple[float, float]:
+    """(x0, X0): window-peak offset from k = N/2 and inverse squared width in k."""
     if setting.gt <= 0:
         raise ValueError("gaussian_window requires gt > 0")
     half_angle, kfac = _window_geometry(light, outcome)
     gt = setting.gt
-    return GaussianWindow(x0=half_angle / gt, big_x0=kfac * gt**2)
+    return half_angle / gt, kfac * gt**2
 
 
 def _window_products(
     light: LightPair, setting: InteractionSetting, outcome: DetectionOutcome
 ):
-    """(X0, X0*x0, X0*x0^2) evaluated stably, finite also at gt = 0.
+    """(X0, X0*x0) evaluated stably, finite also at gt = 0.
 
-    x0 carries a 1/gt and X0 a gt^2, so the products have smooth gt -> 0
-    limits even where x0 alone diverges.
+    x0 carries a 1/gt and X0 a gt^2, so the product has a smooth gt -> 0
+    limit even where x0 alone diverges.
     """
     if outcome.n_c * outcome.n_d == 0:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0
     half_angle, kfac = _window_geometry(light, outcome)
     gt = setting.gt
-    return kfac * gt**2, kfac * gt * half_angle, kfac * half_angle**2
+    return kfac * gt**2, kfac * gt * half_angle
 
 
 def conditional_gaussian(
@@ -339,57 +307,26 @@ def conditional_gaussian(
     setting: InteractionSetting,
     outcome: DetectionOutcome,
 ):
-    """Gaussian (variance sigma, peak k0) of the conditional pmf, plus its pdf.
+    """(sigma, k0, pdf): variance and peak of the conditional pmf's Gaussian.
 
     Valid in the many-photon regime; callers assert validity.  Reduces to
     the prior spin-coherent Gaussian at gt = 0 and to
     sigma = N|eta_l eta_r|^2 / (1 + 8 g^2 t^2 n_c N|eta_l eta_r|^2) for the
-    balanced case.
+    balanced case.  An empty well (eta_l or eta_r = 0) gives sigma = 0,
+    which is refused with a ValueError.
     """
     eta_l, eta_r = ge_to_lr_amplitudes(ge)
     ee = abs(eta_l * eta_r) ** 2
     prior_peak = n_atoms * abs(eta_l) ** 2
-    big_x0, big_x0_x0, _ = _window_products(light, setting, outcome)
+    big_x0, big_x0_x0 = _window_products(light, setting, outcome)
     denom = n_atoms * ee * big_x0 + 1.0
     sigma = n_atoms * ee / denom
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     k0 = (prior_peak + n_atoms * ee * (big_x0 * n_atoms / 2.0 + big_x0_x0)) / denom
-    x0 = big_x0_x0 / big_x0 if big_x0 > 0 else None
-    window = GaussianWindow(x0=x0, big_x0=big_x0, sigma=sigma, k0=k0)
 
     def pdf(k):
         k = np.asarray(k, dtype=float)
         return np.exp(-((k - k0) ** 2) / (2.0 * sigma)) / np.sqrt(2.0 * np.pi * sigma)
 
-    return window, pdf
-
-
-def approx_detection_probability(
-    ge: GroundExcitedAmplitudes,
-    n_atoms: int,
-    light: LightPair,
-    setting: InteractionSetting,
-    outcome: DetectionOutcome,
-) -> float:
-    """Closed-form Gaussian approximation to P(n_c, n_d).
-
-    Product of Stirling-approximated Poissonians times the overlap of the
-    detection window with the prior atom distribution.
-    """
-    nc, nd = outcome.n_c, outcome.n_d
-    if nc == 0 or nd == 0:
-        raise ValueError("approximation requires n_c, n_d >= 1")
-    eta_l, eta_r = ge_to_lr_amplitudes(ge)
-    ee = abs(eta_l * eta_r) ** 2
-    s_tot = light.total_intensity
-    big_x0, big_x0_x0, big_x0_x0sq = _window_products(light, setting, outcome)
-    denom = 1.0 + n_atoms * ee * big_x0
-    centroid = n_atoms * (abs(eta_l) ** 2 - abs(eta_r) ** 2) / 2.0
-    # X0*(x0 - centroid)^2 expanded so the gt -> 0 limit stays finite
-    quad = big_x0_x0sq - 2.0 * centroid * big_x0_x0 + centroid**2 * big_x0
-    log_p = (
-        -0.5 * np.log(4.0 * np.pi**2 * nc * nd * denom)
-        + (nc + nd) * np.log(s_tot / (nc + nd))
-        + (nc + nd - s_tot)
-        - quad / (2.0 * denom)
-    )
-    return float(np.exp(log_p))
+    return sigma, k0, pdf

@@ -9,7 +9,6 @@ in the log domain so that N of a few thousand does not overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -140,8 +139,16 @@ def _ladder_factors(n_atoms: int) -> np.ndarray:
     return np.sqrt((k + 1.0) * (n_atoms - k)) / 2.0
 
 
-@lru_cache(maxsize=16)
-def _spin_matrices_cached(n_atoms: int):
+def spin_operator_matrices(n_atoms: int):
+    """Dense matrices (J_x, J_y, J_z) in the left/right Fock basis.
+
+    J_x = diag(k - N/2); J_y and J_z couple neighboring k with ladder
+    factor sqrt((k+1)(N-k))/2.  The triple satisfies the su(2) algebra
+    [J_x, J_y] = iJ_z (cyclic) and the Casimir (N/2)(N/2 + 1).
+    moments_from_density reads the same entries band by band.
+    """
+    if n_atoms < 0:
+        raise ValueError("n_atoms must be nonnegative")
     k = np.arange(n_atoms + 1, dtype=float)
     jx = np.diag(k - n_atoms / 2.0).astype(complex)
     s = _ladder_factors(n_atoms)
@@ -153,22 +160,7 @@ def _spin_matrices_cached(n_atoms: int):
     # subdiagonal sign fixed by requiring [Jx, Jy] = iJz with Jx = diag(k - N/2)
     jz[idx + 1, idx] = -s
     jz[idx, idx + 1] = -s
-    jx.setflags(write=False)
-    jy.setflags(write=False)
-    jz.setflags(write=False)
     return jx, jy, jz
-
-
-def spin_operator_matrices(n_atoms: int):
-    """Matrices (J_x, J_y, J_z) in the left/right Fock basis.
-
-    J_x = diag(k - N/2); J_y and J_z couple neighboring k with ladder
-    factor sqrt((k+1)(N-k))/2.  The triple satisfies the su(2) algebra
-    [J_x, J_y] = iJ_z (cyclic) and the Casimir (N/2)(N/2 + 1).
-    """
-    if n_atoms < 0:
-        raise ValueError("n_atoms must be nonnegative")
-    return _spin_matrices_cached(n_atoms)
 
 
 def _clamp_variance(var: float) -> float:
@@ -178,7 +170,16 @@ def _clamp_variance(var: float) -> float:
 
 
 def moments_from_density(rho: np.ndarray) -> SpinMoments:
-    """Means and variances of J_x, J_y, J_z for a density matrix."""
+    """Means and variances of J_x, J_y, J_z for a density matrix, in O(N).
+
+    J_x is diagonal and J_y, J_z are tridiagonal, so the means read the
+    main and first diagonals of rho and the second moments at most the
+    second one.  With s_k the ladder factors and x_k = k - N/2:
+    <J_x> = sum x_k rho_kk, <J_x^2> = sum x_k^2 rho_kk,
+    <J_y> = 2 sum s_k Im rho_{k,k+1}, <J_z> = -2 sum s_k Re rho_{k,k+1},
+    <J_y^2>, <J_z^2> = sum (s_{k-1}^2 + s_k^2) rho_kk
+                       -/+ 2 sum s_k s_{k+1} Re rho_{k,k+2}.
+    """
     rho = np.asarray(rho, dtype=complex)
     n_atoms = rho.shape[0] - 1
     if rho.shape != (n_atoms + 1, n_atoms + 1):
@@ -188,15 +189,25 @@ def moments_from_density(rho: np.ndarray) -> SpinMoments:
         raise ValueError(f"trace {tr!r} deviates from 1")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    jx, jy, jz = spin_operator_matrices(n_atoms)
-    out = []
-    for op in (jx, jy, jz):
-        m = op @ rho
-        mean = float(np.real(np.trace(m)))
-        second = float(np.real(np.trace(op @ m)))
-        out.append((mean, _clamp_variance(second - mean**2)))
-    (mx, vx), (my, vy), (mz, vz) = out
-    return SpinMoments(mx, my, mz, vx, vy, vz)
+    s = _ladder_factors(n_atoms)
+    x = np.arange(n_atoms + 1, dtype=float) - n_atoms / 2.0
+    p = np.diagonal(rho).real
+    first = np.diagonal(rho, 1)
+    # (J_y^2)_kk = (J_z^2)_kk = s_{k-1}^2 + s_k^2, with s_{-1} = s_N = 0
+    s2 = np.concatenate(([0.0], s**2, [0.0]))
+    band0 = float(p @ (s2[:-1] + s2[1:]))
+    band2 = 2.0 * float((s[:-1] * s[1:]) @ np.diagonal(rho, 2).real)
+    mx = float(x @ p)
+    my = 2.0 * float(s @ first.imag)
+    mz = -2.0 * float(s @ first.real)
+    return SpinMoments(
+        mx,
+        my,
+        mz,
+        _clamp_variance(float(x**2 @ p) - mx**2),
+        _clamp_variance(band0 - band2 - my**2),
+        _clamp_variance(band0 + band2 - mz**2),
+    )
 
 
 def analytic_precession(

@@ -232,7 +232,7 @@ def stirling_regime_check(
     win_c = np.abs(k - peak_prior) <= 3.0 * np.sqrt(var_prior)
     err_c = float(np.max(np.abs(exact_c[win_c] - approx_c[win_c]) / approx_c[win_c]))
 
-    window = gaussian_window(light, setting, outcome)
+    x0, big_x0 = gaussian_window(light, setting, outcome)
     nc, nd = outcome.n_c, outcome.n_d
     s_tot = light.total_intensity
     log_mag, _ = _log_detection_amplitudes(light, setting, outcome, n_atoms)
@@ -241,11 +241,11 @@ def stirling_regime_check(
         (s_tot / (nc + nd)) ** ((nc + nd) / 2.0)
         * np.exp((nc + nd - s_tot) / 2.0)
         * (4.0 * np.pi**2 * nc * nd) ** -0.25
-        * np.exp(-window.big_x0 / 4.0 * (k - n_atoms / 2.0 - window.x0) ** 2)
+        * np.exp(-big_x0 / 4.0 * (k - n_atoms / 2.0 - x0) ** 2)
     )
-    cond_win, _ = conditional_gaussian(ge, n_atoms, light, setting, outcome)
-    center_a = n_atoms / 2.0 + window.x0
-    sigma_a = math.sqrt(cond_win.sigma)
+    sigma, _, _ = conditional_gaussian(ge, n_atoms, light, setting, outcome)
+    center_a = n_atoms / 2.0 + x0
+    sigma_a = math.sqrt(sigma)
     win_a = np.abs(k - center_a) <= 3.0 * sigma_a
     err_a = float(np.max(np.abs(exact_a[win_a] - approx_a[win_a]) / approx_a[win_a]))
 
@@ -323,8 +323,7 @@ def normalization_sweep(entries: list[dict] | None = None) -> list[OracleReport]
         )
         rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
         grid = TimeGrid(e["t_max"], e["dt"], e["sample_stride"])
-        with np.errstate(over="ignore", invalid="ignore"):
-            samples = integrate(params, rho0, grid, strict=False)
+        samples = integrate(params, rho0, grid, strict=False)
         reports.append(
             OracleReport.make(
                 f"trace_drift[{tag}]",

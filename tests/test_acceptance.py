@@ -106,7 +106,7 @@ def test_01_gaussian_pmf_agreement():
     outcome = DetectionOutcome(20, 20)
     state = build_spin_coherent(GE_POLAR, n_atoms)
     exact = conditional_state(state, LIGHT_20, setting, outcome).pmf()
-    _, pdf = conditional_gaussian(GE_POLAR, n_atoms, LIGHT_20, setting, outcome)
+    *_, pdf = conditional_gaussian(GE_POLAR, n_atoms, LIGHT_20, setting, outcome)
     approx = pdf(np.arange(n_atoms + 1))
     dev = float(np.max(np.abs(exact - approx)) / exact.max())
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """Config parsing, subcommand runs, CSV format, determinism, exit codes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,15 +308,15 @@ def test_step_bound_violation_exit(tmp_path, capsys):
 
 def test_dephasing_flag_and_seedless(tmp_path):
     # the Lindblad generator is the only dephasing form, so there is no
-    # flag to choose one; --seedless stays an accepted no-op
+    # flag to choose one; nothing draws random numbers, so there is no
+    # --seedless either
     cfg = write(tmp_path / "c.cfg", base_config())
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["master", "--config", cfg, "--out", str(out), "--dephasing", "lindblad"])
-    assert exc.value.code == EXIT_BAD_INPUT
-    assert not out.exists()
-    assert main(["master", "--config", cfg, "--out", str(out), "--seedless"]) == EXIT_OK
-    assert (out / "master_timeseries.csv").exists()
+    for flag in (["--dephasing", "lindblad"], ["--seedless"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["master", "--config", cfg, "--out", str(out), *flag])
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -350,6 +351,51 @@ def test_nan_sample_trips_drift_gate(tmp_path, capsys, monkeypatch, command):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert "Hermiticity broken" in errors[0]
+
+
+def test_overflowed_run_prints_one_error_line(tmp_path, capsys):
+    # dt = 0.06 passes the step guard at N = 100 but the RK4 trajectory
+    # overflows to nan; stderr carries the drift gate's error and no numpy
+    # RuntimeWarning ahead of it
+    cfg = write(
+        tmp_path / "c.cfg",
+        base_config(
+            n_atoms="100",
+            alpha=None,
+            beta=None,
+            theta="0.1",
+            phi="0",
+            g=fmt(FIG6_OMEGA / 1000),
+            t_max="18",
+            dt="0.06",
+            sample_stride="300",
+        ),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["master", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CHECK_FAILED
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Hermiticity broken at t=18.0: nan"
+    ]
+
+
+def test_pure_empty_well_gaussian_column_nan(tmp_path, capsys):
+    # alpha = beta puts every atom in the left well (eta_r = 0): the
+    # conditional Gaussian has zero width, so only its column is dropped
+    half = fmt(math.sqrt(0.5))
+    cfg = write(
+        tmp_path / "c.cfg",
+        base_config(alpha=half, beta=half, t="0.005", g="1.0", t_max=None),
+    )
+    out = tmp_path / "out"
+    assert main(["pure", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert "warning: Gaussian column unavailable: " in capsys.readouterr().err
+    _, data = read_rows(out / "pure_pmf.csv")
+    assert len(data) == 31
+    assert all(row[2] == "nan" for row in data)
+    assert float(data[30][1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -13,19 +13,22 @@ from dwsqueeze.pure_measure import (
     ImpossibleOutcomeError,
     InteractionSetting,
     LightPair,
-    approx_detection_probability,
     conditional_gaussian,
     conditional_state,
     detection_pmf_grid,
-    detection_probability,
     gaussian_window,
     most_probable_outcome,
     outcome_cutoff,
     port_amplitudes,
     _conditioning_factor,
     _log_detection_amplitudes,
+    _window_geometry,
 )
-from dwsqueeze.spin_core import GroundExcitedAmplitudes, build_spin_coherent
+from dwsqueeze.spin_core import (
+    GroundExcitedAmplitudes,
+    build_spin_coherent,
+    ge_to_lr_amplitudes,
+)
 
 RT20 = math.sqrt(20.0)
 GROUND = GroundExcitedAmplitudes(0.0, 1.0)
@@ -33,6 +36,42 @@ GROUND = GroundExcitedAmplitudes(0.0, 1.0)
 
 def poisson(n, lam):
     return math.exp(-lam) * lam**n / math.factorial(n)
+
+
+def detection_probability(state, light, setting, outcome):
+    """P(n_c, n_d) = sum_k |C_k|^2 |A(k)|^2 from the conditioning kernel."""
+    return _conditioning_factor(light, setting, outcome, state.pmf())[2]
+
+
+def approx_detection_probability(ge, n_atoms, light, setting, outcome):
+    """Closed-form Gaussian approximation to P(n_c, n_d), an oracle for the tests.
+
+    Product of Stirling-approximated Poissonians times the overlap of the
+    detection window with the prior atom distribution.
+    """
+    nc, nd = outcome.n_c, outcome.n_d
+    assert nc >= 1 and nd >= 1, "approximation requires n_c, n_d >= 1"
+    eta_l, eta_r = ge_to_lr_amplitudes(ge)
+    ee = abs(eta_l * eta_r) ** 2
+    s_tot = light.total_intensity
+    half_angle, kfac = _window_geometry(light, outcome)
+    gt = setting.gt
+    # X0, X0*x0 and X0*x0^2, with x0 = half_angle/gt and X0 = kfac*gt^2,
+    # stay finite at gt = 0
+    big_x0 = kfac * gt**2
+    big_x0_x0 = kfac * gt * half_angle
+    big_x0_x0sq = kfac * half_angle**2
+    denom = 1.0 + n_atoms * ee * big_x0
+    centroid = n_atoms * (abs(eta_l) ** 2 - abs(eta_r) ** 2) / 2.0
+    # X0*(x0 - centroid)^2 expanded so the gt -> 0 limit stays finite
+    quad = big_x0_x0sq - 2.0 * centroid * big_x0_x0 + centroid**2 * big_x0
+    log_p = (
+        -0.5 * np.log(4.0 * np.pi**2 * nc * nd * denom)
+        + (nc + nd) * np.log(s_tot / (nc + nd))
+        + (nc + nd - s_tot)
+        - quad / (2.0 * denom)
+    )
+    return float(np.exp(log_p))
 
 
 def test_port_amplitudes_gt0():
@@ -206,7 +245,7 @@ def test_conditional_pmf_matches_gaussian_in_many_photon_regime():
     setting = InteractionSetting(1.0, 0.005)
     outcome = DetectionOutcome(20, 20)
     pmf = conditional_state(state, light, setting, outcome).pmf()
-    _, pdf = conditional_gaussian(GROUND, 200, light, setting, outcome)
+    *_, pdf = conditional_gaussian(GROUND, 200, light, setting, outcome)
     gauss = pdf(np.arange(201))
     assert np.max(np.abs(pmf - gauss)) < 0.05 * pmf.max()
 
@@ -250,19 +289,19 @@ def test_conditional_variance_monotone_in_gt():
 
 
 def test_gaussian_window_balanced():
-    w = gaussian_window(
+    x0, big_x0 = gaussian_window(
         LightPair(RT20, RT20), InteractionSetting(1.0, 0.005), DetectionOutcome(20, 20)
     )
-    assert w.x0 == pytest.approx(0.0, abs=1e-12)
-    assert w.big_x0 == pytest.approx(8 * 0.005**2 * 20, rel=1e-12)
+    assert x0 == pytest.approx(0.0, abs=1e-12)
+    assert big_x0 == pytest.approx(8 * 0.005**2 * 20, rel=1e-12)
 
 
 def test_gaussian_window_phase_offset():
     phi = 0.3
     light = LightPair(2.0 * np.exp(1j * phi), 2.0)
     gt = 0.01
-    w = gaussian_window(light, InteractionSetting(1.0, gt), DetectionOutcome(4, 4))
-    assert w.x0 == pytest.approx(phi / (2 * gt), rel=1e-12)
+    x0, _ = gaussian_window(light, InteractionSetting(1.0, gt), DetectionOutcome(4, 4))
+    assert x0 == pytest.approx(phi / (2 * gt), rel=1e-12)
 
 
 def test_gaussian_window_domain_error():
@@ -281,41 +320,42 @@ def test_gaussian_window_nonnegative_width(nc, nd):
     cross = 2 * abs(light.alpha_l * light.alpha_r)
     if abs((s_tot / cross) * (nc - nd) / (nc + nd)) > 1:
         return
-    w = gaussian_window(light, InteractionSetting(1.0, 0.01), DetectionOutcome(nc, nd))
-    assert w.big_x0 >= 0
+    setting = InteractionSetting(1.0, 0.01)
+    _, big_x0 = gaussian_window(light, setting, DetectionOutcome(nc, nd))
+    assert big_x0 >= 0
 
 
 def test_conditional_gaussian_published_width():
-    w, _ = conditional_gaussian(
+    sigma, _, _ = conditional_gaussian(
         GROUND,
         200,
         LightPair(RT20, RT20),
         InteractionSetting(1.0, 0.01),
         DetectionOutcome(20, 20),
     )
-    assert w.sigma == pytest.approx(50 / 1.8, rel=1e-12)
+    assert sigma == pytest.approx(50 / 1.8, rel=1e-12)
 
 
 def test_conditional_gaussian_gt0_is_prior():
     ge = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
-    w, _ = conditional_gaussian(
+    sigma, k0, _ = conditional_gaussian(
         ge, 100, LightPair(2, 2), InteractionSetting(1.0, 0.0), DetectionOutcome(4, 4)
     )
     el = abs((ge.alpha + ge.beta) / math.sqrt(2)) ** 2
     er = 1 - el
-    assert w.sigma == pytest.approx(100 * el * er, rel=1e-12)
-    assert w.k0 == pytest.approx(100 * el, rel=1e-12)
+    assert sigma == pytest.approx(100 * el * er, rel=1e-12)
+    assert k0 == pytest.approx(100 * el, rel=1e-12)
 
 
 def test_conditional_gaussian_strong_measurement_centers():
-    w, _ = conditional_gaussian(
+    _, k0, _ = conditional_gaussian(
         GROUND,
         200,
         LightPair(RT20, RT20),
         InteractionSetting(1.0, 5.0),
         DetectionOutcome(20, 20),
     )
-    assert w.k0 == pytest.approx(100.0, abs=0.1)
+    assert k0 == pytest.approx(100.0, abs=0.1)
 
 
 def test_approx_probability_gt0_stirling_product():

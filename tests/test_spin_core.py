@@ -153,6 +153,23 @@ def test_moments_from_density_matches_state():
         assert getattr(md, f"j{axis}_var") == pytest.approx(var, abs=1e-10)
 
 
+@pytest.mark.parametrize("n_atoms", [0, 1, 2, 5, 30, 200])
+def test_moments_from_density_matches_dense_operators(n_atoms):
+    # the banded routine against traces with the dense operators on a
+    # seeded random mixed state; N = 0 and N = 1 leave the first and the
+    # second diagonal of rho empty
+    rng = np.random.default_rng(n_atoms)
+    a = rng.normal(size=(n_atoms + 1,) * 2) + 1j * rng.normal(size=(n_atoms + 1,) * 2)
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    md = moments_from_density(rho)
+    for axis, op in zip("xyz", spin_operator_matrices(n_atoms)):
+        mean = np.trace(op @ rho).real
+        var = np.trace(op @ op @ rho).real - mean**2
+        assert getattr(md, f"j{axis}_mean") == pytest.approx(mean, rel=1e-12, abs=0)
+        assert getattr(md, f"j{axis}_var") == pytest.approx(var, rel=1e-12, abs=0)
+
+
 def test_moments_from_density_rejects_bad_trace():
     with pytest.raises(ValueError):
         moments_from_density(np.eye(4))

@@ -11,8 +11,8 @@ from dwsqueeze.pure_measure import (
     DetectionOutcome,
     InteractionSetting,
     LightPair,
+    _conditioning_factor,
     detection_pmf_grid,
-    detection_probability,
     outcome_cutoff,
 )
 from dwsqueeze.spin_core import GroundExcitedAmplitudes, build_spin_coherent
@@ -112,7 +112,9 @@ def test_crosscheck_exhaustive_small_instance():
     for nc in range(cutoff + 1):
         for nd in range(cutoff + 1):
             outcome = DetectionOutcome(nc, nd)
-            p = detection_probability(state, light, InteractionSetting(1.0, t), outcome)
+            p = _conditioning_factor(
+                light, InteractionSetting(1.0, t), outcome, state.pmf()
+            )[2]
             if p <= 1e-8:
                 continue
             assert me_vs_pure_crosscheck(params, state, outcome, t=t).passed
