@@ -37,6 +37,7 @@ from .pure_measure import (
 from .master_eq import (
     HybridState,
     ModelParams,
+    PureSample,
     TimeGrid,
     conditional_density,
     integrate,
@@ -52,6 +53,7 @@ __all__ = [
     "InteractionSetting",
     "LightPair",
     "ModelParams",
+    "PureSample",
     "QGrid",
     "SpinMoments",
     "TimeGrid",

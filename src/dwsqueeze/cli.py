@@ -22,6 +22,7 @@ from .master_eq import (
     HybridState,
     IntegrationError,
     ModelParams,
+    PureSample,
     TimeGrid,
     conditional_density,
     integrate,
@@ -334,14 +335,18 @@ _TIMESERIES_COLUMNS = [
 ]
 
 
-def _evolve(cfg: ExperimentConfig) -> tuple[ModelParams, list[HybridState]]:
-    """Integrate the initial coherent state; integrate validates every sample."""
+def _evolve(
+    cfg: ExperimentConfig,
+) -> tuple[ModelParams, list[HybridState] | list[PureSample]]:
+    """Integrate the initial coherent state; integrate validates every sample.
+
+    At gamma = 0 the samples are rotated coherent states, else density matrices.
+    """
     params = ModelParams(
         n_atoms=cfg.n_atoms, omega=cfg.omega, g=cfg.g, gamma=cfg.gamma, light=cfg.light()
     )
     state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
-    rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
-    samples = integrate(params, rho0, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride))
+    samples = integrate(params, state, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride))
     return params, samples
 
 

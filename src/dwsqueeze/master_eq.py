@@ -8,14 +8,26 @@ integrated.  Tunneling couples neighboring k with the usual ladder
 factors, weighted by the overlap of the displaced light states;
 Lindblad dephasing damps rho_{mm'} at the rate gamma (m - m')^2 / 2.
 
+At gamma = 0 the generator is i[H(t), rho] with H(t) a combination of
+J_y and J_z, so the evolution is an SU(2) rotation and keeps a spin
+coherent state coherent (Arecchi, Courtens, Gilmore & Thomas 1972).
+integrate then evolves the one-atom state xi(t), the same equation at
+n_atoms = 1, with a fourth-order Magnus step and an exact 2x2
+exponential, and lifts each sample to the N-atom coherent state: O(N)
+per sample and no (N+1)^2 matrix.  A density-matrix input, a
+non-coherent start and every gamma > 0 run are integrated as rho by
+fixed-step RK4, which also serves as the reference for the rotation.
+
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
 = alpha_c(k)/sqrt2 and u_d(k) = (i a_{k,l} + a_{k,r})/sqrt2 = alpha_d(k)/sqrt2,
 so rho_{kk'} is conditioned by the outer product A(k) A(k')^*.  The pure
 model's readout kernel evaluates A(k) once for p_k = rho_kk and also
 yields P = sum_k rho_kk |A(k)|^2 and its reachability check; only the
-trace normalization is done here.  Moments of the result come from
-spin_core.moments_from_density, the one moment routine of the package.
+trace normalization is done here.  A pure sample is conditioned by the
+pure model's conditional_state itself.  Moments of either result come
+from spin_core.moments_from_density, the one moment routine of the
+package.
 """
 
 from __future__ import annotations
@@ -29,11 +41,26 @@ from .pure_measure import (
     InteractionSetting,
     LightPair,
     _reachable_factor,
+    conditional_state,
 )
-from .spin_core import _ladder_factors
+from .spin_core import (
+    AtomState,
+    _coherent_amplitudes,
+    _ladder_factors,
+    moments_from_density,
+)
 
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-8
+
+# a start state within this distance (max |dC_k|, global phase aligned)
+# of a spin coherent state is evolved as a rotation
+_LIFT_TOL = 1e-12
+# Gauss-Legendre nodes of the fourth-order Magnus step, as fractions of dt
+_GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+# rotation steps whose propagators are formed in one vectorized call;
+# bounds the memory of long runs
+_BLOCK = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -86,6 +113,31 @@ class HybridState:
             raise IntegrationError(f"diagonal out of [0, 1] at t={self.t}")
 
 
+@dataclass
+class PureSample:
+    """Spin coherent state at time t, lifted from the one-atom state xi(t).
+
+    The lift is renormalized, so drift holds the norm drift | |xi|^2 - 1 |
+    of the integrated one-atom state, the rotation's trace drift; a
+    projector is Hermitian by construction.
+    """
+
+    state: AtomState
+    t: float
+    drift: float
+
+    def herm_error(self) -> float:
+        return 0.0
+
+    def trace_error(self) -> float:
+        return self.drift
+
+    def validate(self):
+        # written as `not <=` so that a nan (overflowed) sample fails too
+        if not self.drift <= TRACE_TOL:
+            raise IntegrationError(f"trace drift at t={self.t}: {self.drift:.3e}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Fixed-step grid; the step bound is checked against the generator scale."""
@@ -108,17 +160,18 @@ class TimeGrid:
         )
 
 
-def coherent_overlaps(params: ModelParams, t: float) -> complex:
+def coherent_overlaps(params: ModelParams, t):
     """Light-state overlap <a_m|a_{m+1}> between neighboring k sectors.
 
     <a_m|a_{m+1}> = e^{-(|a_l|^2+|a_r|^2)} e^{|a_l|^2 e^{-igt}} e^{|a_r|^2 e^{+igt}},
     independent of m: neighboring sectors differ by the same phase step.
-    The reverse overlap <a_m|a_{m-1}> is its complex conjugate.
+    The reverse overlap <a_m|a_{m-1}> is its complex conjugate.  t may be
+    an array of times.
     """
     il = abs(params.light.alpha_l) ** 2
     ir = abs(params.light.alpha_r) ** 2
-    gt = params.g * t
-    return complex(
+    gt = params.g * np.asarray(t)
+    return (
         np.exp(-(il + ir))
         * np.exp(il * np.exp(-1j * gt))
         * np.exp(ir * np.exp(1j * gt))
@@ -160,23 +213,104 @@ def _rk4_step(params: ModelParams, rho: np.ndarray, t: float, dt: float) -> np.n
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _one_atom_state(state: AtomState) -> np.ndarray | None:
+    """The one-atom state xi = (eta_r, eta_l) whose N-fold lift is state.
+
+    A lift's mean spin is N times its atom's, so n = <J> / (N/2) gives xi
+    up to a global phase: |eta_l|^2 - |eta_r|^2 = n_x and
+    eta_r eta_l^* = (-n_z + i n_y) / 2.  Returns None when the lift of
+    that xi misses state by more than _LIFT_TOL, i.e. when state is not
+    spin coherent.
+    """
+    m = moments_from_density(state)
+    half = state.n_atoms / 2.0
+    nx = m.jx_mean / half
+    cross = complex(-m.jz_mean, m.jy_mean) / (2.0 * half)
+    if nx >= 0.0:
+        eta_l = np.sqrt((1.0 + nx) / 2.0)
+        xi = np.array([cross / eta_l, eta_l])
+    else:
+        eta_r = np.sqrt((1.0 - nx) / 2.0)
+        xi = np.array([eta_r, cross.conjugate() / eta_r])
+    xi /= np.linalg.norm(xi)
+    lift = _coherent_amplitudes(xi[1], xi[0], state.n_atoms)
+    phase = np.exp(1j * np.angle(np.vdot(lift, state.amplitudes)))
+    if not np.max(np.abs(lift * phase - state.amplitudes)) <= _LIFT_TOL:
+        return None
+    return xi
+
+
+def _su2_propagators(params: ModelParams, first: int, count: int, dt: float):
+    """(p, q) of the one-atom steps first .. first + count - 1, as arrays.
+
+    The one-atom generator is H_1 = [[0, w], [w*, 0]], w = omega s_0
+    <a_m|a_{m+1}>: rhs's entry at n_atoms = 1.  With w_1, w_2 at the two
+    Gauss nodes of [t, t + dt], the fourth-order Magnus exponent
+    (Blanes, Casas, Oteo & Ros 2009)
+    dt (M_1 + M_2) / 2 - sqrt(3) dt^2 [M_1, M_2] / 12, M = i H_1, is
+    i (u_x sigma_x + u_y sigma_y + u_z sigma_z) with
+    u_x - i u_y = dt (w_1 + w_2) / 2 and u_z = sqrt(3) dt^2 Im(w_1 w_2^*) / 6.
+    Its exponential is [[p, q], [-q^*, p^*]], p = cos|u| + i u_z sinc|u|,
+    q = i (u_x - i u_y) sinc|u|, unitary up to roundoff at any dt.
+    """
+    t = (first + np.arange(count)) * dt
+    w1, w2 = (
+        params.omega * _ladder_factors(1)[0] * coherent_overlaps(params, t + c * dt)
+        for c in _GAUSS_NODES
+    )
+    transverse = 0.5 * dt * (w1 + w2)
+    uz = np.sqrt(3.0) / 6.0 * dt**2 * (w1 * w2.conj()).imag
+    angle = np.sqrt(np.abs(transverse) ** 2 + uz**2)
+    sinc = np.sinc(angle / np.pi)
+    return np.cos(angle) + 1j * uz * sinc, 1j * transverse * sinc
+
+
+def _rotate(
+    params: ModelParams, xi: np.ndarray, n_steps: int, dt: float, stride: int, strict: bool
+) -> list[PureSample]:
+    """Rotation trajectory of the one-atom state, lifted at every sample."""
+    n = params.n_atoms
+    x0, x1 = complex(xi[0]), complex(xi[1])
+
+    def sample(t):
+        drift = abs(abs(x0) ** 2 + abs(x1) ** 2 - 1.0)
+        s = PureSample(AtomState(n, _coherent_amplitudes(x1, x0, n)), t, drift)
+        if strict:
+            s.validate()
+        return s
+
+    samples = [sample(0.0)]
+    # a nan state lifts to nan amplitudes; the per-sample gate reports it
+    with np.errstate(invalid="ignore"):
+        for first in range(0, n_steps, _BLOCK):
+            p, q = _su2_propagators(params, first, min(_BLOCK, n_steps - first), dt)
+            for step, (a, b) in enumerate(zip(p.tolist(), q.tolist()), first + 1):
+                x0, x1 = a * x0 + b * x1, a.conjugate() * x1 - b.conjugate() * x0
+                if step % stride == 0 or step == n_steps:
+                    samples.append(sample(step * dt))
+    return samples
+
+
 def integrate(
     params: ModelParams,
-    rho0: np.ndarray,
+    initial,
     grid: TimeGrid,
     strict: bool = True,
-) -> list[HybridState]:
-    """Fixed-step RK4 trajectory, sampled every grid.sample_stride steps.
+) -> list[HybridState] | list[PureSample]:
+    """Trajectory from a density matrix or an AtomState, sampled every stride steps.
 
-    The step count is rounded so the trajectory lands exactly on t_max.
-    With strict=True the step-bound invariant is enforced up front and
-    every emitted sample must pass HybridState.validate: trace drift
-    <= TRACE_TOL, Hermiticity drift <= HERM_TOL and a diagonal in [0, 1],
-    where a nan sample fails.  A violation raises IntegrationError with
-    the offending time in the message.  strict=False checks nothing, so
-    callers can report a broken trajectory instead of aborting on it.
+    At gamma = 0 a spin coherent AtomState is rotated through its
+    one-atom state and every sample is a PureSample.  Any other input
+    runs fixed-step RK4 on rho (rho = C C^dagger for a state) and every
+    sample is a HybridState.  The step count is rounded so the
+    trajectory lands exactly on t_max.  With strict=True the step-bound
+    invariant is enforced up front and every emitted sample must pass
+    its validate: trace drift <= TRACE_TOL, and for rho also Hermiticity
+    drift <= HERM_TOL and a diagonal in [0, 1], where a nan sample
+    fails.  A violation raises IntegrationError with the offending time
+    in the message.  strict=False checks nothing, so callers can report
+    a broken trajectory instead of aborting on it.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
     n_steps = max(1, int(round(grid.t_max / grid.dt)))
     dt = grid.t_max / n_steps
     if strict:
@@ -185,6 +319,16 @@ def integrate(
             raise ValueError(
                 f"step bound violated: dt*max(omega, g*N, gamma*N^2) = {eff:.3f} > 0.05"
             )
+    if isinstance(initial, AtomState):
+        if initial.n_atoms != params.n_atoms:
+            raise ValueError(
+                f"state of {initial.n_atoms} atoms for a model of {params.n_atoms}"
+            )
+        xi = _one_atom_state(initial) if params.gamma == 0.0 else None
+        if xi is not None:
+            return _rotate(params, xi, n_steps, dt, grid.sample_stride, strict)
+        initial = np.outer(initial.amplitudes, initial.amplitudes.conj())
+    rho0 = np.asarray(initial, dtype=complex)
     samples = [HybridState(rho0.copy(), 0.0)]
     if strict:
         samples[0].validate()
@@ -205,22 +349,23 @@ def integrate(
 
 
 def conditional_density(
-    params: ModelParams, state: HybridState, outcome: DetectionOutcome
-) -> np.ndarray:
-    """Atomic density matrix conditioned on the photon-count pair.
+    params: ModelParams, sample: HybridState | PureSample, outcome: DetectionOutcome
+) -> np.ndarray | AtomState:
+    """Atomic state conditioned on the photon-count pair.
 
-    rho_{kk'} -> rho_{kk'} A(k) A(k')^* / P with A(k) rescaled by its
-    maximum, so deep-tail outcomes stay finite; P and the reachability
-    check come from rho_kk through the same kernel as the pure model.
+    A PureSample is conditioned by pure_measure.conditional_state and
+    comes back as an AtomState.  A HybridState comes back as a density
+    matrix: rho_{kk'} -> rho_{kk'} A(k) A(k')^* / P with A(k) rescaled by
+    its maximum, so deep-tail outcomes stay finite; P and the
+    reachability check come from rho_kk through the same kernel as the
+    pure model.
     """
-    mag, rot = _reachable_factor(
-        params.light,
-        InteractionSetting(params.g, state.t),
-        outcome,
-        np.diag(state.rho).real,
-    )
+    setting = InteractionSetting(params.g, sample.t)
+    if isinstance(sample, PureSample):
+        return conditional_state(sample.state, params.light, setting, outcome)
+    mag, rot = _reachable_factor(params.light, setting, outcome, np.diag(sample.rho).real)
     b = mag * rot
-    cond = state.rho * np.outer(b, b.conj())
+    cond = sample.rho * np.outer(b, b.conj())
     tr = np.trace(cond)
     if abs(tr.imag) > 1e-10 * max(abs(tr.real), 1.0):
         raise IntegrationError(f"detection probability has imaginary residue {tr.imag}")

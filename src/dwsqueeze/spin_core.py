@@ -127,10 +127,19 @@ def build_spin_coherent(ge: GroundExcitedAmplitudes, n_atoms: int) -> AtomState:
     if n_atoms > MAX_ATOMS:
         raise ValueError(f"n_atoms = {n_atoms} exceeds capacity {MAX_ATOMS}")
     eta_l, eta_r = ge_to_lr_amplitudes(ge)
+    return AtomState(n_atoms=n_atoms, amplitudes=_coherent_amplitudes(eta_l, eta_r, n_atoms))
+
+
+def _coherent_amplitudes(eta_l, eta_r, n_atoms: int) -> np.ndarray:
+    """binom(N,k)^(1/2) eta_l^k eta_r^(N-k), k = 0..N, normalized to 1.
+
+    This is the N-fold symmetric lift of the one-atom state (eta_r, eta_l),
+    whose k = 0 entry is the atom in the right well.
+    """
     log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
     amp = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
     amp /= np.linalg.norm(amp)
-    return AtomState(n_atoms=n_atoms, amplitudes=amp)
+    return amp
 
 
 def _ladder_factors(n_atoms: int) -> np.ndarray:
@@ -169,18 +178,24 @@ def _clamp_variance(var: float) -> float:
     return max(var, 0.0)
 
 
-def moments_from_density(rho: np.ndarray) -> SpinMoments:
-    """Means and variances of J_x, J_y, J_z for a density matrix, in O(N).
+def moments_from_density(source) -> SpinMoments:
+    """Means and variances of J_x, J_y, J_z in O(N).
 
+    source is a density matrix or an AtomState, as for husimi.q_grid.
     J_x is diagonal and J_y, J_z are tridiagonal, so the means read the
     main and first diagonals of rho and the second moments at most the
-    second one.  With s_k the ladder factors and x_k = k - N/2:
+    second one; a state C_k stands for rho = C C^dagger, whose diagonals
+    |C_k|^2, C_k C*_{k+1} and C_k C*_{k+2} are formed without the matrix.
+    With s_k the ladder factors and x_k = k - N/2:
     <J_x> = sum x_k rho_kk, <J_x^2> = sum x_k^2 rho_kk,
     <J_y> = 2 sum s_k Im rho_{k,k+1}, <J_z> = -2 sum s_k Re rho_{k,k+1},
     <J_y^2>, <J_z^2> = sum (s_{k-1}^2 + s_k^2) rho_kk
                        -/+ 2 sum s_k s_{k+1} Re rho_{k,k+2}.
     """
-    rho = np.asarray(rho, dtype=complex)
+    if isinstance(source, AtomState):
+        c = source.amplitudes
+        return _banded_moments(np.abs(c) ** 2, c[:-1] * c[1:].conj(), c[:-2] * c[2:].conj())
+    rho = np.asarray(source, dtype=complex)
     n_atoms = rho.shape[0] - 1
     if rho.shape != (n_atoms + 1, n_atoms + 1):
         raise ValueError("density matrix must be square")
@@ -189,14 +204,18 @@ def moments_from_density(rho: np.ndarray) -> SpinMoments:
         raise ValueError(f"trace {tr!r} deviates from 1")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise ValueError("density matrix is not Hermitian within tolerance")
+    return _banded_moments(np.diagonal(rho).real, np.diagonal(rho, 1), np.diagonal(rho, 2))
+
+
+def _banded_moments(p: np.ndarray, first: np.ndarray, second: np.ndarray) -> SpinMoments:
+    """Moments from the main (real), first and second diagonals of rho."""
+    n_atoms = len(p) - 1
     s = _ladder_factors(n_atoms)
     x = np.arange(n_atoms + 1, dtype=float) - n_atoms / 2.0
-    p = np.diagonal(rho).real
-    first = np.diagonal(rho, 1)
     # (J_y^2)_kk = (J_z^2)_kk = s_{k-1}^2 + s_k^2, with s_{-1} = s_N = 0
     s2 = np.concatenate(([0.0], s**2, [0.0]))
     band0 = float(p @ (s2[:-1] + s2[1:]))
-    band2 = 2.0 * float((s[:-1] * s[1:]) @ np.diagonal(rho, 2).real)
+    band2 = 2.0 * float((s[:-1] * s[1:]) @ second.real)
     mx = float(x @ p)
     my = 2.0 * float(s @ first.imag)
     mz = -2.0 * float(s @ first.real)

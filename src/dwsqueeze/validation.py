@@ -289,9 +289,12 @@ def normalization_sweep(entries: list[dict] | None = None) -> list[OracleReport]
 
     Each entry is a flat parameter dict; defaults cover N in {2, 5, 30}
     with tunneling/coupling values at the squeezing operating point.
-    Integrations run non-strict so that injected faults (for example an
-    unstable dt) show up as failed reports instead of aborts; the drift
-    maxima propagate nan, so an overflowed trajectory fails them too.
+    The start is passed to integrate as a density matrix, so every entry
+    deliberately runs the rho-RK4 path, also at gamma = 0, and its trace
+    and Hermiticity drifts are the ones checked.  Integrations run
+    non-strict so that injected faults (for example an unstable dt) show
+    up as failed reports instead of aborts; the drift maxima propagate
+    nan, so an overflowed trajectory fails them too.
     """
     if entries is None:
         entries = _default_sweep_entries()

@@ -1,11 +1,13 @@
 """Config parsing, subcommand runs, CSV format, determinism, exit codes."""
 
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+import dwsqueeze.cli as cli
 import dwsqueeze.master_eq as master_eq
 from dwsqueeze.cli import (
     EXIT_BAD_INPUT,
@@ -17,6 +19,15 @@ from dwsqueeze.cli import (
     load_config,
     main,
 )
+from dwsqueeze.husimi import q_grid
+from dwsqueeze.master_eq import (
+    ModelParams,
+    PureSample,
+    TimeGrid,
+    conditional_density,
+    integrate,
+)
+from dwsqueeze.pure_measure import DetectionOutcome, LightPair
 from dwsqueeze.spin_core import (
     GroundExcitedAmplitudes,
     analytic_precession,
@@ -188,6 +199,51 @@ def test_qfunc_quadrature(tmp_path):
     assert (q * w).sum() == pytest.approx(1.0, abs=2e-3)
 
 
+def test_qfunc_rotation_matches_density_path(tmp_path):
+    # gamma = 0: the CLI rotates the coherent state; the reference runs
+    # density-matrix RK4 at half the step to the same t_max
+    t_max = 12.0 / FIG6_OMEGA
+    cfg = write(tmp_path / "c.cfg", base_config(t_max=fmt(t_max), n_theta="32", n_phi="32"))
+    out = tmp_path / "out"
+    assert main(["qfunc", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, data = read_rows(out / "qfunc.csv")
+    q = np.array([float(r[2]) for r in data]).reshape(32, 32)
+    params = ModelParams(30, FIG6_OMEGA, 0.1 * FIG6_OMEGA / 30, 0.0, LightPair(2, 2))
+    state = build_spin_coherent(
+        GroundExcitedAmplitudes(math.sqrt(0.001), math.sqrt(0.999)), 30
+    )
+    rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
+    last = integrate(params, rho0, TimeGrid(t_max, t_max / (2 * round(t_max / 0.02))))[-1]
+    ref = q_grid(conditional_density(params, last, DetectionOutcome(4, 4)), 32, 32)
+    assert np.max(np.abs(q - ref.values)) < 1e-8
+
+
+def test_master_rotation_reaches_1000_atoms(tmp_path, monkeypatch):
+    # gamma = 0 never forms a 1001^2 matrix: the samples are state vectors
+    # and the readout is O(N) per sample
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.extend(integrate(*args, **kwargs))
+        return seen
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    cfg = write(
+        tmp_path / "c.cfg",
+        base_config(n_atoms="1000", dt="0.01", sample_stride="20"),
+    )
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["master", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 10.0
+    assert len(seen) == 129
+    assert all(isinstance(s, PureSample) for s in seen)
+    assert all(s.state.amplitudes.shape == (1001,) for s in seen)
+    _, data = read_rows(out / "master_timeseries.csv")
+    assert len(data) == 129
+    assert all(math.isfinite(float(x)) for row in data for x in row)
+
+
 def test_sweep_summary(tmp_path):
     g = 0.1 * FIG6_OMEGA / 30
     cfg = write(
@@ -333,34 +389,60 @@ def test_removed_config_keys_refused(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["master", "qfunc", "sweep"])
-def test_nan_sample_trips_drift_gate(tmp_path, capsys, monkeypatch, command):
+def _nan_rk4_step(params, rho, t, dt):
+    return np.full_like(rho, np.nan)
+
+
+def _nan_su2_propagators(params, first, count, dt):
+    nan = np.full(count, np.nan, dtype=complex)
+    return nan, nan
+
+
+# a tiny gamma keeps a run on the density-matrix RK4 path, where a nan
+# sample breaks Hermiticity first; gamma = 0 rotates the one-atom state,
+# where it breaks the trace of the lifted projector
+_STEPPERS = {
+    "rk4": ("_rk4_step", _nan_rk4_step, "1e-6", "Hermiticity broken"),
+    "rotation": ("_su2_propagators", _nan_su2_propagators, "0", "trace drift"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, stepper",
+    [
+        pytest.param(command, stepper, id=command if stepper == "rk4" else f"{command}-{stepper}")
+        for stepper in _STEPPERS
+        for command in ("master", "qfunc", "sweep")
+    ],
+)
+def test_nan_sample_trips_drift_gate(tmp_path, capsys, monkeypatch, command, stepper):
     # an overflowed trajectory holds nan, whose drift compares false against
     # any tolerance; the per-sample gate of integrate must still reject it,
     # so every command of the master model exits 1 before conditioning
-    def overflowed(params, rho, t, dt):
-        return np.full_like(rho, np.nan)
-
-    monkeypatch.setattr(master_eq, "_rk4_step", overflowed)
+    name, overflowed, gamma, message = _STEPPERS[stepper]
+    monkeypatch.setattr(master_eq, name, overflowed)
     cfg = write(
-        tmp_path / "c.cfg", base_config(sweep_param="gamma", sweep_values="0")
+        tmp_path / "c.cfg",
+        base_config(gamma=gamma, sweep_param="gamma", sweep_values=gamma),
     )
     code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CHECK_FAILED
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    assert "Hermiticity broken" in errors[0]
+    assert message in errors[0]
 
 
 def test_overflowed_run_prints_one_error_line(tmp_path, capsys):
     # dt = 0.06 passes the step guard at N = 100 but the RK4 trajectory
     # overflows to nan; stderr carries the drift gate's error and no numpy
-    # RuntimeWarning ahead of it
+    # RuntimeWarning ahead of it.  gamma*N^2*dt = 6e-4 leaves the step
+    # guard to tunneling while keeping the run on the RK4 path
     cfg = write(
         tmp_path / "c.cfg",
         base_config(
             n_atoms="100",
+            gamma="1e-6",
             alpha=None,
             beta=None,
             theta="0.1",

@@ -9,6 +9,7 @@ from dwsqueeze.master_eq import (
     HybridState,
     IntegrationError,
     ModelParams,
+    PureSample,
     TimeGrid,
     coherent_overlaps,
     conditional_density,
@@ -26,8 +27,11 @@ from dwsqueeze.pure_measure import (
     _conditioning_factor,
 )
 from dwsqueeze.spin_core import (
+    AtomState,
+    BlochAngles,
     GroundExcitedAmplitudes,
     analytic_precession,
+    bloch_to_ge,
     build_spin_coherent,
     moments_from_density,
     spin_operator_matrices,
@@ -210,6 +214,122 @@ def test_boundary_safety_smallest_system():
     rho0 = coherent_rho(GroundExcitedAmplitudes(0.0, 1.0), 1)
     samples = integrate(params, rho0, TimeGrid(1.0, 0.01, sample_stride=10))
     assert all(np.all(np.isfinite(s.rho)) for s in samples)
+
+
+def projector(state):
+    return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_rotation_matches_rk4_density(n):
+    # the Fig-6 point (and N = 100 at the same couplings), to omega t = 12:
+    # the one-atom rotation at the CLI's dt against density-matrix RK4 at
+    # dt/2, whose own dt-halving difference is checked first
+    omega = math.pi / 4
+    params = make_params(n=n, omega=omega, g=0.1 * omega / 30, light=LightPair(2, 2))
+    state = build_spin_coherent(TILTED, n)
+    t_max = 12.0 / omega
+    steps = round(t_max / 0.02)
+    rotated = integrate(params, state, TimeGrid(t_max, t_max / steps, 50))
+    rk4 = integrate(params, projector(state), TimeGrid(t_max, t_max / (2 * steps), 100))
+    rk4_half = integrate(params, projector(state), TimeGrid(t_max, t_max / (4 * steps), 200))
+    assert len(rotated) == len(rk4) == len(rk4_half)
+    assert max(np.max(np.abs(a.rho - b.rho)) for a, b in zip(rk4, rk4_half)) < 1e-9
+    outcome = DetectionOutcome(4, 4)
+    fields = ("jx_mean", "jy_mean", "jz_mean", "jx_var", "jy_var", "jz_var")
+    for a, b in zip(rotated, rk4):
+        assert isinstance(a, PureSample) and a.t == b.t
+        assert np.max(np.abs(projector(a.state) - b.rho)) < 1e-8
+        ma = moments_from_density(conditional_density(params, a, outcome))
+        mb = moments_from_density(conditional_density(params, b, outcome))
+        for field in fields:
+            ref = getattr(mb, field)
+            assert abs(getattr(ma, field) - ref) <= 1e-8 * max(abs(ref), 1.0)
+
+
+def test_rotation_exact_for_constant_generator():
+    # at g = 0 the generator is omega J_z at all times, so each Magnus step
+    # is the exact rotation; N = 200 follows the closed form to roundoff
+    omega = math.pi / 4
+    params = make_params(n=200, omega=omega)
+    samples = integrate(params, build_spin_coherent(TILTED, 200), TimeGrid(40.0, 0.02, 250))
+    for s in samples:
+        ref = analytic_precession(TILTED, 200, omega, s.t)
+        got = moments_from_density(s.state)
+        for field in ("jx_mean", "jy_mean", "jz_mean", "jx_var", "jy_var", "jz_var"):
+            r = getattr(ref, field)
+            assert abs(getattr(got, field) - r) <= 1e-10 * max(abs(r), 1.0)
+        assert s.trace_error() < 1e-12 and s.herm_error() == 0.0
+
+
+def test_rotation_fourth_order():
+    # a light overlap that turns fast makes the Magnus commutator term
+    # matter; each halving of dt cuts the error 16-fold
+    params = make_params(n=1, omega=1.3, g=0.7, light=LightPair(1.2, 0.5j))
+    start = AtomState(1, np.array([0.6, 0.8j]))
+
+    def final(steps):
+        grid = TimeGrid(3.0, 3.0 / steps, steps)
+        return integrate(params, start, grid, strict=False)[-1].state.amplitudes
+
+    ref = final(25600)
+
+    def error(amp):
+        phase = np.vdot(amp, ref)
+        return np.max(np.abs(amp * phase.conjugate() / abs(phase) - ref))
+
+    errors = [error(final(steps)) for steps in (50, 100, 200)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+@pytest.mark.parametrize("n", [1, 30, 4096])
+def test_coherent_start_takes_rotation_path(n):
+    # the one-atom state is read off the mean spin, which stays accurate at
+    # the poles and at capacity, where single amplitudes carry ~1e-12 noise
+    params = make_params(n=n, omega=0.5)
+    for theta in (0.0, 0.06, 1.2, math.pi):
+        state = build_spin_coherent(bloch_to_ge(BlochAngles(theta, 2.0)), n)
+        first = integrate(params, state, TimeGrid(0.02, 0.02))[0]
+        assert isinstance(first, PureSample)
+        assert abs(abs(np.vdot(first.state.amplitudes, state.amplitudes)) - 1.0) < 1e-12
+
+
+def test_integrate_state_input_paths():
+    omega = math.pi / 4
+    params = make_params(n=12, omega=omega, g=0.1 * omega / 12)
+    grid = TimeGrid(2.0, 0.02, 25)
+    # a conditioned state is not spin coherent: it runs RK4 on its projector
+    squeezed = conditional_state(
+        build_spin_coherent(TILTED, 12), params.light, InteractionSetting(1.0, 0.3),
+        DetectionOutcome(4, 4),
+    )
+    got = integrate(params, squeezed, grid)
+    ref = integrate(params, projector(squeezed), grid)
+    assert all(isinstance(s, HybridState) for s in got)
+    assert all(np.array_equal(a.rho, b.rho) for a, b in zip(got, ref))
+    # and so does a Dicke state, orthogonal to the lift its zero mean spin gives
+    dicke = AtomState(12, np.eye(13)[6])
+    assert all(isinstance(s, HybridState) for s in integrate(params, dicke, grid))
+    # so does a coherent state once gamma > 0
+    dephased = make_params(n=12, omega=omega, gamma=0.01)
+    coherent = build_spin_coherent(TILTED, 12)
+    got = integrate(dephased, coherent, grid)
+    ref = integrate(dephased, projector(coherent), grid)
+    assert all(np.array_equal(a.rho, b.rho) for a, b in zip(got, ref))
+    with pytest.raises(ValueError, match="13 atoms"):
+        integrate(params, build_spin_coherent(TILTED, 13), grid)
+
+
+def test_pure_sample_validate():
+    state = build_spin_coherent(TILTED, 4)
+    PureSample(state, 0.0, 1e-12).validate()
+    with pytest.raises(IntegrationError, match="trace drift"):
+        PureSample(state, 0.0, 1e-6).validate()
+    # an overflowed rotation: the drift is nan and must fail, not pass
+    nan_state = AtomState(4, np.full(5, np.nan, dtype=complex))
+    with pytest.raises(IntegrationError, match="trace drift"):
+        PureSample(nan_state, 1.0, math.nan).validate()
 
 
 def probability_from_rho(params, state, outcome):

@@ -170,6 +170,19 @@ def test_moments_from_density_matches_dense_operators(n_atoms):
         assert getattr(md, f"j{axis}_var") == pytest.approx(var, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("n_atoms", [0, 1, 2, 5, 30, 200])
+def test_moments_from_state_match_projector(n_atoms):
+    # a state reads the three diagonals of its projector without forming it
+    rng = np.random.default_rng(n_atoms)
+    c = rng.normal(size=n_atoms + 1) + 1j * rng.normal(size=n_atoms + 1)
+    state = AtomState(n_atoms, c / np.linalg.norm(c))
+    ms = moments_from_density(state)
+    md = moments_from_density(np.outer(state.amplitudes, state.amplitudes.conj()))
+    for field in ("jx_mean", "jy_mean", "jz_mean", "jx_var", "jy_var", "jz_var"):
+        ref = getattr(md, field)
+        assert abs(getattr(ms, field) - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
 def test_moments_from_density_rejects_bad_trace():
     with pytest.raises(ValueError):
         moments_from_density(np.eye(4))
