@@ -17,6 +17,11 @@ exponential, and lifts each sample to the N-atom coherent state: O(N)
 per sample and no (N+1)^2 matrix.  A density-matrix input, a
 non-coherent start and every gamma > 0 run are integrated as rho by
 fixed-step RK4, which also serves as the reference for the rotation.
+Only the light overlap of the generator depends on t, so integrate
+builds the rest once per run (the coefficients i omega s_k and the
+damping gamma (m - m')^2 / 2), forms the overlaps at the RK4 nodes of a
+block of steps in one vectorized call, and steps in reused buffers; rhs
+evaluates the same generator at one time.
 
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
@@ -58,8 +63,8 @@ TRACE_TOL = 1e-8
 _LIFT_TOL = 1e-12
 # Gauss-Legendre nodes of the fourth-order Magnus step, as fractions of dt
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
-# rotation steps whose propagators are formed in one vectorized call;
-# bounds the memory of long runs
+# steps whose rotation propagators or RK4 light overlaps are formed in one
+# vectorized call; bounds the memory of long runs
 _BLOCK = 4096
 
 
@@ -133,9 +138,14 @@ class PureSample:
         return self.drift
 
     def validate(self):
-        # written as `not <=` so that a nan (overflowed) sample fails too
-        if not self.drift <= TRACE_TOL:
-            raise IntegrationError(f"trace drift at t={self.t}: {self.drift:.3e}")
+        _check_drift(self.drift, self.t)
+
+
+def _check_drift(drift: float, t: float):
+    """The rotation's trace gate, also run before a one-atom state is lifted."""
+    # written as `not <=` so that a nan (overflowed) sample fails too
+    if not drift <= TRACE_TOL:
+        raise IntegrationError(f"trace drift at t={t}: {drift:.3e}")
 
 
 @dataclass(frozen=True)
@@ -178,39 +188,117 @@ def coherent_overlaps(params: ModelParams, t):
     )
 
 
+class _Generator:
+    """The generator of rhs with its constant parts built once.
+
+    On the flattened matrix a row neighbor of rho_{kk'} is N + 1 entries
+    away and a column neighbor 1 entry away, so each of the four
+    tunneling terms is one product of contiguous shifted slices.  The
+    coefficients i omega s_k are laid out once per term: repeated along
+    each row for the row terms, and tiled over the rows for the column
+    terms, with a zero where a shift by 1 wraps into the next row.
+    set_overlap multiplies these layouts by the light overlap, the only
+    part that depends on t; damping holds gamma (m - m')^2 / 2.  apply
+    writes the derivative into a caller's buffer through work buffers of
+    its own, and k, acc and y are the RK4 stage buffers, so a step
+    allocates nothing.
+    """
+
+    def __init__(self, params: ModelParams):
+        n = params.n_atoms
+        w = self.width = n + 1
+        self.rows = self.cols = None
+        if params.omega != 0.0:
+            coef = 1j * params.omega * _ladder_factors(n)
+            self.rows = np.repeat(coef, w)
+            self.cols = np.tile(np.append(coef, 0.0), w)[:-1]
+            self.row_plus, self.row_minus, self.row_term = (
+                np.empty_like(self.rows) for _ in range(3)
+            )
+            self.col_plus, self.col_minus, self.col_term = (
+                np.empty_like(self.cols) for _ in range(3)
+            )
+        m = np.arange(w, dtype=float)
+        # stored complex: numpy would cast a real matrix on every product
+        self.damping = (
+            (0.5 * params.gamma * (m[:, None] - m[None, :]) ** 2).astype(complex).ravel()
+            if params.gamma != 0.0
+            else None
+        )
+        self.full = np.empty(w * w, dtype=complex)
+        self.k, self.acc, self.y = (np.empty((w, w), dtype=complex) for _ in range(3))
+
+    def set_overlap(self, ov_plus: complex):
+        """Weight the coefficients by <a_m|a_{m+1}> and <a_{m+1}|a_m> = its conjugate."""
+        if self.rows is not None:
+            ov_minus = ov_plus.conjugate()
+            np.multiply(self.rows, ov_plus, out=self.row_plus)
+            np.multiply(self.rows, ov_minus, out=self.row_minus)
+            np.multiply(self.cols, ov_plus, out=self.col_plus)
+            np.multiply(self.cols, ov_minus, out=self.col_minus)
+
+    def apply(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write d rho / dt at the overlap last set into out.
+
+        Both are C-contiguous (N+1) x (N+1) arrays, and out must not alias rho.
+        """
+        r, d, w = rho.reshape(-1), out.reshape(-1), self.width
+        if self.rows is None:
+            d.fill(0.0)
+        else:
+            # row couplings: rho_{m-1,k'} enters row m, rho_{m+1,k'} enters row m
+            d[:w] = 0.0
+            np.multiply(self.row_minus, r[:-w], out=d[w:])
+            d[:-w] += np.multiply(self.row_plus, r[w:], out=self.row_term)
+            # column couplings, conjugate-ordered overlaps
+            d[1:] -= np.multiply(self.col_plus, r[:-1], out=self.col_term)
+            d[:-1] -= np.multiply(self.col_minus, r[1:], out=self.col_term)
+        if self.damping is not None:
+            d -= np.multiply(self.damping, r, out=self.full)
+        return out
+
+
 def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
     """Time derivative of rho_{kk'}.
 
     Four tunneling terms (row and column neighbors, each weighted by the
     matching light overlap) plus the Lindblad dephasing -gamma/2 (m - m')^2 rho.
     Ladder factors vanish at the k = 0 and k = N edges, so boundary terms
-    drop out by construction.
+    drop out by construction.  This is the generator integrate caches and
+    steps, evaluated once at time t.
     """
-    n = params.n_atoms
-    om = params.omega
-    s = _ladder_factors(n)
-    ov_plus = coherent_overlaps(params, t)
-    ov_minus = ov_plus.conjugate()
-    d = np.zeros_like(rho)
-    if om != 0.0:
-        # row couplings: rho_{m-1,k'} enters row m, rho_{m+1,k'} enters row m
-        d[1:, :] += 1j * om * s[:, None] * ov_minus * rho[:-1, :]
-        d[:-1, :] += 1j * om * s[:, None] * ov_plus * rho[1:, :]
-        # column couplings, conjugate-ordered overlaps
-        d[:, 1:] -= 1j * om * s[None, :] * ov_plus * rho[:, :-1]
-        d[:, :-1] -= 1j * om * s[None, :] * ov_minus * rho[:, 1:]
-    if params.gamma != 0.0:
-        m = np.arange(n + 1, dtype=float)
-        d -= 0.5 * params.gamma * (m[:, None] - m[None, :]) ** 2 * rho
-    return d
+    gen = _Generator(params)
+    gen.set_overlap(coherent_overlaps(params, t))
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    return gen.apply(rho, np.empty_like(rho))
 
 
-def _rk4_step(params: ModelParams, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
-    k1 = rhs(params, rho, t)
-    k2 = rhs(params, rho + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs(params, rho + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(params, rho + dt * k3, t + dt)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(gen: _Generator, rho: np.ndarray, ov, dt: float) -> np.ndarray:
+    """Advance rho by one RK4 step in place and return it.
+
+    ov holds the light overlaps at t, t + dt/2 and t + dt.  The stages
+    keep the textbook sum rho + dt/6 (k1 + 2 k2 + 2 k3 + k4), accumulated
+    in gen.acc as each k is formed; gen.y holds the next stage's input.
+    """
+    k, acc, y = gen.k, gen.acc, gen.y
+    # complex scalars: numpy would cast a real one on every product
+    half, whole, two = complex(0.5 * dt), complex(dt), complex(2.0)
+    gen.set_overlap(ov[0])
+    gen.apply(rho, acc)
+    np.add(rho, np.multiply(half, acc, out=y), out=y)
+    gen.set_overlap(ov[1])
+    gen.apply(y, k)
+    acc += np.multiply(two, k, out=y)
+    np.add(rho, np.multiply(half, k, out=y), out=y)
+    gen.apply(y, k)
+    acc += np.multiply(two, k, out=y)
+    np.add(rho, np.multiply(whole, k, out=y), out=y)
+    gen.set_overlap(ov[2])
+    gen.apply(y, k)
+    acc += k
+    acc *= complex(dt / 6.0)
+    rho += acc
+    return rho
 
 
 def _one_atom_state(state: AtomState) -> np.ndarray | None:
@@ -274,13 +362,14 @@ def _rotate(
 
     def sample(t):
         drift = abs(abs(x0) ** 2 + abs(x1) ** 2 - 1.0)
-        s = PureSample(AtomState(n, _coherent_amplitudes(x1, x0, n)), t, drift)
+        # an overflowed one-atom state lifts to nan amplitudes, which AtomState
+        # refuses; the gate names the drift first
         if strict:
-            s.validate()
-        return s
+            _check_drift(drift, t)
+        return PureSample(AtomState(n, _coherent_amplitudes(x1, x0, n)), t, drift)
 
     samples = [sample(0.0)]
-    # a nan state lifts to nan amplitudes; the per-sample gate reports it
+    # a nan one-atom state is reported by the drift gate before it is lifted
     with np.errstate(invalid="ignore"):
         for first in range(0, n_steps, _BLOCK):
             p, q = _su2_propagators(params, first, min(_BLOCK, n_steps - first), dt)
@@ -302,14 +391,19 @@ def integrate(
     At gamma = 0 a spin coherent AtomState is rotated through its
     one-atom state and every sample is a PureSample.  Any other input
     runs fixed-step RK4 on rho (rho = C C^dagger for a state) and every
-    sample is a HybridState.  The step count is rounded so the
-    trajectory lands exactly on t_max.  With strict=True the step-bound
-    invariant is enforced up front and every emitted sample must pass
-    its validate: trace drift <= TRACE_TOL, and for rho also Hermiticity
-    drift <= HERM_TOL and a diagonal in [0, 1], where a nan sample
-    fails.  A violation raises IntegrationError with the offending time
-    in the message.  strict=False checks nothing, so callers can report
-    a broken trajectory instead of aborting on it.
+    sample is a HybridState.  RK4 evaluates rhs's generator with its
+    constant parts built once, takes the light overlaps at t, t + dt/2
+    and t + dt from one vectorized call per _BLOCK steps (three scalars a
+    step, whatever N) and writes its stages into buffers reused across
+    steps.  The step count is rounded so the trajectory lands exactly on
+    t_max.  With strict=True the step-bound invariant is enforced up
+    front and every emitted sample must pass its validate: trace drift
+    <= TRACE_TOL, and for rho also Hermiticity drift <= HERM_TOL and a
+    diagonal in [0, 1], where a nan sample fails.  A violation raises
+    IntegrationError with the offending time in the message.
+    strict=False checks nothing, so callers can report a broken
+    trajectory instead of aborting on it; only an overflowed one-atom
+    state, which has no lift, is refused by AtomState with ValueError.
     """
     n_steps = max(1, int(round(grid.t_max / grid.dt)))
     dt = grid.t_max / n_steps
@@ -333,18 +427,21 @@ def integrate(
     if strict:
         samples[0].validate()
     rho = rho0.copy()
+    gen = _Generator(params)
     # an unstable step overflows to inf/nan; the per-sample gate (strict) or
     # the caller's own drift check (non-strict) reports that, so numpy's
     # warnings would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            t_prev = (step - 1) * dt
-            rho = _rk4_step(params, rho, t_prev, dt)
-            if step % grid.sample_stride == 0 or step == n_steps:
-                sample = HybridState(rho.copy(), step * dt)
-                if strict:
-                    sample.validate()
-                samples.append(sample)
+        for first in range(0, n_steps, _BLOCK):
+            t = (first + np.arange(min(_BLOCK, n_steps - first))) * dt
+            nodes = coherent_overlaps(params, np.stack((t, t + 0.5 * dt, t + dt), axis=1))
+            for step, ov in enumerate(nodes, first + 1):
+                rho = _rk4_step(gen, rho, ov, dt)
+                if step % grid.sample_stride == 0 or step == n_steps:
+                    sample = HybridState(rho.copy(), step * dt)
+                    if strict:
+                        sample.validate()
+                    samples.append(sample)
     return samples
 
 

@@ -66,7 +66,8 @@ class AtomState:
                 f"expected ({self.n_atoms + 1},)"
             )
         n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > _NORM_TOL:
+        # written as `not <=` so that a nan vector is refused too
+        if not abs(n - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm {n!r} deviates from 1 beyond {_NORM_TOL}")
 
     def pmf(self) -> np.ndarray:

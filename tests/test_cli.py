@@ -389,7 +389,7 @@ def test_removed_config_keys_refused(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
-def _nan_rk4_step(params, rho, t, dt):
+def _nan_rk4_step(gen, rho, ov, dt):
     return np.full_like(rho, np.nan)
 
 

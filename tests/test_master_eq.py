@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dwsqueeze import master_eq
 from dwsqueeze.master_eq import (
     HybridState,
     IntegrationError,
@@ -216,6 +217,100 @@ def test_boundary_safety_smallest_system():
     assert all(np.all(np.isfinite(s.rho)) for s in samples)
 
 
+def oracle_rhs(params, rho, t):
+    """The generator rebuilt in full at every call: the reference for the cached one."""
+    n = params.n_atoms
+    om = params.omega
+    k = np.arange(n, dtype=float)
+    s = np.sqrt((k + 1.0) * (n - k)) / 2.0
+    il, ir = abs(params.light.alpha_l) ** 2, abs(params.light.alpha_r) ** 2
+    gt = params.g * t
+    ov_plus = np.exp(-(il + ir)) * np.exp(il * np.exp(-1j * gt)) * np.exp(ir * np.exp(1j * gt))
+    ov_minus = ov_plus.conjugate()
+    d = np.zeros_like(rho)
+    d[1:, :] += 1j * om * s[:, None] * ov_minus * rho[:-1, :]
+    d[:-1, :] += 1j * om * s[:, None] * ov_plus * rho[1:, :]
+    d[:, 1:] -= 1j * om * s[None, :] * ov_plus * rho[:, :-1]
+    d[:, :-1] -= 1j * om * s[None, :] * ov_minus * rho[:, 1:]
+    m = np.arange(n + 1, dtype=float)
+    d -= 0.5 * params.gamma * (m[:, None] - m[None, :]) ** 2 * rho
+    return d
+
+
+def oracle_integrate(params, rho0, grid):
+    """(t, rho) samples of textbook RK4 on oracle_rhs, on integrate's time grid."""
+    n_steps = max(1, int(round(grid.t_max / grid.dt)))
+    dt = grid.t_max / n_steps
+    rho = np.asarray(rho0, dtype=complex)
+    samples = [(0.0, rho)]
+    for step in range(1, n_steps + 1):
+        t = (step - 1) * dt
+        k1 = oracle_rhs(params, rho, t)
+        k2 = oracle_rhs(params, rho + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = oracle_rhs(params, rho + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = oracle_rhs(params, rho + dt * k3, t + dt)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % grid.sample_stride == 0 or step == n_steps:
+            samples.append((step * dt, rho))
+    return samples
+
+
+def assert_matches_oracle(params, rho0, grid, samples):
+    ref = oracle_integrate(params, rho0, grid)
+    assert [s.t for s in samples] == [t for t, _ in ref]
+    for s, (_, rho) in zip(samples, ref):
+        assert np.max(np.abs(s.rho - rho)) <= 1e-13
+
+
+# tunneling, a light overlap that turns by gt = 0.4 over a 250-step run, and
+# dephasing; g N dt = 0.048 keeps N = 30 inside the step bound
+def dephasing_params(n):
+    return make_params(n=n, omega=math.pi / 4, g=0.08, gamma=0.001, light=LightPair(1.2, 0.7j))
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_integrate_matches_rebuilt_generator(n):
+    # the cached generator and stage buffers change no step: 250 steps
+    # from a generic density matrix against the generator rebuilt per call
+    params = dephasing_params(n)
+    rho0 = random_density(n, seed=n)
+    grid = TimeGrid(5.0, 0.02, sample_stride=23)
+    samples = integrate(params, rho0, grid)
+    assert len(samples) == 12
+    assert_matches_oracle(params, rho0, grid, samples)
+    # rhs is the same generator at one time
+    assert np.max(np.abs(rhs(params, rho0, 1.3) - oracle_rhs(params, rho0, 1.3))) <= 1e-15
+
+
+def test_integrate_across_overlap_blocks():
+    # more than _BLOCK steps, sampled on both sides of the block boundary
+    params = dephasing_params(1)
+    rho0 = random_density(1, seed=5)
+    n_steps = master_eq._BLOCK + 300
+    grid = TimeGrid(n_steps * 0.01, 0.01, sample_stride=97)
+    assert_matches_oracle(params, rho0, grid, integrate(params, rho0, grid))
+
+
+def test_overlap_cache_is_per_block(monkeypatch):
+    # the step overlaps are three scalars per step, formed a block at a
+    # time: never a steps x N array, whatever N is
+    monkeypatch.setattr(master_eq, "_BLOCK", 64)
+    sizes = {}
+
+    def counted(params, t):
+        sizes.setdefault(params.n_atoms, []).append(np.shape(t))
+        return coherent_overlaps(params, t)
+
+    monkeypatch.setattr(master_eq, "coherent_overlaps", counted)
+    grid = TimeGrid(173 * 0.02, 0.02, sample_stride=31)
+    for n in (1, 30):
+        params = dephasing_params(n)
+        rho0 = random_density(n, seed=11)
+        samples = integrate(params, rho0, grid)
+        assert_matches_oracle(params, rho0, grid, samples)
+    assert sizes[1] == sizes[30] == [(64, 3), (64, 3), (45, 3)]
+
+
 def projector(state):
     return np.outer(state.amplitudes, state.amplitudes.conj())
 
@@ -327,9 +422,11 @@ def test_pure_sample_validate():
     with pytest.raises(IntegrationError, match="trace drift"):
         PureSample(state, 0.0, 1e-6).validate()
     # an overflowed rotation: the drift is nan and must fail, not pass
-    nan_state = AtomState(4, np.full(5, np.nan, dtype=complex))
     with pytest.raises(IntegrationError, match="trace drift"):
-        PureSample(nan_state, 1.0, math.nan).validate()
+        PureSample(state, 1.0, math.nan).validate()
+    # and its nan amplitudes are no state at all
+    with pytest.raises(ValueError, match="state norm"):
+        AtomState(4, np.full(5, np.nan, dtype=complex))
 
 
 def probability_from_rho(params, state, outcome):
