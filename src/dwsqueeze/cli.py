@@ -1,9 +1,11 @@
 """Deterministic experiment driver emitting reproducible CSV data.
 
-Subcommands: pure, master, qfunc, sweep, validate.  All numeric output
-uses 17-significant-digit scientific notation and every file header
-echoes the fully resolved configuration, so identical configs produce
-byte-identical files.  Nothing here uses a random number generator.
+Subcommands: pure, master, qfunc, sweep, validate.  One table, _PARSERS,
+types every config key, and write_csv writes every output from named
+columns, floats in 17-significant-digit scientific notation.  Every file
+header echoes the fully resolved configuration, so identical configs
+produce byte-identical files.  A config or output path that cannot be
+read or written exits 2.  Nothing here uses a random number generator.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from .pure_measure import (
     most_probable_outcome,
 )
 from .spin_core import (
+    AtomState,
     BlochAngles,
     GroundExcitedAmplitudes,
     bloch_to_ge,
@@ -63,11 +66,6 @@ VALIDATION_SUITES = ("normalization", "fock", "crosscheck", "stirling")
 def fmt(x: float) -> str:
     """17 significant digits, scientific; round-trips any double."""
     return f"{float(x):.16e}"
-
-
-def fmt_complex(z: complex) -> str:
-    z = complex(z)
-    return f"{fmt(z.real)},{fmt(z.imag)}"
 
 
 class ConfigError(ValueError):
@@ -100,7 +98,6 @@ class ExperimentConfig:
     sweep_param: str = ""
     sweep_values: tuple[float, ...] = ()
     suites: str = "all"
-    out_dir: str = "out"
 
     def ge(self) -> GroundExcitedAmplitudes:
         has_ab = self.alpha is not None or self.beta is not None
@@ -129,14 +126,6 @@ class ExperimentConfig:
             raise ConfigError(f"bad outcome {self.outcome!r}: {exc}") from exc
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_INT_KEYS = {"n_atoms", "sample_stride", "n_theta", "n_phi"}
-_FLOAT_KEYS = {"theta", "phi", "omega", "g", "gamma", "t", "t_max", "dt"}
-_COMPLEX_KEYS = {"alpha", "beta", "alpha_l", "alpha_r"}
-_BOOL_KEYS = {"emit_q"}
-_FLOAT_TUPLE_KEYS = {"q_omega_t", "sweep_values"}
-
-
 def _parse_complex(text: str) -> complex:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 1:
@@ -146,6 +135,18 @@ def _parse_complex(text: str) -> complex:
     raise ConfigError(f"complex value must be 're' or 're,im', got {text!r}")
 
 
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError("expected true/false, 1/0 or yes/no")
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(",")) if text.strip() else ()
+
+
 def _parse_outcome(text: str) -> tuple[int, int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
@@ -153,27 +154,18 @@ def _parse_outcome(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _parse_value(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _COMPLEX_KEYS:
-            return _parse_complex(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ConfigError(f"boolean key {key} got {raw!r}")
-        if key in _FLOAT_TUPLE_KEYS:
-            if not raw.strip():
-                return ()
-            return tuple(float(p) for p in raw.split(","))
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+# one parser per ExperimentConfig field; load_config reports a parser's
+# ValueError as a ConfigError naming the key and the raw value
+_PARSERS = {
+    "n_atoms": int, "sample_stride": int, "n_theta": int, "n_phi": int,
+    "theta": float, "phi": float, "omega": float, "g": float, "gamma": float,
+    "t": float, "t_max": float, "dt": float,
+    "alpha": _parse_complex, "beta": _parse_complex,
+    "alpha_l": _parse_complex, "alpha_r": _parse_complex,
+    "emit_q": _parse_bool,
+    "q_omega_t": _parse_floats, "sweep_values": _parse_floats,
+    "outcome": str, "sweep_param": str, "suites": str,
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -183,7 +175,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     keys live in one flat namespace and unknown keys are an error.
     """
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -193,11 +188,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _PARSERS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     cfg = ExperimentConfig(**values)
     if cfg.n_atoms < 1:
         raise ConfigError("n_atoms must be set to a positive integer")
@@ -210,7 +208,7 @@ def _echo_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, complex):
-        return fmt_complex(value)
+        return f"{fmt(value.real)},{fmt(value.imag)}"
     if isinstance(value, float):
         return fmt(value)
     if isinstance(value, tuple):
@@ -220,19 +218,33 @@ def _echo_value(value) -> str:
 
 def config_echo_lines(cfg: ExperimentConfig, command: str) -> list[str]:
     lines = [f"artifact = dwsqueeze {__version__}", f"command = {command}"]
-    for name in sorted(_FIELD_TYPES):
+    for name in sorted(_PARSERS):
         lines.append(f"{name} = {_echo_value(getattr(cfg, name))}")
     return lines
 
 
-def write_csv(path: Path, header_lines: list[str], columns: list[str], rows):
+_CELL_FORMATS = {"f": "%.16e", "i": "%d"}
+_BLOCK_ROWS = 1024
+
+
+def write_csv(path: Path, header_lines: list[str], columns: dict):
+    """Header lines, a '# columns:' line, then one row per column index.
+
+    columns maps each name to a sequence, all of one length.  Float columns
+    print as %.16e, the bytes of fmt (nan, inf and -0.0 included), integer
+    columns as %d and anything else as given.  Rows are formatted a block
+    at a time, so the text in memory stays O(block), not O(file).
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    row = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for line in header_lines:
             f.write(f"# {line}\n")
         f.write(f"# columns: {','.join(columns)}\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
+        for start in range(0, max(map(len, arrays)), _BLOCK_ROWS):
+            cells = [a[start:start + _BLOCK_ROWS].tolist() for a in arrays]
+            f.write("".join(row % r for r in zip(*cells, strict=True)))
 
 
 def _warn_asymptotics(cfg: ExperimentConfig, outcome: DetectionOutcome, gt: float):
@@ -270,20 +282,15 @@ def run_pure(cfg: ExperimentConfig, out_dir: Path) -> int:
     write_csv(
         out_dir / "pure_pmf.csv",
         echo + [f"outcome = {outcome.n_c},{outcome.n_d}"],
-        ["k", "p_exact", "p_gaussian"],
-        ([str(k), fmt(p_exact[k]), fmt(p_gauss[k])] for k in range(cfg.n_atoms + 1)),
+        {"k": np.arange(cfg.n_atoms + 1), "p_exact": p_exact, "p_gaussian": p_gauss},
     )
 
     grid = detection_pmf_grid(state, light, setting)
+    n_c, n_d = np.indices(grid.shape)
     write_csv(
         out_dir / "pure_detection_grid.csv",
         echo,
-        ["n_c", "n_d", "p"],
-        (
-            [str(nc), str(nd), fmt(grid[nc, nd])]
-            for nc in range(grid.shape[0])
-            for nd in range(grid.shape[1])
-        ),
+        {"n_c": n_c.ravel(), "n_d": n_d.ravel(), "p": grid.ravel()},
     )
 
     if cfg.emit_q:
@@ -296,43 +303,44 @@ def _write_q_csv(path: Path, echo: list[str], source, cfg: ExperimentConfig):
     write_csv(
         path,
         echo + ["orientation: physics convention, theta = 0 is the +z pole (no flip)"],
-        ["theta", "phi", "q"],
-        (
-            [fmt(qg.thetas[i]), fmt(qg.phis[j]), fmt(qg.values[i, j])]
-            for i in range(cfg.n_theta)
-            for j in range(cfg.n_phi)
-        ),
+        {
+            "theta": np.repeat(qg.thetas, qg.n_phi),
+            "phi": np.tile(qg.phis, qg.n_theta),
+            "q": qg.values.ravel(),
+        },
     )
 
 
-def _conditional_timeseries(params: ModelParams, samples, outcome: DetectionOutcome):
-    """One row of floats per sample, in _TIMESERIES_COLUMNS order."""
-    rows = []
-    for s in samples:
-        cond = conditional_density(params, s, outcome)
-        m = moments_from_density(cond)
-        norm = 4.0 / params.n_atoms
-        rows.append(
-            [
-                s.t,
-                params.omega * s.t,
-                m.jx_mean,
-                m.jy_mean,
-                m.jz_mean,
-                norm * m.jx_var,
-                norm * m.jy_var,
-                norm * m.jz_var,
-                s.trace_error(),
-                s.herm_error(),
-            ]
-        )
-    return rows
+def _conditional_timeseries(
+    params: ModelParams, samples, outcome: DetectionOutcome
+) -> dict[str, np.ndarray]:
+    """Conditional spin moments and sample drifts, one column entry per sample."""
+    moments = [
+        moments_from_density(conditional_density(params, s, outcome)) for s in samples
+    ]
+    t = np.array([s.t for s in samples])
+    norm = 4.0 / params.n_atoms
+    return {
+        "t": t,
+        "omega_t": params.omega * t,
+        "jx_mean": np.array([m.jx_mean for m in moments]),
+        "jy_mean": np.array([m.jy_mean for m in moments]),
+        "jz_mean": np.array([m.jz_mean for m in moments]),
+        "jx_var_norm": norm * np.array([m.jx_var for m in moments]),
+        "jy_var_norm": norm * np.array([m.jy_var for m in moments]),
+        "jz_var_norm": norm * np.array([m.jz_var for m in moments]),
+        "trace_err": np.array([s.trace_error() for s in samples]),
+        "herm_err": np.array([s.herm_error() for s in samples]),
+    }
 
 
-_TIMESERIES_COLUMNS = [
-    "t", "omega_t", "jx_mean", "jy_mean", "jz_mean",
-    "jx_var_norm", "jy_var_norm", "jz_var_norm", "trace_err", "herm_err",
-]
+def _model(cfg: ExperimentConfig) -> tuple[ModelParams, AtomState, TimeGrid]:
+    """The master model, its initial coherent state and its time grid."""
+    params = ModelParams(
+        n_atoms=cfg.n_atoms, omega=cfg.omega, g=cfg.g, gamma=cfg.gamma, light=cfg.light()
+    )
+    state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
+    return params, state, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride)
 
 
 def _evolve(
@@ -342,12 +350,8 @@ def _evolve(
 
     At gamma = 0 the samples are rotated coherent states, else density matrices.
     """
-    params = ModelParams(
-        n_atoms=cfg.n_atoms, omega=cfg.omega, g=cfg.g, gamma=cfg.gamma, light=cfg.light()
-    )
-    state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
-    samples = integrate(params, state, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride))
-    return params, samples
+    params, state, grid = _model(cfg)
+    return params, integrate(params, state, grid)
 
 
 def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -357,12 +361,10 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
     outcome = cfg.resolve_outcome()
     params, samples = _evolve(cfg)
     echo = config_echo_lines(cfg, "master")
-    rows = _conditional_timeseries(params, samples, outcome)
     write_csv(
         out_dir / "master_timeseries.csv",
         echo + [f"outcome = {outcome.n_c},{outcome.n_d}"],
-        _TIMESERIES_COLUMNS,
-        ([fmt(x) for x in row] for row in rows),
+        _conditional_timeseries(params, samples, outcome),
     )
 
     for idx, target in enumerate(cfg.q_omega_t):
@@ -417,35 +419,20 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     for value in cfg.sweep_values:
         params, samples = _evolve(replace(cfg, **{cfg.sweep_param: value}))
         ts = _conditional_timeseries(params, samples, outcome)
-        omega_t = np.array([r[1] for r in ts])
-        jx_var = np.array([r[5] for r in ts])
+        omega_t, jx_var = ts["omega_t"], ts["jx_var_norm"]
         i_min = int(np.argmin(jx_var))
-        rows.append(
-            [
-                fmt(value),
-                fmt(jx_var[i_min]),
-                fmt(omega_t[i_min]),
-                fmt(_first_crossing(omega_t, jx_var)),
-            ]
-        )
-    write_csv(
-        out_dir / "sweep_summary.csv",
-        echo,
-        [
-            "value",
-            "min_jx_var_norm",
-            "omega_t_at_min",
-            "first_crossing_omega_t",
-        ],
-        rows,
-    )
+        crossing = _first_crossing(omega_t, jx_var)
+        rows.append((value, jx_var[i_min], omega_t[i_min], crossing))
+    names = ("value", "min_jx_var_norm", "omega_t_at_min", "first_crossing_omega_t")
+    write_csv(out_dir / "sweep_summary.csv", echo, dict(zip(names, np.array(rows).T)))
     return EXIT_OK
 
 
-def _default_validation_suite(selected: set[str]) -> list[OracleReport]:
+def _validation_suite(selected: set[str], entries: list | None) -> list[OracleReport]:
+    """Selected suites in order; entries None means the default normalization matrix."""
     reports: list[OracleReport] = []
     if "normalization" in selected:
-        reports.extend(normalization_sweep())
+        reports.extend(normalization_sweep(entries))
     if "fock" in selected:
         ge = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
         st = build_spin_coherent(ge, 2)
@@ -483,9 +470,10 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
     normalization checks run on the configured parameters instead, which
     doubles as the fault-injection path (for example an unstable dt).
     """
+    entries = None
     if cfg is None:
         cfg = ExperimentConfig(n_atoms=2)
-        reports = _default_validation_suite(set(VALIDATION_SUITES))
+        selected = set(VALIDATION_SUITES)
     else:
         selected = (
             set(VALIDATION_SUITES)
@@ -498,39 +486,33 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
                 f"unknown suites {sorted(unknown)}; choose from {VALIDATION_SUITES}"
             )
         if "normalization" in selected:
-            ge = cfg.ge()
-            entry = {
-                "n_atoms": cfg.n_atoms,
-                "omega": cfg.omega,
-                "g": cfg.g,
-                "gamma": cfg.gamma,
-                "alpha": ge.alpha,
-                "beta": ge.beta,
-                "alpha_l": cfg.alpha_l,
-                "alpha_r": cfg.alpha_r,
-                "t_max": cfg.t_max,
-                "dt": cfg.dt,
-                "sample_stride": cfg.sample_stride,
-            }
-            reports = normalization_sweep([entry])
-            reports.extend(_default_validation_suite(selected - {"normalization"}))
-        else:
-            reports = _default_validation_suite(selected)
+            entries = [_model(cfg)]
 
+    reports = _validation_suite(selected, entries)
     echo = config_echo_lines(cfg, "validate")
     write_csv(
         out_dir / "validation_report.csv",
         echo,
-        ["name", "max_abs_error", "tolerance", "passed"],
-        (
-            [r.name, fmt(r.max_abs_error), fmt(r.tolerance), str(r.passed).lower()]
-            for r in reports
-        ),
+        {
+            "name": [r.name for r in reports],
+            "max_abs_error": [r.max_abs_error for r in reports],
+            "tolerance": [r.tolerance for r in reports],
+            "passed": [str(r.passed).lower() for r in reports],
+        },
     )
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name} error={r.max_abs_error:.3e} tol={r.tolerance:.0e}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+
+
+_RUNNERS = {
+    "pure": run_pure,
+    "master": run_master,
+    "qfunc": run_qfunc,
+    "sweep": run_sweep,
+    "validate": run_validate,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,45 +522,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("pure", True),
-        ("master", True),
-        ("qfunc", True),
-        ("sweep", True),
-        ("validate", False),
-    ):
+    for name in _RUNNERS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--outcome",
-            default=None,
-            help="photon-count pair 'nc,nd' or 'auto' (most probable)",
-        )
+        p.add_argument("--config", required=name != "validate")
+        p.add_argument("--out", default="out", help="output directory")
+        if name != "validate":  # validate conditions on no outcome
+            p.add_argument(
+                "--outcome",
+                default=None,
+                help="photon-count pair 'nc,nd' or 'auto' (most probable)",
+            )
     return parser
-
-
-_RUNNERS = {
-    "pure": run_pure,
-    "master": run_master,
-    "qfunc": run_qfunc,
-    "sweep": run_sweep,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
-        if cfg is not None and args.outcome:
+        if getattr(args, "outcome", None):
             cfg = replace(cfg, outcome=args.outcome)
-        out_dir = Path(args.out) if args.out else Path(cfg.out_dir if cfg else "out")
-        if args.command == "validate":
-            return run_validate(cfg, out_dir)
-        if cfg is None:
-            raise ConfigError(f"{args.command} requires --config")
-        return _RUNNERS[args.command](cfg, out_dir)
-    except (ConfigError, FileNotFoundError) as exc:
+        return _RUNNERS[args.command](cfg, Path(args.out))
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ImpossibleOutcomeError as exc:

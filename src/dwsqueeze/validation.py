@@ -261,35 +261,28 @@ def stirling_regime_check(
     )
 
 
-def _default_sweep_entries() -> list[dict]:
+SweepEntry = tuple[ModelParams, AtomState, TimeGrid]
+
+
+def _default_sweep_entries() -> list[SweepEntry]:
     omega = math.pi / 4.0
+    ge = GroundExcitedAmplitudes(math.sqrt(0.001), math.sqrt(0.999))
+    grid = TimeGrid(8.0 / omega, 0.02, 20)
     entries = []
     for n in (2, 5, 30):
         g = 0.1 * omega / n
-        entries.append(
-            {
-                "n_atoms": n,
-                "omega": omega,
-                "g": g,
-                "gamma": 0.1 * g,
-                "alpha": math.sqrt(0.001),
-                "beta": math.sqrt(0.999),
-                "alpha_l": 2.0,
-                "alpha_r": 2.0,
-                "t_max": 8.0 / omega,
-                "dt": 0.02,
-                "sample_stride": 20,
-            }
-        )
+        params = ModelParams(n, omega, g, 0.1 * g, LightPair(2.0, 2.0))
+        entries.append((params, build_spin_coherent(ge, n), grid))
     return entries
 
 
-def normalization_sweep(entries: list[dict] | None = None) -> list[OracleReport]:
+def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleReport]:
     """Completeness, trace, Hermiticity and Q-normalization over a parameter matrix.
 
-    Each entry is a flat parameter dict; defaults cover N in {2, 5, 30}
-    with tunneling/coupling values at the squeezing operating point.
-    The start is passed to integrate as a density matrix, so every entry
+    Each entry is a model, its initial state and its time grid; defaults
+    cover N in {2, 5, 30} with tunneling/coupling values at the squeezing
+    operating point.  Completeness is checked at gt = g * t_max.  The
+    start is passed to integrate as a density matrix, so every entry
     deliberately runs the rho-RK4 path, also at gamma = 0, and its trace
     and Hermiticity drifts are the ones checked.  Integrations run
     non-strict so that injected faults (for example an unstable dt) show
@@ -299,40 +292,27 @@ def normalization_sweep(entries: list[dict] | None = None) -> list[OracleReport]
     if entries is None:
         entries = _default_sweep_entries()
     reports: list[OracleReport] = []
-    for e in entries:
-        n = e["n_atoms"]
-        ge = GroundExcitedAmplitudes(e["alpha"], e["beta"])
-        light = LightPair(e["alpha_l"], e["alpha_r"])
-        state = build_spin_coherent(ge, n)
-        tag = f"N={n}"
-
-        gt = e["g"] * e["t_max"]
-        grid_pmf = detection_pmf_grid(state, light, InteractionSetting(e["g"], e["t_max"]))
+    for params, state, grid in entries:
+        tag = f"N={params.n_atoms}"
+        setting = InteractionSetting(params.g, grid.t_max)
+        grid_pmf = detection_pmf_grid(state, params.light, setting)
         reports.append(
             OracleReport.make(
                 f"completeness[{tag}]",
                 abs(1.0 - float(grid_pmf.sum())),
                 1e-6,
-                gt=gt,
+                gt=setting.gt,
             )
         )
 
-        params = ModelParams(
-            n_atoms=n,
-            omega=e["omega"],
-            g=e["g"],
-            gamma=e["gamma"],
-            light=light,
-        )
         rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
-        grid = TimeGrid(e["t_max"], e["dt"], e["sample_stride"])
         samples = integrate(params, rho0, grid, strict=False)
         reports.append(
             OracleReport.make(
                 f"trace_drift[{tag}]",
                 np.max([s.trace_error() for s in samples]),
                 TRACE_TOL,
-                dt=e["dt"],
+                dt=grid.dt,
             )
         )
         reports.append(
@@ -340,14 +320,16 @@ def normalization_sweep(entries: list[dict] | None = None) -> list[OracleReport]
                 f"hermiticity[{tag}]",
                 np.max([s.herm_error() for s in samples]),
                 HERM_TOL,
-                dt=e["dt"],
+                dt=grid.dt,
             )
         )
 
         # a broken trajectory (injected fault) must fail this report, not
         # abort the sweep
         try:
-            cond = conditional_density(params, samples[-1], most_probable_outcome(light))
+            cond = conditional_density(
+                params, samples[-1], most_probable_outcome(params.light)
+            )
             q_err = abs(1.0 - q_grid(cond, 128, 128).quadrature_sum())
         except Exception as exc:
             reports.append(

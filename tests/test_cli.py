@@ -1,5 +1,6 @@
 """Config parsing, subcommand runs, CSV format, determinism, exit codes."""
 
+import dataclasses
 import math
 import time
 import warnings
@@ -18,6 +19,7 @@ from dwsqueeze.cli import (
     fmt,
     load_config,
     main,
+    write_csv,
 )
 from dwsqueeze.husimi import q_grid
 from dwsqueeze.master_eq import (
@@ -102,6 +104,42 @@ def test_load_config_rejects_duplicate_key(tmp_path):
 def test_load_config_requires_n_atoms(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path / "c.cfg", "omega = 1.0\n"))
+
+
+def test_every_config_field_has_one_parser():
+    # a field without a parser could never be set; a parser without a field
+    # would reach ExperimentConfig(**values) as a TypeError
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(cli._PARSERS) == fields
+
+
+def test_write_csv_round_trips_cells(tmp_path):
+    floats = np.array(
+        [math.pi, -1e-300, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf, -0.0]
+    )
+    ints = np.arange(len(floats)) * 1000 - 3
+    names = [f"r{i}" for i in range(len(floats))]
+    path = tmp_path / "sub" / "t.csv"
+    write_csv(path, ["a = 1"], {"name": names, "x": floats, "k": ints})
+    header, data = read_rows(path)
+    assert header == ["# a = 1", "# columns: name,x,k"]
+    assert [r[0] for r in data] == names
+    assert [r[2] for r in data] == [str(k) for k in ints.tolist()]
+    back = np.array([float(r[1]) for r in data])
+    assert back.tobytes() == floats.tobytes()  # exact, -0.0 and nan included
+    assert [r[1] for r in data] == [fmt(x) for x in floats]
+
+
+def test_write_csv_streams_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    x = np.linspace(0.0, 1.0, 30)
+    write_csv(tmp_path / "t.csv", [], {"i": np.arange(30), "x": x})
+    _, data = read_rows(tmp_path / "t.csv")
+    assert [int(r[0]) for r in data] == list(range(30))
+    assert np.array([float(r[1]) for r in data]).tobytes() == x.tobytes()
+    # a short column is refused, not truncated, also past the first block
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "u.csv", [], {"i": np.arange(7), "x": x})
 
 
 def test_config_state_parametrizations():
@@ -373,11 +411,21 @@ def test_dephasing_flag_and_seedless(tmp_path):
             main(["master", "--config", cfg, "--out", str(out), *flag])
         assert exc.value.code == EXIT_BAD_INPUT
         assert not out.exists()
+    # validate conditions on no outcome, so it takes no --outcome
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--out", str(out), "--outcome", "3,5"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "key, value",
-    [("dephasing_form", "lindblad"), ("tol_trace", "1e-8"), ("tol_herm", "1e-9")],
+    [
+        ("dephasing_form", "lindblad"),
+        ("tol_trace", "1e-8"),
+        ("tol_herm", "1e-9"),
+        ("out_dir", "x"),  # --out is the one output directory
+    ],
 )
 def test_removed_config_keys_refused(tmp_path, capsys, key, value):
     cfg = write(tmp_path / "c.cfg", base_config(**{key: value}))
@@ -508,5 +556,19 @@ def test_byte_identical_reruns(tmp_path):
             assert b"\r" not in b1
 
 
-def test_missing_config_file(tmp_path, capsys):
-    assert main(["pure", "--config", str(tmp_path / "nope.cfg")]) == EXIT_BAD_INPUT
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_is_file"])
+def test_missing_config_file(tmp_path, capsys, case):
+    # unreadable config or unwritable output: exit 2 with one error line
+    cfg = write(tmp_path / "c.cfg", base_config(t="0.01", g="1.0", t_max=None))
+    out = tmp_path / "out"
+    if case == "missing":
+        cfg = str(tmp_path / "nope.cfg")
+    elif case == "directory":
+        cfg = str(tmp_path)
+    elif case == "not_utf8":
+        (tmp_path / "c.cfg").write_bytes(b"n_atoms = 3\ntheta = 0.1\xff\n")
+    else:
+        out.write_text("a file, not a directory\n", encoding="utf-8")
+    assert main(["pure", "--config", cfg, "--out", str(out)]) == EXIT_BAD_INPUT
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dwsqueeze.validation as validation
-from dwsqueeze.master_eq import HybridState, ModelParams
+from dwsqueeze.master_eq import HybridState, ModelParams, TimeGrid
 from dwsqueeze.pure_measure import (
     DetectionOutcome,
     InteractionSetting,
@@ -156,20 +156,12 @@ def test_normalization_sweep_default_all_pass():
 
 
 def test_normalization_sweep_fault_injection():
-    entry = {
-        "n_atoms": 10,
-        "omega": math.pi / 4,
-        "g": 0.01,
-        "gamma": 0.0,
-        "alpha": 0.0,
-        "beta": 1.0,
-        "alpha_l": 2.0,
-        "alpha_r": 2.0,
-        "t_max": 100.0,
-        "dt": 5.0,  # grossly unstable on purpose
-        "sample_stride": 5,
-    }
-    reports = normalization_sweep([entry])
+    params = ModelParams(
+        n_atoms=10, omega=math.pi / 4, g=0.01, gamma=0.0, light=LightPair(2.0, 2.0)
+    )
+    state = build_spin_coherent(GroundExcitedAmplitudes(0.0, 1.0), 10)
+    grid = TimeGrid(t_max=100.0, dt=5.0, sample_stride=5)  # grossly unstable on purpose
+    reports = normalization_sweep([(params, state, grid)])
     trace_reports = [r for r in reports if r.name.startswith("trace_drift")]
     assert trace_reports and not trace_reports[0].passed
     herm_reports = [r for r in reports if r.name.startswith("hermiticity")]
