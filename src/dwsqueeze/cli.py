@@ -537,11 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
         cfg = load_config(args.config) if args.config else None
         if getattr(args, "outcome", None):
             cfg = replace(cfg, outcome=args.outcome)
-        return _RUNNERS[args.command](cfg, Path(args.out))
+        # refused before the run, not by the first write after it
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise NotADirectoryError(f"--out {out}: a file is in the way")
+        return _RUNNERS[args.command](cfg, out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -17,7 +17,9 @@ exponential, and lifts each sample to the N-atom coherent state: O(N)
 per sample and no (N+1)^2 matrix.  A density-matrix input, a
 non-coherent start and every gamma > 0 run are integrated as rho by
 fixed-step RK4, which also serves as the reference for the rotation.
-Only the light overlap of the generator depends on t, so integrate
+RK4 steps the Hermitian part of its input, and the generator forms
+i H rho and adds its adjoint, so every step stays Hermitian to the last
+bit.  Only the light overlap of the generator depends on t, so integrate
 builds the rest once per run (the coefficients i omega s_k and the
 damping gamma (m - m')^2 / 2), forms the overlaps at the RK4 nodes of a
 block of steps in one vectorized call, and steps in reused buffers; rhs
@@ -191,32 +193,25 @@ def coherent_overlaps(params: ModelParams, t):
 class _Generator:
     """The generator of rhs with its constant parts built once.
 
-    On the flattened matrix a row neighbor of rho_{kk'} is N + 1 entries
-    away and a column neighbor 1 entry away, so each of the four
-    tunneling terms is one product of contiguous shifted slices.  The
-    coefficients i omega s_k are laid out once per term: repeated along
-    each row for the row terms, and tiled over the rows for the column
-    terms, with a zero where a shift by 1 wraps into the next row.
-    set_overlap multiplies these layouts by the light overlap, the only
-    part that depends on t; damping holds gamma (m - m')^2 / 2.  apply
-    writes the derivative into a caller's buffer through work buffers of
-    its own, and k, acc and y are the RK4 stage buffers, so a step
-    allocates nothing.
+    For a Hermitian rho the column half of the commutator, -i rho H, is
+    the adjoint of the row half R = i H rho, so apply forms R and adds
+    R^dagger.  On the flattened matrix a row neighbor of rho_{kk'} is
+    N + 1 entries away, so each of R's two terms is one product of
+    contiguous slices with i omega s_k repeated along each row, which
+    set_overlap weights by the light overlap, the only part that depends
+    on t; damping holds gamma (m - m')^2 / 2.  apply writes into a
+    caller's buffer through work buffers of its own, and k, acc and y
+    are the RK4 stage buffers, so a step allocates nothing.
     """
 
     def __init__(self, params: ModelParams):
         n = params.n_atoms
         w = self.width = n + 1
-        self.rows = self.cols = None
+        self.rows = None
         if params.omega != 0.0:
-            coef = 1j * params.omega * _ladder_factors(n)
-            self.rows = np.repeat(coef, w)
-            self.cols = np.tile(np.append(coef, 0.0), w)[:-1]
+            self.rows = np.repeat(1j * params.omega * _ladder_factors(n), w)
             self.row_plus, self.row_minus, self.row_term = (
                 np.empty_like(self.rows) for _ in range(3)
-            )
-            self.col_plus, self.col_minus, self.col_term = (
-                np.empty_like(self.cols) for _ in range(3)
             )
         m = np.arange(w, dtype=float)
         # stored complex: numpy would cast a real matrix on every product
@@ -226,21 +221,20 @@ class _Generator:
             else None
         )
         self.full = np.empty(w * w, dtype=complex)
-        self.k, self.acc, self.y = (np.empty((w, w), dtype=complex) for _ in range(3))
+        self.adj, self.k, self.acc, self.y = (
+            np.empty((w, w), dtype=complex) for _ in range(4)
+        )
 
     def set_overlap(self, ov_plus: complex):
         """Weight the coefficients by <a_m|a_{m+1}> and <a_{m+1}|a_m> = its conjugate."""
         if self.rows is not None:
-            ov_minus = ov_plus.conjugate()
             np.multiply(self.rows, ov_plus, out=self.row_plus)
-            np.multiply(self.rows, ov_minus, out=self.row_minus)
-            np.multiply(self.cols, ov_plus, out=self.col_plus)
-            np.multiply(self.cols, ov_minus, out=self.col_minus)
+            np.multiply(self.rows, ov_plus.conjugate(), out=self.row_minus)
 
     def apply(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write d rho / dt at the overlap last set into out.
 
-        Both are C-contiguous (N+1) x (N+1) arrays, and out must not alias rho.
+        Both are C-contiguous (N+1) x (N+1) arrays, rho Hermitian and out not rho.
         """
         r, d, w = rho.reshape(-1), out.reshape(-1), self.width
         if self.rows is None:
@@ -250,22 +244,21 @@ class _Generator:
             d[:w] = 0.0
             np.multiply(self.row_minus, r[:-w], out=d[w:])
             d[:-w] += np.multiply(self.row_plus, r[w:], out=self.row_term)
-            # column couplings, conjugate-ordered overlaps
-            d[1:] -= np.multiply(self.col_plus, r[:-1], out=self.col_term)
-            d[:-1] -= np.multiply(self.col_minus, r[1:], out=self.col_term)
+            # column couplings: the adjoint of the row ones
+            out += np.conjugate(out.T, out=self.adj)
         if self.damping is not None:
             d -= np.multiply(self.damping, r, out=self.full)
         return out
 
 
 def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
-    """Time derivative of rho_{kk'}.
+    """Time derivative of rho_{kk'}, which must be Hermitian.
 
-    Four tunneling terms (row and column neighbors, each weighted by the
-    matching light overlap) plus the Lindblad dephasing -gamma/2 (m - m')^2 rho.
-    Ladder factors vanish at the k = 0 and k = N edges, so boundary terms
-    drop out by construction.  This is the generator integrate caches and
-    steps, evaluated once at time t.
+    The row tunneling terms i H(t) rho (each neighbor weighted by its
+    light overlap) plus their adjoint, plus the Lindblad dephasing
+    -gamma/2 (m - m')^2 rho.  Ladder factors vanish at the k = 0 and k = N
+    edges, so boundary terms drop out by construction.  This is the
+    generator integrate caches and steps, evaluated once at time t.
     """
     gen = _Generator(params)
     gen.set_overlap(coherent_overlaps(params, t))
@@ -391,13 +384,14 @@ def integrate(
     At gamma = 0 a spin coherent AtomState is rotated through its
     one-atom state and every sample is a PureSample.  Any other input
     runs fixed-step RK4 on rho (rho = C C^dagger for a state) and every
-    sample is a HybridState.  RK4 evaluates rhs's generator with its
-    constant parts built once, takes the light overlaps at t, t + dt/2
-    and t + dt from one vectorized call per _BLOCK steps (three scalars a
-    step, whatever N) and writes its stages into buffers reused across
-    steps.  The step count is rounded so the trajectory lands exactly on
-    t_max.  With strict=True the step-bound invariant is enforced up
-    front and every emitted sample must pass its validate: trace drift
+    sample is a HybridState: rho as given at t = 0, then Hermitian to the
+    last bit.  RK4 evaluates rhs's generator with its constant parts
+    built once, takes the light overlaps at t, t + dt/2 and t + dt from
+    one vectorized call per _BLOCK steps (three scalars a step, whatever
+    N) and writes its stages into buffers reused across steps.  The step
+    count is rounded so the trajectory lands exactly on t_max.  With
+    strict=True the step-bound invariant is enforced up front and every
+    emitted sample must pass its validate: trace drift
     <= TRACE_TOL, and for rho also Hermiticity drift <= HERM_TOL and a
     diagonal in [0, 1], where a nan sample fails.  A violation raises
     IntegrationError with the offending time in the message.
@@ -426,7 +420,8 @@ def integrate(
     samples = [HybridState(rho0.copy(), 0.0)]
     if strict:
         samples[0].validate()
-    rho = rho0.copy()
+    # the generator takes the Hermitian part; the gate bounds the rest by HERM_TOL
+    rho = 0.5 * (rho0 + rho0.conj().T)
     gen = _Generator(params)
     # an unstable step overflows to inf/nan; the per-sample gate (strict) or
     # the caller's own drift check (non-strict) reports that, so numpy's

@@ -285,21 +285,6 @@ def gaussian_window(
     return half_angle / gt, kfac * gt**2
 
 
-def _window_products(
-    light: LightPair, setting: InteractionSetting, outcome: DetectionOutcome
-):
-    """(X0, X0*x0) evaluated stably, finite also at gt = 0.
-
-    x0 carries a 1/gt and X0 a gt^2, so the product has a smooth gt -> 0
-    limit even where x0 alone diverges.
-    """
-    if outcome.n_c * outcome.n_d == 0:
-        return 0.0, 0.0
-    half_angle, kfac = _window_geometry(light, outcome)
-    gt = setting.gt
-    return kfac * gt**2, kfac * gt * half_angle
-
-
 def conditional_gaussian(
     ge: GroundExcitedAmplitudes,
     n_atoms: int,
@@ -318,7 +303,14 @@ def conditional_gaussian(
     eta_l, eta_r = ge_to_lr_amplitudes(ge)
     ee = abs(eta_l * eta_r) ** 2
     prior_peak = n_atoms * abs(eta_l) ** 2
-    big_x0, big_x0_x0 = _window_products(light, setting, outcome)
+    # (X0, X0*x0): x0 carries a 1/gt and X0 a gt^2, so both are formed from
+    # the gt-free geometry and stay finite as gt -> 0, where x0 alone diverges
+    if outcome.n_c * outcome.n_d == 0:
+        big_x0 = big_x0_x0 = 0.0
+    else:
+        half_angle, kfac = _window_geometry(light, outcome)
+        gt = setting.gt
+        big_x0, big_x0_x0 = kfac * gt**2, kfac * gt * half_angle
     denom = n_atoms * ee * big_x0 + 1.0
     sigma = n_atoms * ee / denom
     if sigma <= 0:

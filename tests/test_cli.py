@@ -556,11 +556,15 @@ def test_byte_identical_reruns(tmp_path):
             assert b"\r" not in b1
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_is_file"])
-def test_missing_config_file(tmp_path, capsys, case):
+@pytest.mark.parametrize(
+    "case",
+    ["missing", "directory", "not_utf8", "out_is_file", "out_under_file", "sweep_out_is_file"],
+)
+def test_missing_config_file(tmp_path, capsys, monkeypatch, case):
     # unreadable config or unwritable output: exit 2 with one error line
     cfg = write(tmp_path / "c.cfg", base_config(t="0.01", g="1.0", t_max=None))
     out = tmp_path / "out"
+    command = "pure"
     if case == "missing":
         cfg = str(tmp_path / "nope.cfg")
     elif case == "directory":
@@ -569,6 +573,18 @@ def test_missing_config_file(tmp_path, capsys, case):
         (tmp_path / "c.cfg").write_bytes(b"n_atoms = 3\ntheta = 0.1\xff\n")
     else:
         out.write_text("a file, not a directory\n", encoding="utf-8")
-    assert main(["pure", "--config", cfg, "--out", str(out)]) == EXIT_BAD_INPUT
+    if case == "out_under_file":
+        out = out / "sub"
+    elif case == "sweep_out_is_file":
+        # refused before the run: not one integration starts
+        command = "sweep"
+        cfg = write(tmp_path / "c.cfg", base_config(sweep_param="gamma", sweep_values="0,0.001"))
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append(a))
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_BAD_INPUT
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1
+    if case == "sweep_out_is_file":
+        assert calls == []
+    if case in ("out_is_file", "out_under_file"):
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "out"]

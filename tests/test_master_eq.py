@@ -311,6 +311,45 @@ def test_overlap_cache_is_per_block(monkeypatch):
     assert sizes[1] == sizes[30] == [(64, 3), (64, 3), (45, 3)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_rk4_samples_exactly_hermitian(n):
+    # the generator adds the adjoint of its row terms, so every step keeps
+    # rho Hermitian to the last bit: every sample of a Hermitian start, and
+    # every sample after t = 0 of starts Hermitian only up to roundoff (a
+    # generic density matrix, a state's projector)
+    params = dephasing_params(n)
+    grid = TimeGrid(5.0, 0.02, sample_stride=23)
+    rho0 = random_density(n, seed=n)
+    hermitian = 0.5 * (rho0 + rho0.conj().T)
+    samples = integrate(params, hermitian, grid)
+    assert [s.herm_error() for s in samples] == [0.0] * len(samples)
+    amp = np.linspace(1.0, 2.0j, n + 1)
+    for start in (rho0, AtomState(n, amp / np.linalg.norm(amp))):
+        samples = integrate(params, start, grid)
+        assert all(isinstance(s, HybridState) for s in samples)
+        assert [s.herm_error() for s in samples[1:]] == [0.0] * (len(samples) - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_rk4_steps_hermitian_part(n):
+    # an anti-Hermitian part i eps B that passes the t = 0 gate is kept in
+    # the first sample and dropped from the steps
+    params = dephasing_params(n)
+    grid = TimeGrid(5.0, 0.02, sample_stride=23)
+    rho0 = random_density(n, seed=n)
+    rng = np.random.default_rng(100 + n)
+    b = rng.normal(size=rho0.shape) + 1j * rng.normal(size=rho0.shape)
+    b = b + b.conj().T
+    b -= np.trace(b) / (n + 1) * np.eye(n + 1)
+    perturbed = rho0 + 0.4j * master_eq.HERM_TOL * b / np.max(np.abs(b))
+    got = integrate(params, perturbed, grid)
+    ref = integrate(params, rho0, grid)
+    assert np.array_equal(got[0].rho, perturbed)
+    assert got[0].herm_error() > 0.5 * master_eq.HERM_TOL
+    for a, r in zip(got[1:], ref[1:], strict=True):
+        assert np.max(np.abs(a.rho - r.rho)) <= 1e-13
+
+
 def projector(state):
     return np.outer(state.amplitudes, state.amplitudes.conj())
 

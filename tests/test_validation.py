@@ -164,8 +164,10 @@ def test_normalization_sweep_fault_injection():
     reports = normalization_sweep([(params, state, grid)])
     trace_reports = [r for r in reports if r.name.startswith("trace_drift")]
     assert trace_reports and not trace_reports[0].passed
+    # the generator adds the adjoint of its row terms, so even the unstable
+    # run stays Hermitian to the last bit
     herm_reports = [r for r in reports if r.name.startswith("hermiticity")]
-    assert herm_reports and not herm_reports[0].passed
+    assert herm_reports and herm_reports[0].max_abs_error == 0.0
 
 
 def test_normalization_sweep_nan_trajectory_fails(monkeypatch):
