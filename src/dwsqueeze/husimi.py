@@ -14,6 +14,14 @@ exact for polynomials in cos(theta) of degree < n_theta; phi uses the
 uniform 2 pi / n_phi rule, exact for e^{i m phi} with |m| < n_phi. A
 spin-N/2 Q function holds spherical harmonics of degree <= N only, so
 the sphere integral is exact up to roundoff once n_theta, n_phi > N.
+
+Cost: q_grid builds the overlap rows a block of theta rows at a time
+(at most _BLOCK_ENTRIES complex entries, but at least one theta row) and
+contracts each block before building the next. The work is
+points * (N+1) for a state (|rows C|^2) and points * (N+1)^2 for a
+density matrix (one matrix product rows rho, then a real row-wise dot
+with the rows). The live memory is one block plus the n_theta x n_phi
+result.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ import numpy as np
 from .spin_core import AtomState, _log_coherent_amplitudes
 
 MIN_GRID = 16
+
+# Overlap entries per theta block of q_grid: 2^18 complex, 4 MB.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -83,17 +94,30 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid:
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     if isinstance(source, AtomState):
         n_atoms = source.n_atoms
-        rows = _overlap_matrix(n_atoms, thetas, phis)
-        values = (n_atoms + 1) / (4.0 * np.pi) * np.abs(rows @ source.amplitudes) ** 2
+
+        def contract(rows):
+            return np.abs(rows @ source.amplitudes) ** 2
+
     else:
         rho = np.asarray(source, dtype=complex)
         n_atoms = rho.shape[0] - 1
-        rows = _overlap_matrix(n_atoms, thetas, phis)
-        values = np.real(np.einsum("ijk,kl,ijl->ij", rows, rho, rows.conj()))
-        values *= (n_atoms + 1) / (4.0 * np.pi)
-        if values.min() < -1e-10:
-            raise ValueError(f"Q grid value {values.min()} below roundoff tolerance")
-        values = np.maximum(values, 0.0)
+
+        def contract(rows):
+            # Re sum_l (row rho)_l conj(row_l) is the dot of the two as float pairs
+            flat = rows.reshape(-1, n_atoms + 1)
+            dots = np.einsum("ij,ij->i", (flat @ rho).view(float), flat.view(float))
+            return dots.reshape(rows.shape[:2])
+
+    height = max(1, _BLOCK_ENTRIES // (n_phi * (n_atoms + 1)))
+    values = np.empty((n_theta, n_phi))
+    for start in range(0, n_theta, height):
+        block = slice(start, start + height)
+        values[block] = contract(_overlap_matrix(n_atoms, thetas[block], phis))
+    values *= (n_atoms + 1) / (4.0 * np.pi)
+    # only the density-matrix contraction can round below zero
+    if values.min() < -1e-10:
+        raise ValueError(f"Q grid value {values.min()} below roundoff tolerance")
+    values = np.maximum(values, 0.0)
     weights = np.outer(_fejer_weights(thetas), np.full(n_phi, 2.0 * np.pi / n_phi))
     return QGrid(
         n_theta=n_theta,

@@ -213,6 +213,23 @@ def outcome_cutoff(light: LightPair) -> int:
     return max(20, int(math.ceil(mean + 10.0 * math.sqrt(mean))))
 
 
+def _poisson_rows(lam: np.ndarray, n_max: int) -> np.ndarray:
+    """Poisson pmf rows e^{-lam_k} lam_k^n / n!, n = 0..n_max, one row per k."""
+    n = np.arange(n_max + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = (
+            n[None, :] * np.log(np.where(lam > 0, lam, 1.0))[:, None]
+            - lam[:, None]
+            - gammaln(n + 1)[None, :]
+        )
+    rows = np.exp(log_p)
+    zero = lam == 0
+    if np.any(zero):
+        rows[zero] = 0.0
+        rows[zero, 0] = 1.0
+    return rows
+
+
 def detection_pmf_grid(
     state: AtomState,
     light: LightPair,
@@ -222,33 +239,16 @@ def detection_pmf_grid(
     """Full P(n_c, n_d) table for 0 <= n_c, n_d <= n_max.
 
     Per k the two ports are independent Poissonians with means
-    |alpha_c|^2/2 and |alpha_d|^2/2, so the table is a pmf mixture.
+    |alpha_c|^2/2 and |alpha_d|^2/2, so the table is a pmf mixture,
+    sum_k p_k P_c(n|k) P_d(m|k), formed as one matrix product.
     """
     if n_max is None:
         n_max = outcome_cutoff(light)
     k = np.arange(state.n_atoms + 1)
     alpha_c, alpha_d = port_amplitudes(light, setting, k, state.n_atoms)
-    lam_c = np.abs(alpha_c) ** 2 / 2.0
-    lam_d = np.abs(alpha_d) ** 2 / 2.0
-    n = np.arange(n_max + 1)
-
-    def poisson_rows(lam):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = (
-                n[None, :] * np.log(np.where(lam > 0, lam, 1.0))[:, None]
-                - lam[:, None]
-                - gammaln(n + 1)[None, :]
-            )
-        rows = np.exp(log_p)
-        zero = lam == 0
-        if np.any(zero):
-            rows[zero] = 0.0
-            rows[zero, 0] = 1.0
-        return rows
-
-    pc = poisson_rows(lam_c)
-    pd = poisson_rows(lam_d)
-    return np.einsum("k,kn,km->nm", state.pmf(), pc, pd)
+    pc = _poisson_rows(np.abs(alpha_c) ** 2 / 2.0, n_max)
+    pd = _poisson_rows(np.abs(alpha_d) ** 2 / 2.0, n_max)
+    return (pc * state.pmf()[:, None]).T @ pd
 
 
 def _window_geometry(light: LightPair, outcome: DetectionOutcome):

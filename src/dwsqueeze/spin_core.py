@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-# Resource guard: vectors are cheap but every downstream operation on a
-# state is at least O(N^2) in time or memory.
+# Resource guard. A state and its Q grid cost O(N) memory (q_grid holds
+# one bounded block of overlap rows), but every density-matrix operation
+# (the gamma > 0 integrator, conditioning, the Q grid of rho) holds and
+# touches (N+1)^2 entries.
 MAX_ATOMS = 4096
 
 _NORM_TOL = 1e-10

@@ -1,12 +1,14 @@
 """Husimi Q evaluation: overlap rows, grid values, grid quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwsqueeze import husimi
 from dwsqueeze.husimi import MIN_GRID, _overlap_matrix, q_grid
 from dwsqueeze.pure_measure import (
     DetectionOutcome,
@@ -15,6 +17,7 @@ from dwsqueeze.pure_measure import (
     conditional_state,
 )
 from dwsqueeze.spin_core import (
+    AtomState,
     BlochAngles,
     GroundExcitedAmplitudes,
     bloch_to_ge,
@@ -171,3 +174,72 @@ def test_q_grid_squeezed_marginal_narrower():
     mx_coh, my_coh = second_moments(state)
     assert mx_cond < mx_coh
     assert my_cond > my_coh
+
+
+def whole_tensor_q(source, n_theta, n_phi):
+    """Q from one (n_theta, n_phi, N+1) overlap tensor, contracted whole.
+
+    The oracle for q_grid's blocked contraction: same rows, same nodes.
+    """
+    thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
+    phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    if isinstance(source, AtomState):
+        n_atoms = source.n_atoms
+        rows = _overlap_matrix(n_atoms, thetas, phis)
+        return (n_atoms + 1) / (4.0 * np.pi) * np.abs(rows @ source.amplitudes) ** 2
+    n_atoms = source.shape[0] - 1
+    rows = _overlap_matrix(n_atoms, thetas, phis)
+    values = np.real(np.einsum("ijk,kl,ijl->ij", rows, source, rows.conj()))
+    return np.maximum(values * (n_atoms + 1) / (4.0 * np.pi), 0.0)
+
+
+def random_density(n_atoms, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_atoms + 1,) * 2) + 1j * rng.normal(size=(n_atoms + 1,) * 2)
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+# (n_theta, n_phi, block budget in theta rows, or None for the default).
+# At N = 200 the default holds 20 of the 64-wide rows, so 50 rows end in
+# a ragged block; 2.5 rows gives blocks of 2 and a ragged last block; at
+# 0.5 rows a single theta row exceeds the budget, so every block is one row
+BLOCKINGS = [(17, 20, None), (50, 64, None), (17, 20, 2.5), (17, 20, 0.5)]
+
+
+@pytest.mark.parametrize("n_theta,n_phi,budget_rows", BLOCKINGS)
+@pytest.mark.parametrize("n_atoms", [1, 2, 30, 200])
+def test_q_grid_blocks_match_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi, budget_rows):
+    row_entries = n_phi * (n_atoms + 1)
+    if budget_rows is not None:
+        monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", int(budget_rows * row_entries))
+    height = max(1, husimi._BLOCK_ENTRIES // row_entries)
+    expected_blocks = [min(height, n_theta - s) for s in range(0, n_theta, height)]
+    blocks = []
+
+    def spy(n, thetas, phis):
+        blocks.append(thetas.size)
+        return _overlap_matrix(n, thetas, phis)
+
+    monkeypatch.setattr(husimi, "_overlap_matrix", spy)
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms)
+    assert np.array_equal(
+        q_grid(state, n_theta, n_phi).values, whole_tensor_q(state, n_theta, n_phi)
+    )
+    rho = random_density(n_atoms, seed=n_atoms)
+    q_rho = q_grid(rho, n_theta, n_phi).values
+    assert np.max(np.abs(q_rho - whole_tensor_q(rho, n_theta, n_phi))) <= 1e-14
+    assert blocks == 2 * expected_blocks
+
+
+def test_q_grid_memory_stays_blocked():
+    # the whole (64, 64, 2001) overlap tensor alone is 131 MB; one block
+    # and its temporaries stay far below it
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.6, 1.0)), 2000)
+    tracemalloc.start()
+    try:
+        q_grid(state, 64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

@@ -22,10 +22,13 @@ from dwsqueeze.pure_measure import (
     port_amplitudes,
     _conditioning_factor,
     _log_detection_amplitudes,
+    _poisson_rows,
     _window_geometry,
 )
 from dwsqueeze.spin_core import (
+    BlochAngles,
     GroundExcitedAmplitudes,
+    bloch_to_ge,
     build_spin_coherent,
     ge_to_lr_amplitudes,
 )
@@ -174,6 +177,39 @@ def test_grid_argmax_at_poisson_mean():
     state = build_spin_coherent(GROUND, 30)
     grid = detection_pmf_grid(state, LightPair(RT20, RT20), InteractionSetting(1, 0.0))
     assert np.unravel_index(np.argmax(grid), grid.shape) == (20, 20)
+
+
+def einsum_pmf_grid(state, light, setting, n_max):
+    """P(n_c, n_d) as the three-operand einsum over k: the GEMM's oracle."""
+    k = np.arange(state.n_atoms + 1)
+    alpha_c, alpha_d = port_amplitudes(light, setting, k, state.n_atoms)
+    pc = _poisson_rows(np.abs(alpha_c) ** 2 / 2.0, n_max)
+    pd = _poisson_rows(np.abs(alpha_d) ** 2 / 2.0, n_max)
+    return np.einsum("k,kn,km->nm", state.pmf(), pc, pd)
+
+
+@pytest.mark.parametrize("gt", [0.0, 0.003, 0.03])
+def test_detection_grid_matches_einsum(gt):
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(1.1, 0.4)), 200)
+    light = LightPair(RT20, RT20 * np.exp(0.3j))
+    setting = InteractionSetting(1.0, gt)
+    grid = detection_pmf_grid(state, light, setting)
+    oracle = einsum_pmf_grid(state, light, setting, grid.shape[0] - 1)
+    assert np.all(np.abs(grid - oracle) <= 1e-14 * oracle)
+    assert grid.sum() == pytest.approx(oracle.sum(), rel=1e-14, abs=0)
+
+
+def test_detection_grid_dark_port():
+    # alpha_r = i alpha_l at gt = 0 sends all light to port d: lambda_c(k) = 0
+    # for every k, so P(n_c, n_d) is zero off n_c = 0 and Poissonian on it
+    al = 1.5 - 0.5j
+    light = LightPair(al, 1j * al)
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.8, 2.0)), 40)
+    grid = detection_pmf_grid(state, light, InteractionSetting(1.0, 0.0), n_max=24)
+    assert np.all(grid[1:] == 0.0)
+    lam_d = 2 * abs(al) ** 2
+    expected = [poisson(n, lam_d) for n in range(25)]
+    assert np.allclose(grid[0], expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("gt", [0.0, 0.001, 0.01])
