@@ -5,7 +5,8 @@ types every config key, and write_csv writes every output from named
 columns, floats in 17-significant-digit scientific notation.  Every file
 header echoes the fully resolved configuration, so identical configs
 produce byte-identical files.  A config or output path that cannot be
-read or written exits 2.  Nothing here uses a random number generator.
+read or written, or a config value out of its range, exits 2 before any
+work.  Nothing here uses a random number generator.
 """
 
 from __future__ import annotations
@@ -13,18 +14,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .husimi import q_grid
+from .husimi import check_grid, q_grid
 from .master_eq import (
-    HybridState,
     IntegrationError,
     ModelParams,
-    PureSample,
     TimeGrid,
     conditional_density,
     integrate,
@@ -72,6 +72,15 @@ class ConfigError(ValueError):
     pass
 
 
+@contextmanager
+def _config_values():
+    """Report a domain object's refusal of a config value as bad input (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat key = value experiment description; unknown keys are rejected."""
@@ -115,7 +124,8 @@ class ExperimentConfig:
         raise ConfigError("initial state missing: set alpha/beta or theta/phi")
 
     def light(self) -> LightPair:
-        return LightPair(self.alpha_l, self.alpha_r)
+        with _config_values():
+            return LightPair(self.alpha_l, self.alpha_r)
 
     def resolve_outcome(self) -> DetectionOutcome:
         if self.outcome in ("most-probable", "auto"):
@@ -262,11 +272,24 @@ def _warn_asymptotics(cfg: ExperimentConfig, outcome: DetectionOutcome, gt: floa
         )
 
 
+def _pure_model(cfg: ExperimentConfig) -> tuple[AtomState, InteractionSetting]:
+    """The pure model's initial coherent state and its interaction setting."""
+    with _config_values():
+        return build_spin_coherent(cfg.ge(), cfg.n_atoms), InteractionSetting(cfg.g, cfg.t)
+
+
+def _check_q_grid(cfg: ExperimentConfig):
+    """Refuse a requested Q grid that q_grid would refuse, before any work."""
+    with _config_values():
+        check_grid(cfg.n_theta, cfg.n_phi)
+
+
 def run_pure(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Conditional pmf (exact and Gaussian), detection grid, optional Q grid."""
-    state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
+    state, setting = _pure_model(cfg)
+    if cfg.emit_q:
+        _check_q_grid(cfg)
     light = cfg.light()
-    setting = InteractionSetting(g=cfg.g, t=cfg.t)
     outcome = cfg.resolve_outcome()
     _warn_asymptotics(cfg, outcome, setting.gt)
     echo = config_echo_lines(cfg, "pure")
@@ -336,30 +359,21 @@ def _conditional_timeseries(
 
 def _model(cfg: ExperimentConfig) -> tuple[ModelParams, AtomState, TimeGrid]:
     """The master model, its initial coherent state and its time grid."""
-    params = ModelParams(
-        n_atoms=cfg.n_atoms, omega=cfg.omega, g=cfg.g, gamma=cfg.gamma, light=cfg.light()
-    )
-    state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
-    return params, state, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride)
-
-
-def _evolve(
-    cfg: ExperimentConfig,
-) -> tuple[ModelParams, list[HybridState] | list[PureSample]]:
-    """Integrate the initial coherent state; integrate validates every sample.
-
-    At gamma = 0 the samples are rotated coherent states, else density matrices.
-    """
-    params, state, grid = _model(cfg)
-    return params, integrate(params, state, grid)
+    with _config_values():
+        params = ModelParams(
+            n_atoms=cfg.n_atoms, omega=cfg.omega, g=cfg.g, gamma=cfg.gamma, light=cfg.light()
+        )
+        state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
+        return params, state, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride)
 
 
 def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Hybrid-equation time series of conditional moments, optional Q snapshots."""
-    if cfg.t_max <= 0:
-        raise ConfigError("master run requires t_max > 0")
     outcome = cfg.resolve_outcome()
-    params, samples = _evolve(cfg)
+    params, state, grid = _model(cfg)
+    if cfg.q_omega_t:
+        _check_q_grid(cfg)
+    samples = integrate(params, state, grid)
     echo = config_echo_lines(cfg, "master")
     write_csv(
         out_dir / "master_timeseries.csv",
@@ -382,16 +396,15 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_qfunc(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Q grid of the conditional state; master evolution when t_max > 0."""
+    _check_q_grid(cfg)
     outcome = cfg.resolve_outcome()
     echo = config_echo_lines(cfg, "qfunc")
     if cfg.t_max > 0:
-        params, samples = _evolve(cfg)
-        source = conditional_density(params, samples[-1], outcome)
+        params, state, grid = _model(cfg)
+        source = conditional_density(params, integrate(params, state, grid)[-1], outcome)
     else:
-        state = build_spin_coherent(cfg.ge(), cfg.n_atoms)
-        source = conditional_state(
-            state, cfg.light(), InteractionSetting(g=cfg.g, t=cfg.t), outcome
-        )
+        state, setting = _pure_model(cfg)
+        source = conditional_state(state, cfg.light(), setting, outcome)
     _write_q_csv(out_dir / "qfunc.csv", echo, source, cfg)
     return EXIT_OK
 
@@ -410,15 +423,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("sweep_param must be one of g, gamma, omega")
     if not cfg.sweep_values:
         raise ConfigError("sweep_values must be a nonempty list")
-    if cfg.t_max <= 0:
-        raise ConfigError("sweep requires t_max > 0")
     # the outcome depends on the light only, never on the swept parameter
     outcome = cfg.resolve_outcome()
+    # every point's model first, so a bad value is refused before any run
+    models = [_model(replace(cfg, **{cfg.sweep_param: v})) for v in cfg.sweep_values]
     echo = config_echo_lines(cfg, "sweep")
     rows = []
-    for value in cfg.sweep_values:
-        params, samples = _evolve(replace(cfg, **{cfg.sweep_param: value}))
-        ts = _conditional_timeseries(params, samples, outcome)
+    for value, (params, state, grid) in zip(cfg.sweep_values, models):
+        ts = _conditional_timeseries(params, integrate(params, state, grid), outcome)
         omega_t, jx_var = ts["omega_t"], ts["jx_var_norm"]
         i_min = int(np.argmin(jx_var))
         crossing = _first_crossing(omega_t, jx_var)

@@ -83,13 +83,18 @@ def _overlap_matrix(n_atoms: int, thetas: np.ndarray, phis: np.ndarray) -> np.nd
     return rows
 
 
+def check_grid(n_theta: int, n_phi: int):
+    """Refuse a grid coarser than MIN_GRID in either direction (ValueError)."""
+    if n_theta < MIN_GRID or n_phi < MIN_GRID:
+        raise ValueError(f"grid sizes must be >= {MIN_GRID}")
+
+
 def q_grid(source, n_theta: int, n_phi: int) -> QGrid:
     """Q sampled on the cell-centered (theta, phi) grid.
 
     source is either an AtomState or a trace-1 density matrix.
     """
-    if n_theta < MIN_GRID or n_phi < MIN_GRID:
-        raise ValueError(f"grid sizes must be >= {MIN_GRID}")
+    check_grid(n_theta, n_phi)
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     if isinstance(source, AtomState):

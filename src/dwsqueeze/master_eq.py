@@ -23,7 +23,8 @@ bit.  Only the light overlap of the generator depends on t, so integrate
 builds the rest once per run (the coefficients i omega s_k and the
 damping gamma (m - m')^2 / 2), forms the overlaps at the RK4 nodes of a
 block of steps in one vectorized call, and steps in reused buffers; rhs
-evaluates the same generator at one time.
+evaluates the same generator at one time.  integrate gates each invariant
+once, where it can break, so Hermiticity is gated on the input only.
 
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
@@ -109,10 +110,9 @@ class HybridState:
         return float(abs(np.trace(self.rho) - 1.0))
 
     def validate(self):
+        """Gate what an RK4 step can break: trace drift and a diagonal in [0, 1]."""
         # written as `not <=` so that a nan (overflowed) sample fails too
-        he, te = self.herm_error(), self.trace_error()
-        if not he <= HERM_TOL:
-            raise IntegrationError(f"Hermiticity broken at t={self.t}: {he:.3e}")
+        te = self.trace_error()
         if not te <= TRACE_TOL:
             raise IntegrationError(f"trace drift at t={self.t}: {te:.3e}")
         d = np.diag(self.rho)
@@ -139,20 +139,10 @@ class PureSample:
     def trace_error(self) -> float:
         return self.drift
 
-    def validate(self):
-        _check_drift(self.drift, self.t)
-
-
-def _check_drift(drift: float, t: float):
-    """The rotation's trace gate, also run before a one-atom state is lifted."""
-    # written as `not <=` so that a nan (overflowed) sample fails too
-    if not drift <= TRACE_TOL:
-        raise IntegrationError(f"trace drift at t={t}: {drift:.3e}")
-
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Fixed-step grid; the step bound is checked against the generator scale."""
+    """Fixed-step grid; integrate rounds dt so the steps land exactly on t_max."""
 
     t_max: float
     dt: float
@@ -163,13 +153,6 @@ class TimeGrid:
             raise ValueError("dt and t_max must be positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-
-    def step_scale(self, params: ModelParams) -> float:
-        return self.dt * max(
-            abs(params.omega),
-            abs(params.g) * params.n_atoms,
-            params.gamma * params.n_atoms**2,
-        )
 
 
 def coherent_overlaps(params: ModelParams, t):
@@ -347,18 +330,18 @@ def _su2_propagators(params: ModelParams, first: int, count: int, dt: float):
 
 
 def _rotate(
-    params: ModelParams, xi: np.ndarray, n_steps: int, dt: float, stride: int, strict: bool
+    params: ModelParams, xi: np.ndarray, n_steps: int, dt: float, stride: int
 ) -> list[PureSample]:
-    """Rotation trajectory of the one-atom state, lifted at every sample."""
+    """Rotation trajectory of the one-atom state, gated and lifted at every sample."""
     n = params.n_atoms
     x0, x1 = complex(xi[0]), complex(xi[1])
 
     def sample(t):
         drift = abs(abs(x0) ** 2 + abs(x1) ** 2 - 1.0)
-        # an overflowed one-atom state lifts to nan amplitudes, which AtomState
-        # refuses; the gate names the drift first
-        if strict:
-            _check_drift(drift, t)
+        # written as `not <=` so that a nan (overflowed) state fails too; it is
+        # refused before its lift, whose nan amplitudes AtomState would refuse
+        if not drift <= TRACE_TOL:
+            raise IntegrationError(f"trace drift at t={t}: {drift:.3e}")
         return PureSample(AtomState(n, _coherent_amplitudes(x1, x0, n)), t, drift)
 
     samples = [sample(0.0)]
@@ -374,58 +357,52 @@ def _rotate(
 
 
 def integrate(
-    params: ModelParams,
-    initial,
-    grid: TimeGrid,
-    strict: bool = True,
+    params: ModelParams, initial, grid: TimeGrid
 ) -> list[HybridState] | list[PureSample]:
     """Trajectory from a density matrix or an AtomState, sampled every stride steps.
 
     At gamma = 0 a spin coherent AtomState is rotated through its
     one-atom state and every sample is a PureSample.  Any other input
-    runs fixed-step RK4 on rho (rho = C C^dagger for a state) and every
-    sample is a HybridState: rho as given at t = 0, then Hermitian to the
-    last bit.  RK4 evaluates rhs's generator with its constant parts
-    built once, takes the light overlaps at t, t + dt/2 and t + dt from
-    one vectorized call per _BLOCK steps (three scalars a step, whatever
-    N) and writes its stages into buffers reused across steps.  The step
-    count is rounded so the trajectory lands exactly on t_max.  With
-    strict=True the step-bound invariant is enforced up front and every
-    emitted sample must pass its validate: trace drift
-    <= TRACE_TOL, and for rho also Hermiticity drift <= HERM_TOL and a
-    diagonal in [0, 1], where a nan sample fails.  A violation raises
-    IntegrationError with the offending time in the message.
-    strict=False checks nothing, so callers can report a broken
-    trajectory instead of aborting on it; only an overflowed one-atom
-    state, which has no lift, is refused by AtomState with ValueError.
+    runs fixed-step RK4 on rho (rho = C C^dagger for a state) on the
+    cached generator, and every sample is a HybridState: rho as given at
+    t = 0, then Hermitian to the last bit.  The step count is rounded so
+    the trajectory lands exactly on t_max.
+
+    Each invariant is gated once, where it can break: before the first
+    step the step bound dt * max(omega, g N, gamma N^2) <= 0.05 and the
+    input's size (ValueError), and rho's Hermiticity <= HERM_TOL, trace
+    and diagonal; at every sample the trace drift <= TRACE_TOL (on the
+    rotation the one-atom norm drift, before the lift) and rho's diagonal
+    in [0, 1].  Every other gate raises IntegrationError naming the
+    offending time, and a nan fails every gate.
     """
     n_steps = max(1, int(round(grid.t_max / grid.dt)))
     dt = grid.t_max / n_steps
-    if strict:
-        eff = TimeGrid(grid.t_max, dt, grid.sample_stride).step_scale(params)
-        if eff > 0.05 + 1e-12:
-            raise ValueError(
-                f"step bound violated: dt*max(omega, g*N, gamma*N^2) = {eff:.3f} > 0.05"
-            )
+    n = params.n_atoms
+    eff = dt * max(abs(params.omega), abs(params.g) * n, params.gamma * n**2)
+    if eff > 0.05 + 1e-12:
+        raise ValueError(
+            f"step bound violated: dt*max(omega, g*N, gamma*N^2) = {eff:.3f} > 0.05"
+        )
+    size = initial.n_atoms if isinstance(initial, AtomState) else len(initial) - 1
+    if size != n:
+        raise ValueError(f"state of {size} atoms for a model of {n}")
     if isinstance(initial, AtomState):
-        if initial.n_atoms != params.n_atoms:
-            raise ValueError(
-                f"state of {initial.n_atoms} atoms for a model of {params.n_atoms}"
-            )
         xi = _one_atom_state(initial) if params.gamma == 0.0 else None
         if xi is not None:
-            return _rotate(params, xi, n_steps, dt, grid.sample_stride, strict)
+            return _rotate(params, xi, n_steps, dt, grid.sample_stride)
         initial = np.outer(initial.amplitudes, initial.amplitudes.conj())
     rho0 = np.asarray(initial, dtype=complex)
     samples = [HybridState(rho0.copy(), 0.0)]
-    if strict:
-        samples[0].validate()
+    he = samples[0].herm_error()
+    if not he <= HERM_TOL:
+        raise IntegrationError(f"Hermiticity broken at t=0.0: {he:.3e}")
+    samples[0].validate()
     # the generator takes the Hermitian part; the gate bounds the rest by HERM_TOL
     rho = 0.5 * (rho0 + rho0.conj().T)
     gen = _Generator(params)
-    # an unstable step overflows to inf/nan; the per-sample gate (strict) or
-    # the caller's own drift check (non-strict) reports that, so numpy's
-    # warnings would only repeat it on stderr
+    # an unstable step overflows to inf/nan, which the sample gate reports,
+    # so numpy's warnings would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_steps, _BLOCK):
             t = (first + np.arange(min(_BLOCK, n_steps - first))) * dt
@@ -433,10 +410,8 @@ def integrate(
             for step, ov in enumerate(nodes, first + 1):
                 rho = _rk4_step(gen, rho, ov, dt)
                 if step % grid.sample_stride == 0 or step == n_steps:
-                    sample = HybridState(rho.copy(), step * dt)
-                    if strict:
-                        sample.validate()
-                    samples.append(sample)
+                    samples.append(HybridState(rho.copy(), step * dt))
+                    samples[-1].validate()
     return samples
 
 

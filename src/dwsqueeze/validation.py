@@ -20,6 +20,7 @@ from .master_eq import (
     HERM_TOL,
     TRACE_TOL,
     HybridState,
+    IntegrationError,
     ModelParams,
     TimeGrid,
     conditional_density,
@@ -284,10 +285,9 @@ def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleR
     operating point.  Completeness is checked at gt = g * t_max.  The
     start is passed to integrate as a density matrix, so every entry
     deliberately runs the rho-RK4 path, also at gamma = 0, and its trace
-    and Hermiticity drifts are the ones checked.  Integrations run
-    non-strict so that injected faults (for example an unstable dt) show
-    up as failed reports instead of aborts; the drift maxima propagate
-    nan, so an overflowed trajectory fails them too.
+    and Hermiticity drifts are the ones reported.  A run that integrate
+    refuses or aborts (an unstable dt, say) fails those and the Q report,
+    with the error text in their context; the drift maxima propagate nan.
     """
     if entries is None:
         entries = _default_sweep_entries()
@@ -306,7 +306,14 @@ def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleR
         )
 
         rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
-        samples = integrate(params, rho0, grid, strict=False)
+        try:
+            samples = integrate(params, rho0, grid)
+        except (IntegrationError, ValueError) as exc:
+            for name, tol in (
+                ("trace_drift", TRACE_TOL), ("hermiticity", HERM_TOL), ("q_normalization", 1e-3)
+            ):
+                reports.append(OracleReport.make(f"{name}[{tag}]", math.inf, tol, error=str(exc)))
+            continue
         reports.append(
             OracleReport.make(
                 f"trace_drift[{tag}]",
@@ -324,8 +331,8 @@ def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleR
             )
         )
 
-        # a broken trajectory (injected fault) must fail this report, not
-        # abort the sweep
+        # conditioning or the Q grid can still refuse a gated trajectory;
+        # that fails this report only
         try:
             cond = conditional_density(
                 params, samples[-1], most_probable_outcome(params.light)

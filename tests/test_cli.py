@@ -321,14 +321,25 @@ def test_validate_default_passes(tmp_path, capsys):
     assert (out / "validation_report.csv").exists()
 
 
-def test_validate_fault_injection_fails(tmp_path, capsys):
+def test_validate_fault_injection_fails(tmp_path, capsys, monkeypatch):
+    # dt over the step bound: integrate refuses the run before its first
+    # step, and every report that reads the trajectory fails
+    steps = []
+    monkeypatch.setattr(master_eq, "_rk4_step", lambda *args: steps.append(args))
     cfg = write(
         tmp_path / "c.cfg",
         base_config(t_max="100", dt="5.0", suites="normalization"),
     )
     out = tmp_path / "out"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
-    assert any(l.startswith("FAIL") for l in capsys.readouterr().out.splitlines())
+    status = dict(reversed(l.split()[:2]) for l in capsys.readouterr().out.splitlines())
+    assert status == {
+        "completeness[N=30]": "PASS",  # the detection grid takes no step
+        "trace_drift[N=30]": "FAIL",
+        "hermiticity[N=30]": "FAIL",
+        "q_normalization[N=30]": "FAIL",
+    }
+    assert steps == []
 
 
 def test_validate_empty_suite_selection(tmp_path, capsys):
@@ -393,6 +404,40 @@ def test_unreachable_outcome_exit(tmp_path, capsys):
     assert "unreachable outcome" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("master", {"n_atoms": "5000"}),
+        ("master", {"dt": "-0.01"}),
+        ("master", {"gamma": "-1"}),
+        ("master", {"alpha": None, "beta": None, "theta": "4"}),
+        ("pure", {"t": "-1", "g": "1.0", "t_max": None}),
+        ("pure", {"alpha_l": "inf", "t": "0.01", "g": "1.0", "t_max": None}),
+        ("master", {"alpha_l": "nan", "outcome": "most-probable"}),
+        ("master", {"gamma": "1e-4", "q_omega_t": "10", "n_theta": "8"}),
+        ("qfunc", {"n_phi": "8"}),
+        ("sweep", {"sweep_param": "gamma", "sweep_values": "0,-1"}),
+        ("sweep", {"sweep_param": "g", "sweep_values": "0", "t_max": "0"}),
+    ],
+    ids=[
+        "n_atoms", "dt", "gamma", "theta", "pure_t", "pure_light", "light_most_probable",
+        "n_theta", "qfunc_n_phi", "sweep_point", "sweep_t_max",
+    ],
+)
+def test_out_of_range_config_exit(tmp_path, capsys, monkeypatch, command, overrides):
+    # a value a domain object refuses is bad input: exit 2 with one error
+    # line, before any integration and before any output
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append(a))
+    cfg = write(tmp_path / "c.cfg", base_config(**overrides))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert calls == []
+    assert not out.exists()
+
+
 def test_step_bound_violation_exit(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", base_config(dt="5.0"))
     code = main(["master", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -447,10 +492,10 @@ def _nan_su2_propagators(params, first, count, dt):
 
 
 # a tiny gamma keeps a run on the density-matrix RK4 path, where a nan
-# sample breaks Hermiticity first; gamma = 0 rotates the one-atom state,
-# where it breaks the trace of the lifted projector
+# sample fails the trace gate; gamma = 0 rotates the one-atom state, where
+# it fails the norm gate before the lift
 _STEPPERS = {
-    "rk4": ("_rk4_step", _nan_rk4_step, "1e-6", "Hermiticity broken"),
+    "rk4": ("_rk4_step", _nan_rk4_step, "1e-6", "trace drift"),
     "rotation": ("_su2_propagators", _nan_su2_propagators, "0", "trace drift"),
 }
 
@@ -507,7 +552,7 @@ def test_overflowed_run_prints_one_error_line(tmp_path, capsys):
     assert code == EXIT_CHECK_FAILED
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [
-        "error: Hermiticity broken at t=18.0: nan"
+        "error: trace drift at t=18.0: nan"
     ]
 
 

@@ -331,9 +331,10 @@ def test_rk4_samples_exactly_hermitian(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 30])
-def test_rk4_steps_hermitian_part(n):
+def test_rk4_steps_hermitian_part(n, monkeypatch):
     # an anti-Hermitian part i eps B that passes the t = 0 gate is kept in
-    # the first sample and dropped from the steps
+    # the first sample and dropped from the steps; one above HERM_TOL is
+    # refused before the first step
     params = dephasing_params(n)
     grid = TimeGrid(5.0, 0.02, sample_stride=23)
     rho0 = random_density(n, seed=n)
@@ -348,6 +349,11 @@ def test_rk4_steps_hermitian_part(n):
     assert got[0].herm_error() > 0.5 * master_eq.HERM_TOL
     for a, r in zip(got[1:], ref[1:], strict=True):
         assert np.max(np.abs(a.rho - r.rho)) <= 1e-13
+    steps = []
+    monkeypatch.setattr(master_eq, "_rk4_step", lambda *args: steps.append(args))
+    with pytest.raises(IntegrationError, match="Hermiticity broken at t=0.0"):
+        integrate(params, rho0 + 1.5j * master_eq.HERM_TOL * b / np.max(np.abs(b)), grid)
+    assert steps == []
 
 
 def projector(state):
@@ -398,13 +404,14 @@ def test_rotation_exact_for_constant_generator():
 
 def test_rotation_fourth_order():
     # a light overlap that turns fast makes the Magnus commutator term
-    # matter; each halving of dt cuts the error 16-fold
+    # matter; each halving of dt cuts the error 16-fold.  The coarse steps
+    # lie outside integrate's step bound, so the rotation is called directly
+    # on the one-atom state, which at N = 1 is the state's own amplitudes
     params = make_params(n=1, omega=1.3, g=0.7, light=LightPair(1.2, 0.5j))
-    start = AtomState(1, np.array([0.6, 0.8j]))
+    xi = np.array([0.6, 0.8j])
 
     def final(steps):
-        grid = TimeGrid(3.0, 3.0 / steps, steps)
-        return integrate(params, start, grid, strict=False)[-1].state.amplitudes
+        return master_eq._rotate(params, xi, steps, 3.0 / steps, steps)[-1].state.amplitudes
 
     ref = final(25600)
 
@@ -453,16 +460,31 @@ def test_integrate_state_input_paths():
     assert all(np.array_equal(a.rho, b.rho) for a, b in zip(got, ref))
     with pytest.raises(ValueError, match="13 atoms"):
         integrate(params, build_spin_coherent(TILTED, 13), grid)
+    # a density matrix of the wrong size gets the same refusal
+    with pytest.raises(ValueError, match="state of 13 atoms for a model of 12"):
+        integrate(params, projector(build_spin_coherent(TILTED, 13)), grid)
 
 
-def test_pure_sample_validate():
+def test_pure_sample_validate(monkeypatch):
+    # integrate's rotation gates the one-atom norm drift of every sample:
+    # one step that scales the norm by 1 + drift
+    params = make_params(n=4, omega=0.5)
     state = build_spin_coherent(TILTED, 4)
-    PureSample(state, 0.0, 1e-12).validate()
-    with pytest.raises(IntegrationError, match="trace drift"):
-        PureSample(state, 0.0, 1e-6).validate()
+
+    def run(drift):
+        def scaling(params, first, count, dt):
+            return np.full(count, np.sqrt(1.0 + drift), dtype=complex), np.zeros(count, complex)
+
+        monkeypatch.setattr(master_eq, "_su2_propagators", scaling)
+        return integrate(params, state, TimeGrid(0.02, 0.02))
+
+    last = run(1e-12)[-1]
+    assert isinstance(last, PureSample) and last.trace_error() < 1e-11
+    with pytest.raises(IntegrationError, match="trace drift at t=0.02"):
+        run(1e-6)
     # an overflowed rotation: the drift is nan and must fail, not pass
-    with pytest.raises(IntegrationError, match="trace drift"):
-        PureSample(state, 1.0, math.nan).validate()
+    with pytest.raises(IntegrationError, match="trace drift at t=0.02: nan"):
+        run(math.nan)
     # and its nan amplitudes are no state at all
     with pytest.raises(ValueError, match="state norm"):
         AtomState(4, np.full(5, np.nan, dtype=complex))

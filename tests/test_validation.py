@@ -161,19 +161,18 @@ def test_normalization_sweep_fault_injection():
     )
     state = build_spin_coherent(GroundExcitedAmplitudes(0.0, 1.0), 10)
     grid = TimeGrid(t_max=100.0, dt=5.0, sample_stride=5)  # grossly unstable on purpose
-    reports = normalization_sweep([(params, state, grid)])
-    trace_reports = [r for r in reports if r.name.startswith("trace_drift")]
-    assert trace_reports and not trace_reports[0].passed
-    # the generator adds the adjoint of its row terms, so even the unstable
-    # run stays Hermitian to the last bit
-    herm_reports = [r for r in reports if r.name.startswith("hermiticity")]
-    assert herm_reports and herm_reports[0].max_abs_error == 0.0
+    reports = {r.name: r for r in normalization_sweep([(params, state, grid)])}
+    # integrate refuses the run before its first step; every report that
+    # reads the trajectory fails and carries the refusal
+    for name in ("trace_drift[N=10]", "hermiticity[N=10]", "q_normalization[N=10]"):
+        assert not reports[name].passed
+        assert "step bound" in reports[name].context["error"]
 
 
 def test_normalization_sweep_nan_trajectory_fails(monkeypatch):
     # an overflowed trajectory ends in a nan sample after finite ones; the
     # drift maxima must propagate the nan and fail, not report the finite part
-    def overflowed(params, rho0, grid, strict=True):
+    def overflowed(params, rho0, grid):
         nan_rho = np.full_like(rho0, np.nan)
         return [HybridState(rho0, 0.0), HybridState(nan_rho, grid.t_max)]
 
