@@ -6,7 +6,8 @@ columns, floats in 17-significant-digit scientific notation.  Every file
 header echoes the fully resolved configuration, so identical configs
 produce byte-identical files.  A config or output path that cannot be
 read or written, or a config value out of its range, exits 2 before any
-work.  Nothing here uses a random number generator.
+work.  validate selects suites from validation.SUITES and only writes
+their reports.  Nothing here uses a random number generator.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .master_eq import (
     TimeGrid,
     conditional_density,
     integrate,
+    step_plan,
 )
 from .pure_measure import (
     AsymptoticsDomainError,
@@ -48,19 +50,11 @@ from .spin_core import (
     build_spin_coherent,
     moments_from_density,
 )
-from .validation import (
-    OracleReport,
-    fock_oracle_report,
-    me_vs_pure_crosscheck,
-    normalization_sweep,
-    stirling_regime_check,
-)
+from .validation import SUITES, suite_reports
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-
-VALIDATION_SUITES = ("normalization", "fock", "crosscheck", "stirling")
 
 
 def fmt(x: float) -> str:
@@ -128,7 +122,7 @@ class ExperimentConfig:
             return LightPair(self.alpha_l, self.alpha_r)
 
     def resolve_outcome(self) -> DetectionOutcome:
-        if self.outcome in ("most-probable", "auto"):
+        if self.outcome == "most-probable":
             return most_probable_outcome(self.light())
         try:
             return DetectionOutcome(*_parse_outcome(self.outcome))
@@ -425,8 +419,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("sweep_values must be a nonempty list")
     # the outcome depends on the light only, never on the swept parameter
     outcome = cfg.resolve_outcome()
-    # every point's model first, so a bad value is refused before any run
+    # every point's model, then its step bound, so a bad value (exit 2) or a
+    # point over the bound (exit 1) is refused before any run
     models = [_model(replace(cfg, **{cfg.sweep_param: v})) for v in cfg.sweep_values]
+    for params, _, grid in models:
+        step_plan(params, grid)
     echo = config_echo_lines(cfg, "sweep")
     rows = []
     for value, (params, state, grid) in zip(cfg.sweep_values, models):
@@ -440,41 +437,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _validation_suite(selected: set[str], entries: list | None) -> list[OracleReport]:
-    """Selected suites in order; entries None means the default normalization matrix."""
-    reports: list[OracleReport] = []
-    if "normalization" in selected:
-        reports.extend(normalization_sweep(entries))
-    if "fock" in selected:
-        ge = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
-        st = build_spin_coherent(ge, 2)
-        light = LightPair(1.0, 1.0)
-        for gt in (0.0, 0.3):
-            reports.append(
-                fock_oracle_report(st, light, InteractionSetting(1.0, gt), 12)
-            )
-    if "crosscheck" in selected:
-        ge = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
-        params = ModelParams(
-            n_atoms=30, omega=0.0, g=1.0, gamma=0.0, light=LightPair(2.0, 2.0)
-        )
-        reports.append(
-            me_vs_pure_crosscheck(
-                params, build_spin_coherent(ge, 30), DetectionOutcome(4, 4), t=0.1
-            )
-        )
-    if "stirling" in selected:
-        reports.append(
-            stirling_regime_check(
-                GroundExcitedAmplitudes(0.0, 1.0),
-                200,
-                LightPair(math.sqrt(20.0), math.sqrt(20.0)),
-                InteractionSetting(1.0, 0.005),
-            )
-        )
-    return reports
-
-
 def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Oracle suites; exit 0 iff every report passes.
 
@@ -482,26 +444,16 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
     normalization checks run on the configured parameters instead, which
     doubles as the fault-injection path (for example an unstable dt).
     """
-    entries = None
-    if cfg is None:
-        cfg = ExperimentConfig(n_atoms=2)
-        selected = set(VALIDATION_SUITES)
-    else:
-        selected = (
-            set(VALIDATION_SUITES)
-            if cfg.suites == "all"
-            else {s.strip() for s in cfg.suites.split(",") if s.strip()}
-        )
-        unknown = selected.difference(VALIDATION_SUITES)
-        if unknown:
-            raise ConfigError(
-                f"unknown suites {sorted(unknown)}; choose from {VALIDATION_SUITES}"
-            )
-        if "normalization" in selected:
-            entries = [_model(cfg)]
-
-    reports = _validation_suite(selected, entries)
-    echo = config_echo_lines(cfg, "validate")
+    names = cfg.suites if cfg else "all"
+    selected = (
+        set(SUITES) if names == "all" else {s.strip() for s in names.split(",") if s.strip()}
+    )
+    unknown = selected.difference(SUITES)
+    if unknown:
+        raise ConfigError(f"unknown suites {sorted(unknown)}; choose from {tuple(SUITES)}")
+    entries = [_model(cfg)] if cfg and "normalization" in selected else None
+    reports = suite_reports(selected, entries)
+    echo = config_echo_lines(cfg or ExperimentConfig(n_atoms=2), "validate")
     write_csv(
         out_dir / "validation_report.csv",
         echo,
@@ -542,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--outcome",
                 default=None,
-                help="photon-count pair 'nc,nd' or 'auto' (most probable)",
+                help="photon-count pair 'nc,nd' or 'most-probable'",
             )
     return parser
 

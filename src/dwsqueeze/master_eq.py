@@ -356,6 +356,22 @@ def _rotate(
     return samples
 
 
+def step_plan(params: ModelParams, grid: TimeGrid) -> tuple[int, float]:
+    """integrate's step count and dt, rounded to land on t_max.
+
+    ValueError unless dt * max(omega, g N, gamma N^2) <= 0.05, the step bound.
+    """
+    n_steps = max(1, int(round(grid.t_max / grid.dt)))
+    dt = grid.t_max / n_steps
+    n = params.n_atoms
+    eff = dt * max(abs(params.omega), abs(params.g) * n, params.gamma * n**2)
+    if eff > 0.05 + 1e-12:
+        raise ValueError(
+            f"step bound violated: dt*max(omega, g*N, gamma*N^2) = {eff:.3f} > 0.05"
+        )
+    return n_steps, dt
+
+
 def integrate(
     params: ModelParams, initial, grid: TimeGrid
 ) -> list[HybridState] | list[PureSample]:
@@ -369,24 +385,17 @@ def integrate(
     the trajectory lands exactly on t_max.
 
     Each invariant is gated once, where it can break: before the first
-    step the step bound dt * max(omega, g N, gamma N^2) <= 0.05 and the
-    input's size (ValueError), and rho's Hermiticity <= HERM_TOL, trace
-    and diagonal; at every sample the trace drift <= TRACE_TOL (on the
-    rotation the one-atom norm drift, before the lift) and rho's diagonal
-    in [0, 1].  Every other gate raises IntegrationError naming the
-    offending time, and a nan fails every gate.
+    step the step bound of step_plan and the input's size (ValueError),
+    and rho's Hermiticity <= HERM_TOL, trace and diagonal; at every
+    sample the trace drift <= TRACE_TOL (on the rotation the one-atom
+    norm drift, before the lift) and rho's diagonal in [0, 1].  Every
+    other gate raises IntegrationError naming the offending time, and a
+    nan fails every gate.
     """
-    n_steps = max(1, int(round(grid.t_max / grid.dt)))
-    dt = grid.t_max / n_steps
-    n = params.n_atoms
-    eff = dt * max(abs(params.omega), abs(params.g) * n, params.gamma * n**2)
-    if eff > 0.05 + 1e-12:
-        raise ValueError(
-            f"step bound violated: dt*max(omega, g*N, gamma*N^2) = {eff:.3f} > 0.05"
-        )
+    n_steps, dt = step_plan(params, grid)
     size = initial.n_atoms if isinstance(initial, AtomState) else len(initial) - 1
-    if size != n:
-        raise ValueError(f"state of {size} atoms for a model of {n}")
+    if size != params.n_atoms:
+        raise ValueError(f"state of {size} atoms for a model of {params.n_atoms}")
     if isinstance(initial, AtomState):
         xi = _one_atom_state(initial) if params.gamma == 0.0 else None
         if xi is not None:

@@ -5,6 +5,9 @@ but coherent-state Fock coefficients and an explicit two-mode
 beamsplitter unitary, so it shares no math with the production detection
 path.  It is exponential in the photon cutoff and only meant for small
 instances.
+
+SUITES is validate's one table of suites, in report order.  A report's
+verdict is derived from its error and its tolerance, a module constant.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ from .spin_core import (
 ORACLE_MAX_INTENSITY = 4.0
 ORACLE_MAX_CUTOFF = 25
 ORACLE_TAIL_TOL = 1e-10
+FOCK_TOL = 1e-8
+CROSSCHECK_TOL = 1e-8
+STIRLING_TOL = 0.05
 
 
 class OracleInconclusiveError(RuntimeError):
@@ -58,22 +64,16 @@ class OracleReport:
     name: str
     max_abs_error: float
     tolerance: float
-    passed: bool
     context: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (self.max_abs_error <= self.tolerance):
-            raise ValueError("passed flag inconsistent with error/tolerance")
+    @property
+    def passed(self) -> bool:
+        """max_abs_error <= tolerance, so a nan error fails."""
+        return self.max_abs_error <= self.tolerance
 
     @classmethod
     def make(cls, name: str, max_abs_error: float, tolerance: float, **context):
-        return cls(
-            name=name,
-            max_abs_error=float(max_abs_error),
-            tolerance=float(tolerance),
-            passed=bool(max_abs_error <= tolerance),
-            context=context,
-        )
+        return cls(name, float(max_abs_error), float(tolerance), context)
 
 
 def _bs_unitary_amp(nl: int, nr: int, nc: int, nd: int) -> complex:
@@ -153,16 +153,15 @@ def fock_oracle_report(
     light: LightPair,
     setting: InteractionSetting,
     outcome_cutoff: int,
-    tolerance: float = 1e-8,
 ) -> OracleReport:
     """Compare the brute-force pmf against the production detection pmf."""
     oracle = fock_expansion_oracle(state, light, setting, outcome_cutoff)
     prod = detection_pmf_grid(state, light, setting, n_max=outcome_cutoff)
     err = float(np.max(np.abs(oracle - prod)))
     return OracleReport.make(
-        "fock_expansion_vs_detection_pmf",
+        f"fock_expansion_vs_detection_pmf[gt={setting.gt:g}]",
         err,
-        tolerance,
+        FOCK_TOL,
         n_atoms=state.n_atoms,
         gt=setting.gt,
         outcome_cutoff=outcome_cutoff,
@@ -174,7 +173,6 @@ def me_vs_pure_crosscheck(
     state: AtomState,
     outcome: DetectionOutcome,
     t: float,
-    tolerance: float = 1e-8,
 ) -> OracleReport:
     """With tunneling and dephasing off, both models must condition identically.
 
@@ -197,7 +195,7 @@ def me_vs_pure_crosscheck(
     return OracleReport.make(
         "master_vs_pure_conditional",
         err,
-        tolerance,
+        CROSSCHECK_TOL,
         n_atoms=params.n_atoms,
         gt=params.g * t,
         outcome=(outcome.n_c, outcome.n_d),
@@ -209,7 +207,6 @@ def stirling_regime_check(
     n_atoms: int,
     light: LightPair,
     setting: InteractionSetting,
-    tolerance: float = 0.05,
 ) -> OracleReport:
     """Relative error of the Gaussian asymptotics in their central windows.
 
@@ -253,7 +250,7 @@ def stirling_regime_check(
     return OracleReport.make(
         "stirling_asymptotics",
         max(err_c, err_a),
-        tolerance,
+        STIRLING_TOL,
         amplitude_error=err_c,
         window_error=err_a,
         n_atoms=n_atoms,
@@ -351,3 +348,42 @@ def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleR
                 )
             )
     return reports
+
+
+_SUITE_GE = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
+
+
+def _fock_suite(entries: list[SweepEntry] | None) -> list[OracleReport]:
+    state, light = build_spin_coherent(_SUITE_GE, 2), LightPair(1.0, 1.0)
+    return [
+        fock_oracle_report(state, light, InteractionSetting(1.0, gt), 12)
+        for gt in (0.0, 0.3)
+    ]
+
+
+def _crosscheck_suite(entries: list[SweepEntry] | None) -> list[OracleReport]:
+    params = ModelParams(n_atoms=30, omega=0.0, g=1.0, gamma=0.0, light=LightPair(2.0, 2.0))
+    state = build_spin_coherent(_SUITE_GE, 30)
+    return [me_vs_pure_crosscheck(params, state, DetectionOutcome(4, 4), t=0.1)]
+
+
+def _stirling_suite(entries: list[SweepEntry] | None) -> list[OracleReport]:
+    ge, light = GroundExcitedAmplitudes(0.0, 1.0), LightPair(math.sqrt(20.0), math.sqrt(20.0))
+    return [stirling_regime_check(ge, 200, light, InteractionSetting(1.0, 0.005))]
+
+
+# validate's suites in report order; each takes the normalization entries
+# (None for the default matrix), which only normalization reads
+SUITES = {
+    "normalization": normalization_sweep,
+    "fock": _fock_suite,
+    "crosscheck": _crosscheck_suite,
+    "stirling": _stirling_suite,
+}
+
+
+def suite_reports(
+    selected: set[str], entries: list[SweepEntry] | None
+) -> list[OracleReport]:
+    """The selected suites' reports, in SUITES order."""
+    return [r for name, suite in SUITES.items() if name in selected for r in suite(entries)]

@@ -35,6 +35,7 @@ from dwsqueeze.spin_core import (
     analytic_precession,
     build_spin_coherent,
 )
+from dwsqueeze.validation import SUITES
 
 FIG6_OMEGA = math.pi / 4
 
@@ -318,7 +319,40 @@ def test_validate_default_passes(tmp_path, capsys):
     assert main(["validate", "--out", str(out)]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines and all(l.startswith("PASS") for l in lines)
-    assert (out / "validation_report.csv").exists()
+    _, data = read_rows(out / "validation_report.csv")
+    # one name per report, in the CSV and on stdout alike
+    names = [row[0] for row in data]
+    assert len(set(names)) == len(names)
+    assert [l.split()[1] for l in lines] == names
+
+
+# each suite's rows at base_config, in the suite table's order
+SUITE_ROWS = {
+    "normalization": [
+        f"{check}[N=30]"
+        for check in ("completeness", "trace_drift", "hermiticity", "q_normalization")
+    ],
+    "fock": [
+        "fock_expansion_vs_detection_pmf[gt=0]",
+        "fock_expansion_vs_detection_pmf[gt=0.3]",
+    ],
+    "crosscheck": ["master_vs_pure_conditional"],
+    "stirling": ["stirling_asymptotics"],
+}
+
+
+def test_validate_suite_selection(tmp_path):
+    assert list(SUITES) == list(SUITE_ROWS)
+    rows = {}
+    for suites in (*SUITE_ROWS, "all"):
+        cfg = write(tmp_path / "c.cfg", base_config(suites=suites))
+        out = tmp_path / suites
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        _, rows[suites] = read_rows(out / "validation_report.csv")
+    for suite, names in SUITE_ROWS.items():
+        assert [row[0] for row in rows[suite]] == names
+    # all: every suite's rows, cell for cell, in table order
+    assert rows["all"] == [row for suite in SUITE_ROWS for row in rows[suite]]
 
 
 def test_validate_fault_injection_fails(tmp_path, capsys, monkeypatch):
@@ -369,8 +403,9 @@ def test_validate_unknown_suite_name(tmp_path, capsys):
         ("4,4", "4.5,4"),  # not an integer
         ("-1,4", None),  # negative; argparse would read -1,4 as a flag
         ("4,4", "2000000,0"),  # beyond the log-domain count capacity
+        ("4,4", "auto"),  # the most probable outcome is spelled most-probable
     ],
-    ids=["non_integer", "negative", "over_capacity"],
+    ids=["non_integer", "negative", "over_capacity", "auto"],
 )
 def test_bad_outcome_exit(tmp_path, capsys, command, config_outcome, flag):
     overrides = {"outcome": config_outcome}
@@ -418,10 +453,12 @@ def test_unreachable_outcome_exit(tmp_path, capsys):
         ("qfunc", {"n_phi": "8"}),
         ("sweep", {"sweep_param": "gamma", "sweep_values": "0,-1"}),
         ("sweep", {"sweep_param": "g", "sweep_values": "0", "t_max": "0"}),
+        # a bad value outranks an earlier point over the step bound
+        ("sweep", {"sweep_param": "gamma", "sweep_values": "1,-1"}),
     ],
     ids=[
         "n_atoms", "dt", "gamma", "theta", "pure_t", "pure_light", "light_most_probable",
-        "n_theta", "qfunc_n_phi", "sweep_point", "sweep_t_max",
+        "n_theta", "qfunc_n_phi", "sweep_point", "sweep_t_max", "sweep_bound_then_bad",
     ],
 )
 def test_out_of_range_config_exit(tmp_path, capsys, monkeypatch, command, overrides):
@@ -443,6 +480,22 @@ def test_step_bound_violation_exit(tmp_path, capsys):
     code = main(["master", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CHECK_FAILED
     assert "step bound" in capsys.readouterr().err
+
+
+def test_sweep_step_bound_refused_before_first_run(tmp_path, capsys, monkeypatch):
+    # the second point's dt * gamma N^2 = 18 is over the bound; the sweep
+    # is refused before the first point runs
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *a: calls.append(a) or integrate(*a))
+    cfg = write(
+        tmp_path / "c.cfg", base_config(sweep_param="gamma", sweep_values="1e-5,1")
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "step bound" in err[0]
+    assert calls == []
+    assert not out.exists()
 
 
 def test_dephasing_flag_and_seedless(tmp_path):
