@@ -8,7 +8,10 @@ pair (n_c, n_d) multiplies the atomic amplitudes by a k-dependent factor
 A_{n_c,n_d}(k), which is what squeezes the conditional distribution.
 
 Everything combinatorial runs in the log domain; counts in the hundreds
-and N of a few thousand stay finite.
+and N of a few thousand stay finite.  The photon-count factorials come
+from spin_core.log_factorials, the package's one owner of log n!: it
+matches `gammaln` bit for bit because it takes log x from math.log, the
+C library's log that cephes `lgam` calls, not from np.log.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .spin_core import AtomState, GroundExcitedAmplitudes, ge_to_lr_amplitudes
+from .spin_core import (
+    AtomState,
+    GroundExcitedAmplitudes,
+    ge_to_lr_amplitudes,
+    log_factorials,
+)
 
 # Counts beyond this bound have no physical use here and make n*log(n)
 # bookkeeping pointless; refuse instead of silently degrading.
@@ -134,12 +141,8 @@ def _log_detection_amplitudes(
         term_c = np.where((nc > 0) & (mag_c == 0), -np.inf, term_c)
         term_d = np.where(nd > 0, nd * np.log(np.where(mag_d > 0, mag_d, 1.0)), 0.0)
         term_d = np.where((nd > 0) & (mag_d == 0), -np.inf, term_d)
-    log_mag = (
-        -light.total_intensity / 2.0
-        + term_c
-        + term_d
-        - 0.5 * (gammaln(nc + 1) + gammaln(nd + 1))
-    )
+    lf = log_factorials(max(nc, nd))
+    log_mag = -light.total_intensity / 2.0 + term_c + term_d - 0.5 * (lf[nc] + lf[nd])
     phase = nc * np.angle(alpha_c) + nd * np.angle(alpha_d)
     return log_mag, phase
 
@@ -220,7 +223,7 @@ def _poisson_rows(lam: np.ndarray, n_max: int) -> np.ndarray:
         log_p = (
             n[None, :] * np.log(np.where(lam > 0, lam, 1.0))[:, None]
             - lam[:, None]
-            - gammaln(n + 1)[None, :]
+            - log_factorials(n_max)[None, :]
         )
     rows = np.exp(log_p)
     zero = lam == 0

@@ -4,14 +4,22 @@ The atomic basis is the left/right Fock basis |k, N-k> with k the number
 of atoms in the LEFT well, k = 0..N.  J_x is diagonal in this basis with
 eigenvalue k - N/2; J_y and J_z are tridiagonal.  All constructors work
 in the log domain so that N of a few thousand does not overflow.
+
+`log_factorials` is the one owner of log n! for the whole package: the
+binomials here and the photon-count factorials of pure_measure read it.
+It evaluates the cephes `lgam` algorithm in its order of operations, so
+every entry equals `gammaln(n + 1)` bit for bit without importing the
+special-function library.  It takes log x from math.log because that is
+the C library's log, the one cephes calls; np.log has its own
+implementation and differs from it in the last bit for a few integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 # Resource guard. A state and its Q grid cost O(N) memory (q_grid holds
 # one bounded block of overlap rows), but every density-matrix operation
@@ -21,6 +29,56 @@ MAX_ATOMS = 4096
 
 _NORM_TOL = 1e-10
 _VAR_FLAG = -1e-8
+
+# cephes lgam for x >= 13: log sqrt(2 pi) and the coefficients, highest
+# power first, of its Stirling series in 1/x^2; x >= 1000 uses the short one
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_STIRLING_SHORT = (
+    7.9365079365079365079365e-4,
+    -2.7777777777777777777778e-3,
+    0.0833333333333333333333,
+)
+
+# log n! for n = 0..11 (cephes takes the log of the exact product below
+# x = 13); grown on demand by log_factorials, never written in place
+_log_factorial_table = np.array([math.log(math.factorial(n)) for n in range(12)])
+_log_factorial_table.flags.writeable = False
+
+
+def _horner(coeffs, p):
+    """cephes polevl: coeffs[0] p^m + ... + coeffs[m], in its order."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * p + c
+    return acc
+
+
+def log_factorials(n_max: int) -> np.ndarray:
+    """Read-only table of log n!, n = 0..n_max, equal to gammaln(n + 1) bit for bit.
+
+    The table is memoized and grows only when a call asks for more than
+    it holds; a smaller request returns a prefix of the same entries.
+    """
+    global _log_factorial_table
+    have = len(_log_factorial_table)
+    if n_max >= have:
+        x = np.arange(have + 1, n_max + 2, dtype=float)
+        log_x = np.fromiter(map(math.log, x.tolist()), dtype=float, count=len(x))
+        p = 1.0 / (x * x)
+        series = np.where(x >= 1000.0, _horner(_STIRLING_SHORT, p), _horner(_STIRLING, p))
+        table = np.concatenate(
+            [_log_factorial_table, (x - 0.5) * log_x - x + _LS2PI + series / x]
+        )
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return _log_factorial_table[: n_max + 1]
 
 
 @dataclass(frozen=True)
@@ -109,9 +167,8 @@ def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int):
     along a new last axis.
     """
     k = np.arange(n_atoms + 1)
-    log_binom = 0.5 * (
-        gammaln(n_atoms + 1) - gammaln(k + 1) - gammaln(n_atoms - k + 1)
-    )
+    lf = log_factorials(n_atoms)
+    log_binom = 0.5 * (lf[n_atoms] - lf - lf[::-1])
     eta_l = np.asarray(eta_l)[..., None]
     eta_r = np.asarray(eta_r)[..., None]
     # k*log|eta| with the 0*log(0) = 0 convention at the endpoints

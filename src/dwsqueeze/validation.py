@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .husimi import q_grid
 from .master_eq import (
@@ -97,7 +96,9 @@ def _coherent_fock(mu: complex, cutoff: int) -> np.ndarray:
         c = np.zeros(cutoff + 1, dtype=complex)
         c[0] = 1.0
         return c
-    log_mag = -(mag**2) / 2.0 + n * math.log(mag) - 0.5 * gammaln(n + 1)
+    # its own log n!, not spin_core.log_factorials, so the oracle stays independent
+    log_n_factorial = np.array([math.lgamma(m + 1) for m in range(cutoff + 1)])
+    log_mag = -(mag**2) / 2.0 + n * math.log(mag) - 0.5 * log_n_factorial
     return np.exp(log_mag) * np.exp(1j * n * np.angle(mu))
 
 

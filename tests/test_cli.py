@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,6 +441,30 @@ def test_unreachable_outcome_exit(tmp_path, capsys):
     )
     assert code == EXIT_BAD_INPUT
     assert "unreachable outcome" in capsys.readouterr().err
+
+
+def test_max_count_outcome_unreachable_fast(tmp_path, capsys):
+    # n_c = MAX_COUNT grows the log-factorial table to 10^6 entries
+    cfg = write(tmp_path / "c.cfg", base_config(t="0.01", g="1.0", t_max=None))
+    start = time.perf_counter()
+    code = main(
+        ["pure", "--config", cfg, "--out", str(tmp_path / "o"), "--outcome", "1000000,0"]
+    )
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_BAD_INPUT
+    assert "unreachable outcome" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, dwsqueeze.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from dwsqueeze.spin_core import (
     bloch_to_ge,
     build_spin_coherent,
     ge_to_lr_amplitudes,
+    log_factorials,
     moments_from_density,
     spin_operator_matrices,
 )
@@ -243,3 +244,55 @@ def test_bloch_round_trip_up_to_global_phase():
         s2 = build_spin_coherent(ge_r, 7).amplitudes
         overlap = abs(np.vdot(s1, s2))
         assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+# gammaln(n + 1) of the cephes lgam routine, as float.hex
+LOG_FACTORIAL_HEX = {
+    0: "0x0.0p+0",
+    1: "0x0.0p+0",
+    11: "0x1.180973f3a8d74p+4",
+    12: "0x1.3fcba16d50143p+4",
+    13: "0x1.68d5a9c3b32cdp+4",
+    30: "0x1.2aa208b59d0e5p+6",
+    998: "0x1.70a504c9302eep+12",
+    999: "0x1.711386da7cab6p+12",
+    1000: "0x1.71820d04e2eb7p+12",
+    2000: "0x1.9cb431deaea39p+13",
+    4096: "0x1.d46a979d430c1p+14",
+    10**6: "0x1.87193cc4f1ea6p+23",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LOG_FACTORIAL_HEX))
+def test_log_factorials_pinned_bits(n):
+    # the small-product/Stirling switch (12, 13) and the series switch
+    # (x = n + 1 crossing 1000) are both covered
+    assert float(log_factorials(n)[n]).hex() == LOG_FACTORIAL_HEX[n]
+
+
+def test_log_factorials_accurate():
+    lf = log_factorials(5000)
+    exact = np.empty(5001)
+    f = 1
+    for n in range(5001):
+        f *= max(n, 1)
+        exact[n] = math.log(f)
+    ulp = np.spacing(np.maximum(exact, 1.0))
+    assert np.all(np.abs(lf - exact) <= 4 * ulp)
+
+
+def test_log_factorials_match_gammaln_whole_range():
+    special = pytest.importorskip("scipy.special")
+    n = np.arange(10**6 + 2)
+    assert np.array_equal(log_factorials(10**6 + 1), special.gammaln(n + 1.0))
+
+
+def test_log_factorials_prefix_and_read_only():
+    big = log_factorials(3000).copy()
+    small = log_factorials(40)
+    assert small.shape == (41,)
+    assert np.array_equal(small, big[:41])
+    assert np.array_equal(log_factorials(3000), big)
+    assert not small.flags.writeable
+    with pytest.raises(ValueError):
+        small[0] = 1.0
