@@ -16,12 +16,10 @@ from .spin_core import (
     BlochAngles,
     GroundExcitedAmplitudes,
     SpinMoments,
-    analytic_precession,
     bloch_to_ge,
     build_spin_coherent,
     ge_to_lr_amplitudes,
     moments_from_density,
-    spin_operator_matrices,
 )
 from .pure_measure import (
     DetectionOutcome,
@@ -35,9 +33,8 @@ from .pure_measure import (
     port_amplitudes,
 )
 from .master_eq import (
-    HybridState,
     ModelParams,
-    PureSample,
+    Sample,
     TimeGrid,
     conditional_density,
     integrate,
@@ -49,15 +46,13 @@ __all__ = [
     "BlochAngles",
     "DetectionOutcome",
     "GroundExcitedAmplitudes",
-    "HybridState",
     "InteractionSetting",
     "LightPair",
     "ModelParams",
-    "PureSample",
     "QGrid",
+    "Sample",
     "SpinMoments",
     "TimeGrid",
-    "analytic_precession",
     "bloch_to_ge",
     "build_spin_coherent",
     "conditional_density",
@@ -70,5 +65,4 @@ __all__ = [
     "outcome_cutoff",
     "port_amplitudes",
     "q_grid",
-    "spin_operator_matrices",
 ]

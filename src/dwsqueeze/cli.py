@@ -333,7 +333,8 @@ def _conditional_timeseries(
 ) -> dict[str, np.ndarray]:
     """Conditional spin moments and sample drifts, one column entry per sample."""
     moments = [
-        moments_from_density(conditional_density(params, s, outcome)) for s in samples
+        moments_from_density(conditional_density(params, s.state, s.t, outcome))
+        for s in samples
     ]
     t = np.array([s.t for s in samples])
     norm = 4.0 / params.n_atoms
@@ -346,8 +347,8 @@ def _conditional_timeseries(
         "jx_var_norm": norm * np.array([m.jx_var for m in moments]),
         "jy_var_norm": norm * np.array([m.jy_var for m in moments]),
         "jz_var_norm": norm * np.array([m.jz_var for m in moments]),
-        "trace_err": np.array([s.trace_error() for s in samples]),
-        "herm_err": np.array([s.herm_error() for s in samples]),
+        "trace_err": np.array([s.trace_err for s in samples]),
+        "herm_err": np.array([s.herm_err for s in samples]),
     }
 
 
@@ -377,7 +378,7 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     for idx, target in enumerate(cfg.q_omega_t):
         best = min(samples, key=lambda s: abs(params.omega * s.t - target))
-        cond = conditional_density(params, best, outcome)
+        cond = conditional_density(params, best.state, best.t, outcome)
         _write_q_csv(
             out_dir / f"master_q_{idx:02d}.csv",
             echo + [f"omega_t_requested = {fmt(target)}",
@@ -395,7 +396,8 @@ def run_qfunc(cfg: ExperimentConfig, out_dir: Path) -> int:
     echo = config_echo_lines(cfg, "qfunc")
     if cfg.t_max > 0:
         params, state, grid = _model(cfg)
-        source = conditional_density(params, integrate(params, state, grid)[-1], outcome)
+        last = integrate(params, state, grid)[-1]
+        source = conditional_density(params, last.state, last.t, outcome)
     else:
         state, setting = _pure_model(cfg)
         source = conditional_state(state, cfg.light(), setting, outcome)

@@ -22,9 +22,10 @@ i H rho and adds its adjoint, so every step stays Hermitian to the last
 bit.  Only the light overlap of the generator depends on t, so integrate
 builds the rest once per run (the coefficients i omega s_k and the
 damping gamma (m - m')^2 / 2), forms the overlaps at the RK4 nodes of a
-block of steps in one vectorized call, and steps in reused buffers; rhs
-evaluates the same generator at one time.  integrate gates each invariant
-once, where it can break, so Hermiticity is gated on the input only.
+block of steps in one vectorized call, and steps in reused buffers.
+Either path records each sample as a Sample: its time, its state (rho,
+or the lifted AtomState) and the drifts measured where integrate gates
+them, once per sample; Hermiticity is gated on the input only.
 
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
@@ -32,7 +33,7 @@ pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
 so rho_{kk'} is conditioned by the outer product A(k) A(k')^*.  The pure
 model's readout kernel evaluates A(k) once for p_k = rho_kk and also
 yields P = sum_k rho_kk |A(k)|^2 and its reachability check; only the
-trace normalization is done here.  A pure sample is conditioned by the
+trace normalization is done here.  An AtomState is conditioned by the
 pure model's conditional_state itself.  Moments of either result come
 from spin_core.moments_from_density, the one moment routine of the
 package.
@@ -90,54 +91,20 @@ class ModelParams:
             raise ValueError("gamma must be nonnegative")
 
 
-@dataclass
-class HybridState:
-    """Atomic matrix rho_{kk'} at time t; light amplitudes are implicit."""
+@dataclass(frozen=True)
+class Sample:
+    """One trajectory sample: the atomic state at time t and its drifts.
 
-    rho: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        n = self.rho.shape[0]
-        if self.rho.shape != (n, n):
-            raise ValueError("rho must be square")
-
-    def herm_error(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    def trace_error(self) -> float:
-        return float(abs(np.trace(self.rho) - 1.0))
-
-    def validate(self):
-        """Gate what an RK4 step can break: trace drift and a diagonal in [0, 1]."""
-        # written as `not <=` so that a nan (overflowed) sample fails too
-        te = self.trace_error()
-        if not te <= TRACE_TOL:
-            raise IntegrationError(f"trace drift at t={self.t}: {te:.3e}")
-        d = np.diag(self.rho)
-        if np.min(d.real) < -1e-10 or np.max(d.real) > 1.0 + 1e-10:
-            raise IntegrationError(f"diagonal out of [0, 1] at t={self.t}")
-
-
-@dataclass
-class PureSample:
-    """Spin coherent state at time t, lifted from the one-atom state xi(t).
-
-    The lift is renormalized, so drift holds the norm drift | |xi|^2 - 1 |
-    of the integrated one-atom state, the rotation's trace drift; a
-    projector is Hermitian by construction.
+    On rho-RK4 state is rho_{kk'} (light amplitudes implicit), trace_err
+    |tr rho - 1| and herm_err max |rho - rho^dagger|.  On the rotation state
+    is the renormalized lift, trace_err the one-atom norm drift
+    | |xi|^2 - 1 | and herm_err 0.0, as for any projector.
     """
 
-    state: AtomState
     t: float
-    drift: float
-
-    def herm_error(self) -> float:
-        return 0.0
-
-    def trace_error(self) -> float:
-        return self.drift
+    state: np.ndarray | AtomState
+    trace_err: float
+    herm_err: float
 
 
 @dataclass(frozen=True)
@@ -174,35 +141,34 @@ def coherent_overlaps(params: ModelParams, t):
 
 
 class _Generator:
-    """The generator of rhs with its constant parts built once.
+    """d rho / dt of the hybrid equation, with its constant parts built once.
 
-    For a Hermitian rho the column half of the commutator, -i rho H, is
-    the adjoint of the row half R = i H rho, so apply forms R and adds
-    R^dagger.  On the flattened matrix a row neighbor of rho_{kk'} is
-    N + 1 entries away, so each of R's two terms is one product of
-    contiguous slices with i omega s_k repeated along each row, which
-    set_overlap weights by the light overlap, the only part that depends
-    on t; damping holds gamma (m - m')^2 / 2.  apply writes into a
-    caller's buffer through work buffers of its own, and k, acc and y
-    are the RK4 stage buffers, so a step allocates nothing.
+    The row tunneling terms i H(t) rho, each neighbor weighted by its light
+    overlap, plus their adjoint, plus the Lindblad dephasing
+    -gamma/2 (m - m')^2 rho; ladder factors vanish at the k = 0 and k = N
+    edges, so boundary terms drop out by construction.  For a Hermitian
+    rho the column half of the commutator, -i rho H, is the adjoint of
+    the row half R = i H rho, so apply forms R and adds R^dagger.  On the
+    flattened matrix a row neighbor of rho_{kk'} is N + 1 entries away,
+    so each of R's two terms is one product of contiguous slices with
+    i omega s_k repeated along each row, which set_overlap weights by the
+    light overlap, the only part that depends on t; damping holds
+    gamma (m - m')^2 / 2.  apply writes into a caller's buffer through
+    work buffers of its own, and k, acc and y are the RK4 stage buffers,
+    so a step allocates nothing.
     """
 
     def __init__(self, params: ModelParams):
         n = params.n_atoms
         w = self.width = n + 1
-        self.rows = None
-        if params.omega != 0.0:
-            self.rows = np.repeat(1j * params.omega * _ladder_factors(n), w)
-            self.row_plus, self.row_minus, self.row_term = (
-                np.empty_like(self.rows) for _ in range(3)
-            )
+        self.rows = np.repeat(1j * params.omega * _ladder_factors(n), w)
+        self.row_plus, self.row_minus, self.row_term = (
+            np.empty_like(self.rows) for _ in range(3)
+        )
         m = np.arange(w, dtype=float)
         # stored complex: numpy would cast a real matrix on every product
-        self.damping = (
-            (0.5 * params.gamma * (m[:, None] - m[None, :]) ** 2).astype(complex).ravel()
-            if params.gamma != 0.0
-            else None
-        )
+        gap = m[:, None] - m[None, :]
+        self.damping = (0.5 * params.gamma * gap**2).astype(complex).ravel()
         self.full = np.empty(w * w, dtype=complex)
         self.adj, self.k, self.acc, self.y = (
             np.empty((w, w), dtype=complex) for _ in range(4)
@@ -210,9 +176,8 @@ class _Generator:
 
     def set_overlap(self, ov_plus: complex):
         """Weight the coefficients by <a_m|a_{m+1}> and <a_{m+1}|a_m> = its conjugate."""
-        if self.rows is not None:
-            np.multiply(self.rows, ov_plus, out=self.row_plus)
-            np.multiply(self.rows, ov_plus.conjugate(), out=self.row_minus)
+        np.multiply(self.rows, ov_plus, out=self.row_plus)
+        np.multiply(self.rows, ov_plus.conjugate(), out=self.row_minus)
 
     def apply(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write d rho / dt at the overlap last set into out.
@@ -220,33 +185,14 @@ class _Generator:
         Both are C-contiguous (N+1) x (N+1) arrays, rho Hermitian and out not rho.
         """
         r, d, w = rho.reshape(-1), out.reshape(-1), self.width
-        if self.rows is None:
-            d.fill(0.0)
-        else:
-            # row couplings: rho_{m-1,k'} enters row m, rho_{m+1,k'} enters row m
-            d[:w] = 0.0
-            np.multiply(self.row_minus, r[:-w], out=d[w:])
-            d[:-w] += np.multiply(self.row_plus, r[w:], out=self.row_term)
-            # column couplings: the adjoint of the row ones
-            out += np.conjugate(out.T, out=self.adj)
-        if self.damping is not None:
-            d -= np.multiply(self.damping, r, out=self.full)
+        # row couplings: rho_{m-1,k'} enters row m, rho_{m+1,k'} enters row m
+        d[:w] = 0.0
+        np.multiply(self.row_minus, r[:-w], out=d[w:])
+        d[:-w] += np.multiply(self.row_plus, r[w:], out=self.row_term)
+        # column couplings: the adjoint of the row ones
+        out += np.conjugate(out.T, out=self.adj)
+        d -= np.multiply(self.damping, r, out=self.full)
         return out
-
-
-def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
-    """Time derivative of rho_{kk'}, which must be Hermitian.
-
-    The row tunneling terms i H(t) rho (each neighbor weighted by its
-    light overlap) plus their adjoint, plus the Lindblad dephasing
-    -gamma/2 (m - m')^2 rho.  Ladder factors vanish at the k = 0 and k = N
-    edges, so boundary terms drop out by construction.  This is the
-    generator integrate caches and steps, evaluated once at time t.
-    """
-    gen = _Generator(params)
-    gen.set_overlap(coherent_overlaps(params, t))
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    return gen.apply(rho, np.empty_like(rho))
 
 
 def _rk4_step(gen: _Generator, rho: np.ndarray, ov, dt: float) -> np.ndarray:
@@ -308,9 +254,9 @@ def _su2_propagators(params: ModelParams, first: int, count: int, dt: float):
     """(p, q) of the one-atom steps first .. first + count - 1, as arrays.
 
     The one-atom generator is H_1 = [[0, w], [w*, 0]], w = omega s_0
-    <a_m|a_{m+1}>: rhs's entry at n_atoms = 1.  With w_1, w_2 at the two
-    Gauss nodes of [t, t + dt], the fourth-order Magnus exponent
-    (Blanes, Casas, Oteo & Ros 2009)
+    <a_m|a_{m+1}>: the row coupling of _Generator at n_atoms = 1.  With
+    w_1, w_2 at the two Gauss nodes of [t, t + dt], the fourth-order
+    Magnus exponent (Blanes, Casas, Oteo & Ros 2009)
     dt (M_1 + M_2) / 2 - sqrt(3) dt^2 [M_1, M_2] / 12, M = i H_1, is
     i (u_x sigma_x + u_y sigma_y + u_z sigma_z) with
     u_x - i u_y = dt (w_1 + w_2) / 2 and u_z = sqrt(3) dt^2 Im(w_1 w_2^*) / 6.
@@ -331,7 +277,7 @@ def _su2_propagators(params: ModelParams, first: int, count: int, dt: float):
 
 def _rotate(
     params: ModelParams, xi: np.ndarray, n_steps: int, dt: float, stride: int
-) -> list[PureSample]:
+) -> list[Sample]:
     """Rotation trajectory of the one-atom state, gated and lifted at every sample."""
     n = params.n_atoms
     x0, x1 = complex(xi[0]), complex(xi[1])
@@ -342,7 +288,7 @@ def _rotate(
         # refused before its lift, whose nan amplitudes AtomState would refuse
         if not drift <= TRACE_TOL:
             raise IntegrationError(f"trace drift at t={t}: {drift:.3e}")
-        return PureSample(AtomState(n, _coherent_amplitudes(x1, x0, n)), t, drift)
+        return Sample(t, AtomState(n, _coherent_amplitudes(x1, x0, n)), drift, 0.0)
 
     samples = [sample(0.0)]
     # a nan one-atom state is reported by the drift gate before it is lifted
@@ -372,20 +318,37 @@ def step_plan(params: ModelParams, grid: TimeGrid) -> tuple[int, float]:
     return n_steps, dt
 
 
-def integrate(
-    params: ModelParams, initial, grid: TimeGrid
-) -> list[HybridState] | list[PureSample]:
+def _rho_sample(t: float, rho: np.ndarray, herm_tol: float | None = None) -> Sample:
+    """rho at t as a Sample, gated on what an RK4 step can break.
+
+    That is trace drift and a diagonal in [0, 1], after Hermiticity when
+    herm_tol is given; `not <=` so that a nan (overflowed) sample fails too.
+    """
+    he = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm_tol is not None and not he <= herm_tol:
+        raise IntegrationError(f"Hermiticity broken at t={t}: {he:.3e}")
+    te = float(abs(np.trace(rho) - 1.0))
+    if not te <= TRACE_TOL:
+        raise IntegrationError(f"trace drift at t={t}: {te:.3e}")
+    d = np.diag(rho).real
+    if np.min(d) < -1e-10 or np.max(d) > 1.0 + 1e-10:
+        raise IntegrationError(f"diagonal out of [0, 1] at t={t}")
+    return Sample(t, rho, te, he)
+
+
+def integrate(params: ModelParams, initial, grid: TimeGrid) -> list[Sample]:
     """Trajectory from a density matrix or an AtomState, sampled every stride steps.
 
     At gamma = 0 a spin coherent AtomState is rotated through its
-    one-atom state and every sample is a PureSample.  Any other input
-    runs fixed-step RK4 on rho (rho = C C^dagger for a state) on the
-    cached generator, and every sample is a HybridState: rho as given at
-    t = 0, then Hermitian to the last bit.  The step count is rounded so
-    the trajectory lands exactly on t_max.
+    one-atom state and every sample's state is the lifted AtomState.
+    Any other input runs fixed-step RK4 on rho (rho = C C^dagger for a
+    state) on the cached generator, and every sample's state is rho: as
+    given at t = 0, then Hermitian to the last bit.  The step count is
+    rounded so the trajectory lands exactly on t_max.
 
-    Each invariant is gated once, where it can break: before the first
-    step the step bound of step_plan and the input's size (ValueError),
+    Each invariant is gated once, where it can break, and each sample
+    records the drifts its gate measured: before the first step the step
+    bound of step_plan, the input's size and a square rho (ValueError),
     and rho's Hermiticity <= HERM_TOL, trace and diagonal; at every
     sample the trace drift <= TRACE_TOL (on the rotation the one-atom
     norm drift, before the lift) and rho's diagonal in [0, 1].  Every
@@ -402,11 +365,9 @@ def integrate(
             return _rotate(params, xi, n_steps, dt, grid.sample_stride)
         initial = np.outer(initial.amplitudes, initial.amplitudes.conj())
     rho0 = np.asarray(initial, dtype=complex)
-    samples = [HybridState(rho0.copy(), 0.0)]
-    he = samples[0].herm_error()
-    if not he <= HERM_TOL:
-        raise IntegrationError(f"Hermiticity broken at t=0.0: {he:.3e}")
-    samples[0].validate()
+    if rho0.shape != (size + 1, size + 1):
+        raise ValueError("rho must be square")
+    samples = [_rho_sample(0.0, rho0.copy(), HERM_TOL)]
     # the generator takes the Hermitian part; the gate bounds the rest by HERM_TOL
     rho = 0.5 * (rho0 + rho0.conj().T)
     gen = _Generator(params)
@@ -419,29 +380,29 @@ def integrate(
             for step, ov in enumerate(nodes, first + 1):
                 rho = _rk4_step(gen, rho, ov, dt)
                 if step % grid.sample_stride == 0 or step == n_steps:
-                    samples.append(HybridState(rho.copy(), step * dt))
-                    samples[-1].validate()
+                    samples.append(_rho_sample(step * dt, rho.copy()))
     return samples
 
 
 def conditional_density(
-    params: ModelParams, sample: HybridState | PureSample, outcome: DetectionOutcome
+    params: ModelParams, state, t: float, outcome: DetectionOutcome
 ) -> np.ndarray | AtomState:
-    """Atomic state conditioned on the photon-count pair.
+    """Atomic state at time t conditioned on the photon-count pair.
 
-    A PureSample is conditioned by pure_measure.conditional_state and
-    comes back as an AtomState.  A HybridState comes back as a density
-    matrix: rho_{kk'} -> rho_{kk'} A(k) A(k')^* / P with A(k) rescaled by
-    its maximum, so deep-tail outcomes stay finite; P and the
-    reachability check come from rho_kk through the same kernel as the
-    pure model.
+    state is an AtomState or a density matrix, as for husimi.q_grid.  An
+    AtomState is conditioned by pure_measure.conditional_state and comes
+    back as an AtomState.  A density matrix comes back as one:
+    rho_{kk'} -> rho_{kk'} A(k) A(k')^* / P with A(k) rescaled by its
+    maximum, so deep-tail outcomes stay finite; P and the reachability
+    check come from rho_kk through the same kernel as the pure model.
     """
-    setting = InteractionSetting(params.g, sample.t)
-    if isinstance(sample, PureSample):
-        return conditional_state(sample.state, params.light, setting, outcome)
-    mag, rot = _reachable_factor(params.light, setting, outcome, np.diag(sample.rho).real)
+    setting = InteractionSetting(params.g, t)
+    if isinstance(state, AtomState):
+        return conditional_state(state, params.light, setting, outcome)
+    rho = np.asarray(state, dtype=complex)
+    mag, rot = _reachable_factor(params.light, setting, outcome, np.diag(rho).real)
     b = mag * rot
-    cond = sample.rho * np.outer(b, b.conj())
+    cond = rho * np.outer(b, b.conj())
     tr = np.trace(cond)
     if abs(tr.imag) > 1e-10 * max(abs(tr.real), 1.0):
         raise IntegrationError(f"detection probability has imaginary residue {tr.imag}")

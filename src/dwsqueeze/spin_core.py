@@ -1,4 +1,4 @@
-"""Collective-spin basis, spin coherent states, operators and moments.
+"""Collective-spin basis, spin coherent states and moments.
 
 The atomic basis is the left/right Fock basis |k, N-k> with k the number
 of atoms in the LEFT well, k = 0..N.  J_x is diagonal in this basis with
@@ -92,11 +92,6 @@ class GroundExcitedAmplitudes:
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {n!r}, expected 1")
-
-    @property
-    def rel_phase(self) -> float:
-        """Relative phase arg(alpha) - arg(beta)."""
-        return float(np.angle(self.alpha) - np.angle(self.beta))
 
 
 @dataclass(frozen=True)
@@ -208,30 +203,6 @@ def _ladder_factors(n_atoms: int) -> np.ndarray:
     return np.sqrt((k + 1.0) * (n_atoms - k)) / 2.0
 
 
-def spin_operator_matrices(n_atoms: int):
-    """Dense matrices (J_x, J_y, J_z) in the left/right Fock basis.
-
-    J_x = diag(k - N/2); J_y and J_z couple neighboring k with ladder
-    factor sqrt((k+1)(N-k))/2.  The triple satisfies the su(2) algebra
-    [J_x, J_y] = iJ_z (cyclic) and the Casimir (N/2)(N/2 + 1).
-    moments_from_density reads the same entries band by band.
-    """
-    if n_atoms < 0:
-        raise ValueError("n_atoms must be nonnegative")
-    k = np.arange(n_atoms + 1, dtype=float)
-    jx = np.diag(k - n_atoms / 2.0).astype(complex)
-    s = _ladder_factors(n_atoms)
-    jy = np.zeros_like(jx)
-    jz = np.zeros_like(jx)
-    idx = np.arange(n_atoms)
-    jy[idx + 1, idx] = -1j * s
-    jy[idx, idx + 1] = 1j * s
-    # subdiagonal sign fixed by requiring [Jx, Jy] = iJz with Jx = diag(k - N/2)
-    jz[idx + 1, idx] = -s
-    jz[idx, idx + 1] = -s
-    return jx, jy, jz
-
-
 def _clamp_variance(var: float) -> float:
     if var < _VAR_FLAG:
         raise ValueError(f"variance {var} below roundoff tolerance {_VAR_FLAG}")
@@ -288,23 +259,3 @@ def _banded_moments(p: np.ndarray, first: np.ndarray, second: np.ndarray) -> Spi
         _clamp_variance(band0 + band2 - mz**2),
     )
 
-
-def analytic_precession(
-    ge: GroundExcitedAmplitudes, n_atoms: int, omega: float, t: float
-) -> SpinMoments:
-    """Closed-form moments of a spin coherent state precessing at frequency omega.
-
-    The transverse mean rotates as (cos, sin)(omega*t - rel_phase) with
-    radius N|alpha*beta|; J_z and its variance are constants of motion.
-    """
-    ab = abs(ge.alpha * ge.beta)
-    ph = omega * t - ge.rel_phase
-    n = float(n_atoms)
-    return SpinMoments(
-        jx_mean=n * ab * np.cos(ph),
-        jy_mean=n * ab * np.sin(ph),
-        jz_mean=n * (abs(ge.alpha) ** 2 - abs(ge.beta) ** 2) / 2.0,
-        jx_var=n / 4.0 * (1.0 - 4.0 * ab**2 * np.cos(ph) ** 2),
-        jy_var=n / 4.0 * (1.0 - 4.0 * ab**2 * np.sin(ph) ** 2),
-        jz_var=n * ab**2,
-    )

@@ -21,7 +21,6 @@ from .husimi import q_grid
 from .master_eq import (
     HERM_TOL,
     TRACE_TOL,
-    HybridState,
     IntegrationError,
     ModelParams,
     TimeGrid,
@@ -187,7 +186,7 @@ def me_vs_pure_crosscheck(
     if params.omega != 0.0 or params.gamma != 0.0:
         raise ValueError("crosscheck requires omega = 0 and gamma = 0")
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
-    cond_me = conditional_density(params, HybridState(rho0, t), outcome)
+    cond_me = conditional_density(params, rho0, t, outcome)
     pure = conditional_state(
         state, params.light, InteractionSetting(g=params.g, t=t), outcome
     )
@@ -312,28 +311,18 @@ def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleR
             ):
                 reports.append(OracleReport.make(f"{name}[{tag}]", math.inf, tol, error=str(exc)))
             continue
-        reports.append(
-            OracleReport.make(
-                f"trace_drift[{tag}]",
-                np.max([s.trace_error() for s in samples]),
-                TRACE_TOL,
-                dt=grid.dt,
-            )
-        )
-        reports.append(
-            OracleReport.make(
-                f"hermiticity[{tag}]",
-                np.max([s.herm_error() for s in samples]),
-                HERM_TOL,
-                dt=grid.dt,
-            )
-        )
+        for name, drifts, tol in (
+            ("trace_drift", [s.trace_err for s in samples], TRACE_TOL),
+            ("hermiticity", [s.herm_err for s in samples], HERM_TOL),
+        ):
+            reports.append(OracleReport.make(f"{name}[{tag}]", np.max(drifts), tol, dt=grid.dt))
 
         # conditioning or the Q grid can still refuse a gated trajectory;
         # that fails this report only
         try:
+            last = samples[-1]
             cond = conditional_density(
-                params, samples[-1], most_probable_outcome(params.light)
+                params, last.state, last.t, most_probable_outcome(params.light)
             )
             q_err = abs(1.0 - q_grid(cond, 128, 128).quadrature_sum())
         except Exception as exc:

@@ -1,0 +1,72 @@
+"""Reference quantities the tests compare the package against.
+
+The dense spin operators and the closed-form precession of a spin
+coherent state are independent of the package's banded moments and of
+its integrators; rhs evaluates the production generator once, so the
+tests can check it against closed forms and a rebuilt oracle.
+"""
+
+import numpy as np
+
+from dwsqueeze.master_eq import ModelParams, _Generator, coherent_overlaps
+from dwsqueeze.spin_core import GroundExcitedAmplitudes, SpinMoments
+
+
+def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
+    """Time derivative of rho_{kk'}, which must be Hermitian, at time t.
+
+    The generator integrate caches and steps, evaluated once.
+    """
+    gen = _Generator(params)
+    gen.set_overlap(coherent_overlaps(params, t))
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    return gen.apply(rho, np.empty_like(rho))
+
+
+def spin_operator_matrices(n_atoms: int):
+    """Dense matrices (J_x, J_y, J_z) in the left/right Fock basis.
+
+    J_x = diag(k - N/2); J_y and J_z couple neighboring k with ladder
+    factor sqrt((k+1)(N-k))/2.  The triple satisfies the su(2) algebra
+    [J_x, J_y] = iJ_z (cyclic) and the Casimir (N/2)(N/2 + 1).
+    """
+    if n_atoms < 0:
+        raise ValueError("n_atoms must be nonnegative")
+    k = np.arange(n_atoms + 1, dtype=float)
+    jx = np.diag(k - n_atoms / 2.0).astype(complex)
+    s = np.sqrt((k[:-1] + 1.0) * (n_atoms - k[:-1])) / 2.0
+    jy = np.zeros_like(jx)
+    jz = np.zeros_like(jx)
+    idx = np.arange(n_atoms)
+    jy[idx + 1, idx] = -1j * s
+    jy[idx, idx + 1] = 1j * s
+    # subdiagonal sign fixed by requiring [Jx, Jy] = iJz with Jx = diag(k - N/2)
+    jz[idx + 1, idx] = -s
+    jz[idx, idx + 1] = -s
+    return jx, jy, jz
+
+
+def rel_phase(ge: GroundExcitedAmplitudes) -> float:
+    """Relative phase arg(alpha) - arg(beta)."""
+    return float(np.angle(ge.alpha) - np.angle(ge.beta))
+
+
+def analytic_precession(
+    ge: GroundExcitedAmplitudes, n_atoms: int, omega: float, t: float
+) -> SpinMoments:
+    """Closed-form moments of a spin coherent state precessing at frequency omega.
+
+    The transverse mean rotates as (cos, sin)(omega*t - rel_phase) with
+    radius N|alpha*beta|; J_z and its variance are constants of motion.
+    """
+    ab = abs(ge.alpha * ge.beta)
+    ph = omega * t - rel_phase(ge)
+    n = float(n_atoms)
+    return SpinMoments(
+        jx_mean=n * ab * np.cos(ph),
+        jy_mean=n * ab * np.sin(ph),
+        jz_mean=n * (abs(ge.alpha) ** 2 - abs(ge.beta) ** 2) / 2.0,
+        jx_var=n / 4.0 * (1.0 - 4.0 * ab**2 * np.cos(ph) ** 2),
+        jy_var=n / 4.0 * (1.0 - 4.0 * ab**2 * np.sin(ph) ** 2),
+        jz_var=n * ab**2,
+    )

@@ -13,7 +13,6 @@ import numpy as np
 from dwsqueeze.cli import main
 from dwsqueeze.husimi import q_grid
 from dwsqueeze.master_eq import (
-    HybridState,
     ModelParams,
     TimeGrid,
     conditional_density,
@@ -29,12 +28,11 @@ from dwsqueeze.pure_measure import (
 )
 from dwsqueeze.spin_core import (
     GroundExcitedAmplitudes,
-    analytic_precession,
     build_spin_coherent,
     moments_from_density,
-    spin_operator_matrices,
 )
 from dwsqueeze.validation import fock_oracle_report, me_vs_pure_crosscheck
+from reference import analytic_precession, spin_operator_matrices
 
 OMEGA = math.pi / 4
 GE_POLAR = GroundExcitedAmplitudes(0.0, 1.0)
@@ -56,7 +54,7 @@ def conditional_variance_series(params, grid, outcome):
     norm = 4.0 / params.n_atoms
     omega_t, var_x, var_y = [], [], []
     for s in samples:
-        m = moments_from_density(conditional_density(params, s, outcome))
+        m = moments_from_density(conditional_density(params, s.state, s.t, outcome))
         omega_t.append(params.omega * s.t)
         var_x.append(norm * m.jx_var)
         var_y.append(norm * m.jy_var)
@@ -213,7 +211,7 @@ def test_07_tunneling_precession_closed_form():
     worst_rel = 0.0
     worst_trace = 0.0
     for s in samples:
-        m = moments_from_density(s.rho)
+        m = moments_from_density(s.state)
         ref = analytic_precession(GE_NEAR_POLE, 30, OMEGA, s.t)
         for got, want in (
             (m.jx_mean, ref.jx_mean), (m.jy_mean, ref.jy_mean),
@@ -221,7 +219,7 @@ def test_07_tunneling_precession_closed_form():
             (m.jy_var, ref.jy_var), (m.jz_var, ref.jz_var),
         ):
             worst_rel = max(worst_rel, abs(got - want) / max(abs(want), 1.0))
-        worst_trace = max(worst_trace, s.trace_error())
+        worst_trace = max(worst_trace, s.trace_err)
     elapsed = time.perf_counter() - t0
     check(
         7,
@@ -277,7 +275,8 @@ def test_10_cat_state_antipodal_lobes():
     state = build_spin_coherent(GE_NEAR_POLE, 30)
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
     samples = integrate(params, rho0, TimeGrid(20.0 / OMEGA, 0.02, 100))
-    cond = conditional_density(params, samples[-1], DetectionOutcome(4, 4))
+    last = samples[-1]
+    cond = conditional_density(params, last.state, last.t, DetectionOutcome(4, 4))
     qg = q_grid(cond, 128, 128)
     centers = connected_superlevel_components(qg)
     dist_north = min((abs(c) for c in centers), default=math.inf)
@@ -308,7 +307,8 @@ def test_11_husimi_quadrature_normalization():
     state = build_spin_coherent(GE_NEAR_POLE, 30)
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
     samples = integrate(params, rho0, TimeGrid(8.0 / OMEGA, 0.02, 100))
-    cond = conditional_density(params, samples[-1], DetectionOutcome(4, 4))
+    last = samples[-1]
+    cond = conditional_density(params, last.state, last.t, DetectionOutcome(4, 4))
     errors["conditional"] = abs(1.0 - q_grid(cond, 128, 128).quadrature_sum())
 
     worst = max(errors.values())
@@ -341,9 +341,9 @@ def test_12_invariant_and_determinism_suite(tmp_path):
     state = build_spin_coherent(GE_NEAR_POLE, 30)
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
     for s in integrate(params, rho0, TimeGrid(8.0 / OMEGA, 0.02, 10)):
-        checks.append(s.trace_error() < 1e-8)
-        checks.append(s.herm_error() < 1e-9)
-        checks.append(float(np.linalg.eigvalsh(s.rho).min()) > -1e-8)
+        checks.append(s.trace_err < 1e-8)
+        checks.append(s.herm_err < 1e-9)
+        checks.append(float(np.linalg.eigvalsh(s.state).min()) > -1e-8)
 
     cfg = tmp_path / "det.cfg"
     cfg.write_text(

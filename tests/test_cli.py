@@ -28,18 +28,18 @@ from dwsqueeze.cli import (
 from dwsqueeze.husimi import q_grid
 from dwsqueeze.master_eq import (
     ModelParams,
-    PureSample,
     TimeGrid,
     conditional_density,
     integrate,
 )
 from dwsqueeze.pure_measure import DetectionOutcome, LightPair
 from dwsqueeze.spin_core import (
+    AtomState,
     GroundExcitedAmplitudes,
-    analytic_precession,
     build_spin_coherent,
 )
 from dwsqueeze.validation import SUITES
+from reference import analytic_precession
 
 FIG6_OMEGA = math.pi / 4
 
@@ -257,7 +257,8 @@ def test_qfunc_rotation_matches_density_path(tmp_path):
     )
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
     last = integrate(params, rho0, TimeGrid(t_max, t_max / (2 * round(t_max / 0.02))))[-1]
-    ref = q_grid(conditional_density(params, last, DetectionOutcome(4, 4)), 32, 32)
+    cond = conditional_density(params, last.state, last.t, DetectionOutcome(4, 4))
+    ref = q_grid(cond, 32, 32)
     assert np.max(np.abs(q - ref.values)) < 1e-8
 
 
@@ -280,7 +281,7 @@ def test_master_rotation_reaches_1000_atoms(tmp_path, monkeypatch):
     assert main(["master", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert time.perf_counter() - start < 10.0
     assert len(seen) == 129
-    assert all(isinstance(s, PureSample) for s in seen)
+    assert all(isinstance(s.state, AtomState) for s in seen)
     assert all(s.state.amplitudes.shape == (1001,) for s in seen)
     _, data = read_rows(out / "master_timeseries.csv")
     assert len(data) == 129

@@ -7,15 +7,12 @@ import pytest
 
 from dwsqueeze import master_eq
 from dwsqueeze.master_eq import (
-    HybridState,
     IntegrationError,
     ModelParams,
-    PureSample,
     TimeGrid,
     coherent_overlaps,
     conditional_density,
     integrate,
-    rhs,
 )
 from dwsqueeze.pure_measure import (
     DetectionOutcome,
@@ -31,12 +28,11 @@ from dwsqueeze.spin_core import (
     AtomState,
     BlochAngles,
     GroundExcitedAmplitudes,
-    analytic_precession,
     bloch_to_ge,
     build_spin_coherent,
     moments_from_density,
-    spin_operator_matrices,
 )
+from reference import analytic_precession, rhs, spin_operator_matrices
 
 TILTED = GroundExcitedAmplitudes(math.sqrt(0.001), math.sqrt(0.999))
 
@@ -141,7 +137,7 @@ def test_lindblad_dephasing_closed_form():
     samples = integrate(params, rho0, TimeGrid(t_max=2.0, dt=0.002, sample_stride=500))
     m = np.arange(n + 1)
     decay = np.exp(-gamma * (m[:, None] - m[None, :]) ** 2 * samples[-1].t / 2)
-    assert np.max(np.abs(samples[-1].rho - rho0 * decay)) < 1e-9
+    assert np.max(np.abs(samples[-1].state - rho0 * decay)) < 1e-9
 
 
 def test_dephasing_contraction_and_constant_diagonal():
@@ -149,11 +145,11 @@ def test_dephasing_contraction_and_constant_diagonal():
     params = make_params(n=n, omega=0.0, g=0.0, gamma=0.2)
     rho0 = coherent_rho(GroundExcitedAmplitudes(math.sqrt(0.5), math.sqrt(0.5)), n)
     samples = integrate(params, rho0, TimeGrid(t_max=1.0, dt=0.002, sample_stride=100))
-    off = [np.abs(s.rho - np.diag(np.diag(s.rho))) for s in samples]
+    off = [np.abs(s.state - np.diag(np.diag(s.state))) for s in samples]
     for a, b in zip(off, off[1:]):
         assert np.all(b <= a + 1e-12)
     for s in samples:
-        assert np.max(np.abs(np.diag(s.rho) - np.diag(rho0))) < 1e-12
+        assert np.max(np.abs(np.diag(s.state) - np.diag(rho0))) < 1e-12
 
 
 def test_integrate_precession_against_analytic():
@@ -164,11 +160,11 @@ def test_integrate_precession_against_analytic():
     samples = integrate(params, rho0, TimeGrid(t_max, 0.01, sample_stride=200))
     for s in samples:
         ref = analytic_precession(TILTED, 30, omega, s.t)
-        got = moments_from_density(s.rho)
+        got = moments_from_density(s.state)
         for field in ("jx_mean", "jy_mean", "jz_mean", "jx_var", "jy_var", "jz_var"):
             r, g_ = getattr(ref, field), getattr(got, field)
             assert abs(g_ - r) <= 1e-6 * max(abs(r), 1.0)
-        assert s.trace_error() < 1e-8
+        assert s.trace_err < 1e-8
 
 
 def test_integrate_fourth_order_convergence():
@@ -176,7 +172,7 @@ def test_integrate_fourth_order_convergence():
     rho0 = coherent_rho(GroundExcitedAmplitudes(math.sqrt(0.2), math.sqrt(0.8)), 10)
     coarse = integrate(params, rho0, TimeGrid(2.0, 0.02, sample_stride=100))[-1]
     fine = integrate(params, rho0, TimeGrid(2.0, 0.01, sample_stride=200))[-1]
-    mc, mf = moments_from_density(coarse.rho), moments_from_density(fine.rho)
+    mc, mf = moments_from_density(coarse.state), moments_from_density(fine.state)
     for field in ("jx_mean", "jy_mean", "jz_mean"):
         assert abs(getattr(mc, field) - getattr(mf, field)) < 1e-8
 
@@ -204,9 +200,9 @@ def test_integrate_invariants_along_trajectory():
     rho0 = coherent_rho(TILTED, 20)
     samples = integrate(params, rho0, TimeGrid(10.0, 0.01, sample_stride=100))
     for s in samples:
-        assert s.herm_error() < 1e-9
-        assert s.trace_error() < 1e-8
-        d = np.diag(s.rho).real
+        assert s.herm_err < 1e-9
+        assert s.trace_err < 1e-8
+        d = np.diag(s.state).real
         assert d.min() > -1e-10 and d.max() < 1 + 1e-10
 
 
@@ -214,7 +210,7 @@ def test_boundary_safety_smallest_system():
     params = make_params(n=1, omega=0.5, g=0.3, gamma=0.02, light=LightPair(1, 1))
     rho0 = coherent_rho(GroundExcitedAmplitudes(0.0, 1.0), 1)
     samples = integrate(params, rho0, TimeGrid(1.0, 0.01, sample_stride=10))
-    assert all(np.all(np.isfinite(s.rho)) for s in samples)
+    assert all(np.all(np.isfinite(s.state)) for s in samples)
 
 
 def oracle_rhs(params, rho, t):
@@ -259,7 +255,7 @@ def assert_matches_oracle(params, rho0, grid, samples):
     ref = oracle_integrate(params, rho0, grid)
     assert [s.t for s in samples] == [t for t, _ in ref]
     for s, (_, rho) in zip(samples, ref):
-        assert np.max(np.abs(s.rho - rho)) <= 1e-13
+        assert np.max(np.abs(s.state - rho)) <= 1e-13
 
 
 # tunneling, a light overlap that turns by gt = 0.4 over a 250-step run, and
@@ -311,6 +307,10 @@ def test_overlap_cache_is_per_block(monkeypatch):
     assert sizes[1] == sizes[30] == [(64, 3), (64, 3), (45, 3)]
 
 
+def herm_scan(rho):
+    return float(np.max(np.abs(rho - rho.conj().T)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_rk4_samples_exactly_hermitian(n):
     # the generator adds the adjoint of its row terms, so every step keeps
@@ -322,12 +322,12 @@ def test_rk4_samples_exactly_hermitian(n):
     rho0 = random_density(n, seed=n)
     hermitian = 0.5 * (rho0 + rho0.conj().T)
     samples = integrate(params, hermitian, grid)
-    assert [s.herm_error() for s in samples] == [0.0] * len(samples)
+    assert [herm_scan(s.state) for s in samples] == [0.0] * len(samples)
     amp = np.linspace(1.0, 2.0j, n + 1)
     for start in (rho0, AtomState(n, amp / np.linalg.norm(amp))):
         samples = integrate(params, start, grid)
-        assert all(isinstance(s, HybridState) for s in samples)
-        assert [s.herm_error() for s in samples[1:]] == [0.0] * (len(samples) - 1)
+        assert all(isinstance(s.state, np.ndarray) for s in samples)
+        assert [herm_scan(s.state) for s in samples[1:]] == [0.0] * (len(samples) - 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 30])
@@ -345,10 +345,10 @@ def test_rk4_steps_hermitian_part(n, monkeypatch):
     perturbed = rho0 + 0.4j * master_eq.HERM_TOL * b / np.max(np.abs(b))
     got = integrate(params, perturbed, grid)
     ref = integrate(params, rho0, grid)
-    assert np.array_equal(got[0].rho, perturbed)
-    assert got[0].herm_error() > 0.5 * master_eq.HERM_TOL
+    assert np.array_equal(got[0].state, perturbed)
+    assert herm_scan(got[0].state) > 0.5 * master_eq.HERM_TOL
     for a, r in zip(got[1:], ref[1:], strict=True):
-        assert np.max(np.abs(a.rho - r.rho)) <= 1e-13
+        assert np.max(np.abs(a.state - r.state)) <= 1e-13
     steps = []
     monkeypatch.setattr(master_eq, "_rk4_step", lambda *args: steps.append(args))
     with pytest.raises(IntegrationError, match="Hermiticity broken at t=0.0"):
@@ -358,6 +358,36 @@ def test_rk4_steps_hermitian_part(n, monkeypatch):
 
 def projector(state):
     return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
+def test_sample_drifts_match_their_state():
+    # each sample carries the drifts its gate measured once.  On rho-RK4
+    # they are recomputed from the stored rho.  On the rotation herm_err is
+    # 0.0, that of the lift's projector C C^dagger (formed in floating point
+    # it is Hermitian up to roundoff), and trace_err is the norm drift of
+    # the one-atom state, replayed here from the same propagators
+    grid = TimeGrid(5.0, 0.02, sample_stride=23)
+    params = dephasing_params(30)
+    for s in integrate(params, random_density(30, seed=3), grid):
+        assert s.trace_err == float(abs(np.trace(s.state) - 1.0))
+        assert s.herm_err == herm_scan(s.state)
+    params = make_params(n=30, omega=math.pi / 4, g=0.08, light=LightPair(1.2, 0.7j))
+    state = build_spin_coherent(TILTED, 30)
+    samples = integrate(params, state, grid)
+    n_steps, dt = master_eq.step_plan(params, grid)
+    p, q = master_eq._su2_propagators(params, 0, n_steps, dt)
+    x0, x1 = (complex(x) for x in master_eq._one_atom_state(state))
+    replayed = [(x0, x1)]
+    for step, (a, b) in enumerate(zip(p.tolist(), q.tolist()), 1):
+        x0, x1 = a * x0 + b * x1, a.conjugate() * x1 - b.conjugate() * x0
+        if step % grid.sample_stride == 0 or step == n_steps:
+            replayed.append((x0, x1))
+    assert len(samples) == len(replayed) == 12
+    for s, (x0, x1) in zip(samples, replayed):
+        assert s.herm_err == 0.0 and herm_scan(projector(s.state)) < 1e-15
+        assert s.trace_err == abs(abs(x0) ** 2 + abs(x1) ** 2 - 1.0)
+        lift = master_eq._coherent_amplitudes(x1, x0, 30)
+        assert np.array_equal(s.state.amplitudes, lift)
 
 
 @pytest.mark.parametrize("n", [30, 100])
@@ -374,14 +404,14 @@ def test_rotation_matches_rk4_density(n):
     rk4 = integrate(params, projector(state), TimeGrid(t_max, t_max / (2 * steps), 100))
     rk4_half = integrate(params, projector(state), TimeGrid(t_max, t_max / (4 * steps), 200))
     assert len(rotated) == len(rk4) == len(rk4_half)
-    assert max(np.max(np.abs(a.rho - b.rho)) for a, b in zip(rk4, rk4_half)) < 1e-9
+    assert max(np.max(np.abs(a.state - b.state)) for a, b in zip(rk4, rk4_half)) < 1e-9
     outcome = DetectionOutcome(4, 4)
     fields = ("jx_mean", "jy_mean", "jz_mean", "jx_var", "jy_var", "jz_var")
     for a, b in zip(rotated, rk4):
-        assert isinstance(a, PureSample) and a.t == b.t
-        assert np.max(np.abs(projector(a.state) - b.rho)) < 1e-8
-        ma = moments_from_density(conditional_density(params, a, outcome))
-        mb = moments_from_density(conditional_density(params, b, outcome))
+        assert isinstance(a.state, AtomState) and a.t == b.t
+        assert np.max(np.abs(projector(a.state) - b.state)) < 1e-8
+        ma = moments_from_density(conditional_density(params, a.state, a.t, outcome))
+        mb = moments_from_density(conditional_density(params, b.state, b.t, outcome))
         for field in fields:
             ref = getattr(mb, field)
             assert abs(getattr(ma, field) - ref) <= 1e-8 * max(abs(ref), 1.0)
@@ -399,7 +429,7 @@ def test_rotation_exact_for_constant_generator():
         for field in ("jx_mean", "jy_mean", "jz_mean", "jx_var", "jy_var", "jz_var"):
             r = getattr(ref, field)
             assert abs(getattr(got, field) - r) <= 1e-10 * max(abs(r), 1.0)
-        assert s.trace_error() < 1e-12 and s.herm_error() == 0.0
+        assert s.trace_err < 1e-12 and s.herm_err == 0.0
 
 
 def test_rotation_fourth_order():
@@ -432,7 +462,7 @@ def test_coherent_start_takes_rotation_path(n):
     for theta in (0.0, 0.06, 1.2, math.pi):
         state = build_spin_coherent(bloch_to_ge(BlochAngles(theta, 2.0)), n)
         first = integrate(params, state, TimeGrid(0.02, 0.02))[0]
-        assert isinstance(first, PureSample)
+        assert isinstance(first.state, AtomState)
         assert abs(abs(np.vdot(first.state.amplitudes, state.amplitudes)) - 1.0) < 1e-12
 
 
@@ -447,25 +477,28 @@ def test_integrate_state_input_paths():
     )
     got = integrate(params, squeezed, grid)
     ref = integrate(params, projector(squeezed), grid)
-    assert all(isinstance(s, HybridState) for s in got)
-    assert all(np.array_equal(a.rho, b.rho) for a, b in zip(got, ref))
+    assert all(isinstance(s.state, np.ndarray) for s in got)
+    assert all(np.array_equal(a.state, b.state) for a, b in zip(got, ref))
     # and so does a Dicke state, orthogonal to the lift its zero mean spin gives
     dicke = AtomState(12, np.eye(13)[6])
-    assert all(isinstance(s, HybridState) for s in integrate(params, dicke, grid))
+    assert all(isinstance(s.state, np.ndarray) for s in integrate(params, dicke, grid))
     # so does a coherent state once gamma > 0
     dephased = make_params(n=12, omega=omega, gamma=0.01)
     coherent = build_spin_coherent(TILTED, 12)
     got = integrate(dephased, coherent, grid)
     ref = integrate(dephased, projector(coherent), grid)
-    assert all(np.array_equal(a.rho, b.rho) for a, b in zip(got, ref))
+    assert all(np.array_equal(a.state, b.state) for a, b in zip(got, ref))
     with pytest.raises(ValueError, match="13 atoms"):
         integrate(params, build_spin_coherent(TILTED, 13), grid)
     # a density matrix of the wrong size gets the same refusal
     with pytest.raises(ValueError, match="state of 13 atoms for a model of 12"):
         integrate(params, projector(build_spin_coherent(TILTED, 13)), grid)
+    # and one of the right length that is not square is refused too
+    with pytest.raises(ValueError, match="rho must be square"):
+        integrate(params, np.eye(13, 5, dtype=complex), grid)
 
 
-def test_pure_sample_validate(monkeypatch):
+def test_rotation_sample_gate(monkeypatch):
     # integrate's rotation gates the one-atom norm drift of every sample:
     # one step that scales the norm by 1 + drift
     params = make_params(n=4, omega=0.5)
@@ -479,7 +512,7 @@ def test_pure_sample_validate(monkeypatch):
         return integrate(params, state, TimeGrid(0.02, 0.02))
 
     last = run(1e-12)[-1]
-    assert isinstance(last, PureSample) and last.trace_error() < 1e-11
+    assert isinstance(last.state, AtomState) and last.trace_err < 1e-11
     with pytest.raises(IntegrationError, match="trace drift at t=0.02"):
         run(1e-6)
     # an overflowed rotation: the drift is nan and must fail, not pass
@@ -490,15 +523,15 @@ def test_pure_sample_validate(monkeypatch):
         AtomState(4, np.full(5, np.nan, dtype=complex))
 
 
-def probability_from_rho(params, state, outcome):
-    setting = InteractionSetting(params.g, state.t)
-    return _conditioning_factor(params.light, setting, outcome, np.diag(state.rho).real)[2]
+def probability_from_rho(params, rho, t, outcome):
+    setting = InteractionSetting(params.g, t)
+    return _conditioning_factor(params.light, setting, outcome, np.diag(rho).real)[2]
 
 
 def test_detection_probability_poisson_at_t0():
     params = make_params(n=6, g=0.4, light=LightPair(2.0, 2.0))
     rho0 = coherent_rho(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 6)
-    p = probability_from_rho(params, HybridState(rho0, 0.0), DetectionOutcome(4, 4))
+    p = probability_from_rho(params, rho0, 0.0, DetectionOutcome(4, 4))
     expected = (math.exp(-4) * 4.0**4 / math.factorial(4)) ** 2
     assert p == pytest.approx(expected, rel=1e-12)
     assert p == pytest.approx(3.816819e-2, rel=1e-6)
@@ -508,9 +541,9 @@ def test_detection_probability_independent_of_rho_when_g0():
     params = make_params(n=8, g=0.0, light=LightPair(1.7, 0.6))
     outcome = DetectionOutcome(2, 1)
     p1 = probability_from_rho(
-        params, HybridState(coherent_rho(GroundExcitedAmplitudes(0, 1), 8), 2.0), outcome
+        params, coherent_rho(GroundExcitedAmplitudes(0, 1), 8), 2.0, outcome
     )
-    p2 = probability_from_rho(params, HybridState(random_density(8), 2.0), outcome)
+    p2 = probability_from_rho(params, random_density(8), 2.0, outcome)
     assert p1 == pytest.approx(p2, rel=1e-12)
 
 
@@ -525,7 +558,7 @@ def test_detection_grid_completeness():
 def test_conditional_density_neutral_when_g0():
     params = make_params(n=8, g=0.0, light=LightPair(2.0, 2.0))
     rho0 = coherent_rho(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 8)
-    cond = conditional_density(params, HybridState(rho0, 3.0), DetectionOutcome(3, 5))
+    cond = conditional_density(params, rho0, 3.0, DetectionOutcome(3, 5))
     assert np.max(np.abs(cond - rho0)) < 1e-12
 
 
@@ -537,7 +570,7 @@ def test_conditional_density_matches_pure_model():
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
     t = 0.08
     for outcome in [DetectionOutcome(4, 4), DetectionOutcome(2, 5)]:
-        cond_me = conditional_density(params, HybridState(rho0, t), outcome)
+        cond_me = conditional_density(params, rho0, t, outcome)
         pure = conditional_state(state, params.light, InteractionSetting(1.0, t), outcome)
         proj = np.outer(pure.amplitudes, pure.amplitudes.conj())
         assert np.max(np.abs(cond_me - proj)) < 1e-10
@@ -548,7 +581,8 @@ def test_conditional_density_positive_semidefinite():
     params = make_params(n=16, omega=omega, g=omega / 16, light=LightPair(2, 2))
     rho0 = coherent_rho(TILTED, 16)
     samples = integrate(params, rho0, TimeGrid(8.0, 0.01, sample_stride=400))
-    cond = conditional_density(params, samples[-1], DetectionOutcome(4, 4))
+    last = samples[-1]
+    cond = conditional_density(params, last.state, last.t, DetectionOutcome(4, 4))
     assert np.max(np.abs(cond - cond.conj().T)) < 1e-9
     assert abs(np.trace(cond) - 1.0) < 1e-9
     assert np.linalg.eigvalsh(cond).min() > -1e-8
@@ -561,7 +595,8 @@ def test_conditional_moment_bounds():
     rho0 = coherent_rho(TILTED, n)
     samples = integrate(params, rho0, TimeGrid(12.0, 0.01, sample_stride=300))
     for s in samples:
-        m = moments_from_density(conditional_density(params, s, DetectionOutcome(4, 4)))
+        cond = conditional_density(params, s.state, s.t, DetectionOutcome(4, 4))
+        m = moments_from_density(cond)
         for mean in (m.jx_mean, m.jy_mean, m.jz_mean):
             assert abs(mean) <= n / 2 + 1e-9
         for var in (m.jx_var, m.jy_var, m.jz_var):
@@ -570,9 +605,9 @@ def test_conditional_moment_bounds():
 
 def test_conditional_density_unreachable_outcome():
     params = make_params(n=6, g=0.2, light=LightPair(1.0, 1.0))
-    state = HybridState(coherent_rho(GroundExcitedAmplitudes(0, 1), 6), 0.5)
+    rho = coherent_rho(GroundExcitedAmplitudes(0, 1), 6)
     with pytest.raises(ImpossibleOutcomeError):
-        conditional_density(params, state, DetectionOutcome(300, 300))
+        conditional_density(params, rho, 0.5, DetectionOutcome(300, 300))
 
 
 def test_conditional_density_imaginary_trace_is_integration_error():
@@ -581,7 +616,7 @@ def test_conditional_density_imaginary_trace_is_integration_error():
     params = make_params(n=6, g=0.2, light=LightPair(1.0, 1.0))
     rho = coherent_rho(GroundExcitedAmplitudes(0, 1), 6) + 1e-3j * np.eye(7)
     with pytest.raises(IntegrationError, match="imaginary residue"):
-        conditional_density(params, HybridState(rho, 0.5), DetectionOutcome(1, 1))
+        conditional_density(params, rho, 0.5, DetectionOutcome(1, 1))
 
 
 def test_model_params_validation():
@@ -591,13 +626,11 @@ def test_model_params_validation():
         TimeGrid(t_max=1.0, dt=-0.1)
 
 
-def test_hybrid_state_validate():
-    good = HybridState(np.eye(3) / 3, 0.0)
-    good.validate()
-    bad = HybridState(np.eye(3), 0.0)
+def test_rho_sample_gate():
+    good = master_eq._rho_sample(0.0, np.eye(3, dtype=complex) / 3)
+    assert (good.trace_err, good.herm_err) == (0.0, 0.0)
     with pytest.raises(IntegrationError):
-        bad.validate()
+        master_eq._rho_sample(0.0, np.eye(3, dtype=complex))
     # an overflowed sample: every drift is nan and must fail, not pass
-    overflowed = HybridState(np.full((3, 3), np.nan), 0.0)
     with pytest.raises(IntegrationError):
-        overflowed.validate()
+        master_eq._rho_sample(0.0, np.full((3, 3), np.nan, dtype=complex))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dwsqueeze.validation as validation
-from dwsqueeze.master_eq import HybridState, ModelParams, TimeGrid
+from dwsqueeze.master_eq import ModelParams, Sample, TimeGrid
 from dwsqueeze.pure_measure import (
     DetectionOutcome,
     InteractionSetting,
@@ -176,7 +176,7 @@ def test_normalization_sweep_nan_trajectory_fails(monkeypatch):
     # drift maxima must propagate the nan and fail, not report the finite part
     def overflowed(params, rho0, grid):
         nan_rho = np.full_like(rho0, np.nan)
-        return [HybridState(rho0, 0.0), HybridState(nan_rho, grid.t_max)]
+        return [Sample(0.0, rho0, 0.0, 0.0), Sample(grid.t_max, nan_rho, math.nan, math.nan)]
 
     monkeypatch.setattr(validation, "integrate", overflowed)
     entries = validation._default_sweep_entries()[:1]  # N = 2
