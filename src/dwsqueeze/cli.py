@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .husimi import check_grid, q_grid
+from .husimi import QGrid, check_grid, q_grid
 from .master_eq import (
     IntegrationError,
     ModelParams,
@@ -231,24 +231,39 @@ _CELL_FORMATS = {"f": "%.16e", "i": "%d"}
 _BLOCK_ROWS = 1024
 
 
+def _format_cells(a: np.ndarray) -> list[str]:
+    """One block of a column as its cells, each distinct number formatted once.
+
+    Numbers are told apart by bit pattern, not by value, so -0.0, 0.0 and
+    each nan keep their own bytes.
+    """
+    fmt = _CELL_FORMATS.get(a.dtype.kind)
+    if fmt is None:
+        return ["%s" % v for v in a.tolist()]
+    # a dict, not np.unique, whose first call maps about 0.45 MB of sort code
+    keys = a.view(f"i{a.itemsize}").tolist()
+    text = {k: fmt % v for k, v in dict(zip(keys, a.tolist())).items()}
+    return [text[k] for k in keys]
+
+
 def write_csv(path: Path, header_lines: list[str], columns: dict):
     """Header lines, a '# columns:' line, then one row per column index.
 
     columns maps each name to a sequence, all of one length.  Float columns
     print as %.16e, the bytes of fmt (nan, inf and -0.0 included), integer
     columns as %d and anything else as given.  Rows are formatted a block
-    at a time, so the text in memory stays O(block), not O(file).
+    at a time, so the text in memory stays O(block), not O(file); within a
+    block a value that repeats, like a grid node, is formatted once.
     """
     arrays = [np.asarray(c) for c in columns.values()]
-    row = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for line in header_lines:
             f.write(f"# {line}\n")
         f.write(f"# columns: {','.join(columns)}\n")
         for start in range(0, max(map(len, arrays)), _BLOCK_ROWS):
-            cells = [a[start:start + _BLOCK_ROWS].tolist() for a in arrays]
-            f.write("".join(row % r for r in zip(*cells, strict=True)))
+            cells = [_format_cells(a[start:start + _BLOCK_ROWS]) for a in arrays]
+            f.write("".join(",".join(r) + "\n" for r in zip(*cells, strict=True)))
 
 
 def _warn_asymptotics(cfg: ExperimentConfig, outcome: DetectionOutcome, gt: float):
@@ -311,12 +326,11 @@ def run_pure(cfg: ExperimentConfig, out_dir: Path) -> int:
     )
 
     if cfg.emit_q:
-        _write_q_csv(out_dir / "pure_q.csv", echo, cond, cfg)
+        _write_q_csv(out_dir / "pure_q.csv", echo, q_grid(cond, cfg.n_theta, cfg.n_phi))
     return EXIT_OK
 
 
-def _write_q_csv(path: Path, echo: list[str], source, cfg: ExperimentConfig):
-    qg = q_grid(source, cfg.n_theta, cfg.n_phi)
+def _write_q_csv(path: Path, echo: list[str], qg: QGrid):
     write_csv(
         path,
         echo + ["orientation: physics convention, theta = 0 is the +z pole (no flip)"],
@@ -376,15 +390,19 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
         _conditional_timeseries(params, samples, outcome),
     )
 
-    for idx, target in enumerate(cfg.q_omega_t):
-        best = min(samples, key=lambda s: abs(params.omega * s.t - target))
-        cond = conditional_density(params, best.state, best.t, outcome)
+    if not cfg.q_omega_t:
+        return EXIT_OK
+    snapshots = [
+        min(samples, key=lambda s: abs(params.omega * s.t - target)) for target in cfg.q_omega_t
+    ]
+    conds = [conditional_density(params, s.state, s.t, outcome) for s in snapshots]
+    grids = q_grid(conds, cfg.n_theta, cfg.n_phi)
+    for idx, (target, best, qg) in enumerate(zip(cfg.q_omega_t, snapshots, grids)):
         _write_q_csv(
             out_dir / f"master_q_{idx:02d}.csv",
             echo + [f"omega_t_requested = {fmt(target)}",
                     f"omega_t_actual = {fmt(params.omega * best.t)}"],
-            cond,
-            cfg,
+            qg,
         )
     return EXIT_OK
 
@@ -401,7 +419,7 @@ def run_qfunc(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         state, setting = _pure_model(cfg)
         source = conditional_state(state, cfg.light(), setting, outcome)
-    _write_q_csv(out_dir / "qfunc.csv", echo, source, cfg)
+    _write_q_csv(out_dir / "qfunc.csv", echo, q_grid(source, cfg.n_theta, cfg.n_phi))
     return EXIT_OK
 
 

@@ -20,8 +20,10 @@ Cost: q_grid builds the overlap rows a block of theta rows at a time
 contracts each block before building the next. The work is
 points * (N+1) for a state (|rows C|^2) and points * (N+1)^2 for a
 density matrix (one matrix product rows rho, then a real row-wise dot
-with the rows). The live memory is one block plus the n_theta x n_phi
-result.
+with the rows). A list of sources that share one N shares each block:
+it is built once, contracted with every source in turn and freed before
+the next build. The live memory is one block plus one n_theta x n_phi
+result per source.
 """
 
 from __future__ import annotations
@@ -89,46 +91,57 @@ def check_grid(n_theta: int, n_phi: int):
         raise ValueError(f"grid sizes must be >= {MIN_GRID}")
 
 
-def q_grid(source, n_theta: int, n_phi: int) -> QGrid:
+def _contraction(source):
+    """N and the block contraction rows -> |<theta, phi|source>|^2 of one source."""
+    if isinstance(source, AtomState):
+        return source.n_atoms, lambda rows: np.abs(rows @ source.amplitudes) ** 2
+    rho = np.asarray(source, dtype=complex)
+    n_atoms = rho.shape[0] - 1
+
+    def contract(rows):
+        # Re sum_l (row rho)_l conj(row_l) is the dot of the two as float pairs
+        flat = rows.reshape(-1, n_atoms + 1)
+        dots = np.einsum("ij,ij->i", (flat @ rho).view(float), flat.view(float))
+        return dots.reshape(rows.shape[:2])
+
+    return n_atoms, contract
+
+
+def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     """Q sampled on the cell-centered (theta, phi) grid.
 
-    source is either an AtomState or a trace-1 density matrix.
+    source is either an AtomState or a trace-1 density matrix, and gives
+    one QGrid.  A list of sources that share one N gives a list of QGrid,
+    in order: each theta block of overlap rows is built once and
+    contracted with every source.  A list that mixes N is refused
+    (ValueError) before any work.
     """
     check_grid(n_theta, n_phi)
+    sources = source if isinstance(source, list) else [source]
+    contractions = [_contraction(s) for s in sources]
+    sizes = {n for n, _ in contractions}
+    if len(sizes) > 1:
+        raise ValueError(f"q_grid sources mix atom numbers {sorted(sizes)}")
+    if not sources:
+        return []
+    (n_atoms,) = sizes
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    if isinstance(source, AtomState):
-        n_atoms = source.n_atoms
-
-        def contract(rows):
-            return np.abs(rows @ source.amplitudes) ** 2
-
-    else:
-        rho = np.asarray(source, dtype=complex)
-        n_atoms = rho.shape[0] - 1
-
-        def contract(rows):
-            # Re sum_l (row rho)_l conj(row_l) is the dot of the two as float pairs
-            flat = rows.reshape(-1, n_atoms + 1)
-            dots = np.einsum("ij,ij->i", (flat @ rho).view(float), flat.view(float))
-            return dots.reshape(rows.shape[:2])
-
     height = max(1, _BLOCK_ENTRIES // (n_phi * (n_atoms + 1)))
-    values = np.empty((n_theta, n_phi))
+    values = [np.empty((n_theta, n_phi)) for _ in sources]
     for start in range(0, n_theta, height):
         block = slice(start, start + height)
-        values[block] = contract(_overlap_matrix(n_atoms, thetas[block], phis))
-    values *= (n_atoms + 1) / (4.0 * np.pi)
-    # only the density-matrix contraction can round below zero
-    if values.min() < -1e-10:
-        raise ValueError(f"Q grid value {values.min()} below roundoff tolerance")
-    values = np.maximum(values, 0.0)
+        rows = _overlap_matrix(n_atoms, thetas[block], phis)
+        for out, (_, contract) in zip(values, contractions):
+            out[block] = contract(rows)
+        del rows  # free this block before the next one is built
     weights = np.outer(_fejer_weights(thetas), np.full(n_phi, 2.0 * np.pi / n_phi))
-    return QGrid(
-        n_theta=n_theta,
-        n_phi=n_phi,
-        thetas=thetas,
-        phis=phis,
-        values=values,
-        weights=weights,
-    )
+    grids = []
+    for v in values:
+        v *= (n_atoms + 1) / (4.0 * np.pi)
+        # only the density-matrix contraction can round below zero
+        if v.min() < -1e-10:
+            raise ValueError(f"Q grid value {v.min()} below roundoff tolerance")
+        np.maximum(v, 0.0, out=v)
+        grids.append(QGrid(n_theta, n_phi, thetas, phis, v, weights))
+    return grids if isinstance(source, list) else grids[0]

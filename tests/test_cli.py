@@ -147,6 +147,57 @@ def test_write_csv_streams_blocks(tmp_path, monkeypatch):
         write_csv(tmp_path / "u.csv", [], {"i": np.arange(7), "x": x})
 
 
+def test_write_csv_matches_per_row_formatting(tmp_path, monkeypatch):
+    # a product grid whose repeats span the 7-row blocks; -0.0 and 0.0 (and
+    # the two nan bit patterns) are equal or unordered as values but must
+    # keep their own bytes
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    nodes = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, math.pi, -2.5e-300])
+    counts = np.array([3, 3, -7, 0, 3])
+    x, k = (g.ravel() for g in np.meshgrid(nodes, counts, indexing="ij"))
+    columns = {
+        "x": x,
+        "k": k,
+        "name": [f"r{i % 4}" for i in range(x.size)],
+        "y": np.tile(nodes[::-1], counts.size),
+    }
+    write_csv(tmp_path / "t.csv", ["a = 1"], columns)
+    arrays = [np.asarray(c) for c in columns.values()]
+    row = ",".join({"f": "%.16e", "i": "%d"}.get(a.dtype.kind, "%s") for a in arrays) + "\n"
+    naive = "# a = 1\n# columns: x,k,name,y\n" + "".join(
+        row % r for r in zip(*(a.tolist() for a in arrays))
+    )
+    assert (tmp_path / "t.csv").read_bytes() == naive.encode()
+
+
+@pytest.mark.parametrize("gamma", ["0", "0.01"])
+def test_master_q_files_match_one_grid_per_snapshot(tmp_path, gamma):
+    text = base_config(
+        n_atoms="8", g=fmt(0.1 * FIG6_OMEGA / 8), gamma=gamma,
+        q_omega_t="5,10,15", n_theta="16", n_phi="16",
+    )
+    cfg = load_config(write(tmp_path / "c.cfg", text))
+    out = tmp_path / "out"
+    assert main(["master", "--config", str(tmp_path / "c.cfg"), "--out", str(out)]) == EXIT_OK
+    params = ModelParams(8, cfg.omega, cfg.g, cfg.gamma, cfg.light())
+    state = build_spin_coherent(cfg.ge(), 8)
+    samples = integrate(params, state, TimeGrid(cfg.t_max, cfg.dt, cfg.sample_stride))
+    outcome = cfg.resolve_outcome()
+    echo = cli.config_echo_lines(cfg, "master")
+    for idx, target in enumerate(cfg.q_omega_t):
+        best = min(samples, key=lambda s: abs(params.omega * s.t - target))
+        cond = conditional_density(params, best.state, best.t, outcome)
+        expected = tmp_path / f"expected_{idx:02d}.csv"
+        cli._write_q_csv(
+            expected,
+            echo + [f"omega_t_requested = {fmt(target)}",
+                    f"omega_t_actual = {fmt(params.omega * best.t)}"],
+            q_grid(cond, 16, 16),
+        )
+        assert (out / f"master_q_{idx:02d}.csv").read_bytes() == expected.read_bytes()
+    assert not (out / "master_q_03.csv").exists()
+
+
 def test_config_state_parametrizations():
     cfg = ExperimentConfig(n_atoms=4, theta=0.0, phi=0.0)
     ge = cfg.ge()

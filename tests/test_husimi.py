@@ -232,14 +232,79 @@ def test_q_grid_blocks_match_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi, 
     assert blocks == 2 * expected_blocks
 
 
+def same_grid(a, b):
+    return all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in ("thetas", "phis", "values", "weights")
+    ) and (a.n_theta, a.n_phi) == (b.n_theta, b.n_phi)
+
+
+# a theta block budget of None (the default: all 17 rows in one block) or
+# of 3 rows (blocks of 3 and a ragged last block of 2)
+@pytest.mark.parametrize("budget_rows", [None, 3])
+def test_q_grid_list_matches_each_source(monkeypatch, budget_rows):
+    n_atoms, n_theta, n_phi = 30, 17, 20
+    if budget_rows is not None:
+        monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", budget_rows * n_phi * (n_atoms + 1))
+    states = [
+        build_spin_coherent(bloch_to_ge(BlochAngles(theta, phi)), n_atoms)
+        for theta, phi in [(0.9, 2.3), (0.1, 0.4), (2.6, 5.0)]
+    ]
+    rhos = [random_density(n_atoms, seed) for seed in (1, 2, 3)]
+    builds = []
+
+    def spy(n, thetas, phis):
+        builds.append(thetas.size)
+        return _overlap_matrix(n, thetas, phis)
+
+    monkeypatch.setattr(husimi, "_overlap_matrix", spy)
+    for sources in (states, rhos, states[:1] + rhos[:1]):
+        singles = [q_grid(s, n_theta, n_phi) for s in sources]
+        builds.clear()
+        grids = q_grid(sources, n_theta, n_phi)
+        assert len(grids) == len(sources)
+        assert all(same_grid(g, s) for g, s in zip(grids, singles))
+        # one row build per theta block, shared by every source
+        assert builds == ([n_theta] if budget_rows is None else [3, 3, 3, 3, 3, 2])
+
+
+def test_q_grid_list_refuses_mixed_atom_numbers(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("rows built for a refused list")
+
+    monkeypatch.setattr(husimi, "_overlap_matrix", no_build)
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), 4)
+    with pytest.raises(ValueError):
+        q_grid([state, random_density(5, seed=0)], 16, 16)
+    assert q_grid([], 16, 16) == []
+
+
 def test_q_grid_memory_stays_blocked():
-    # the whole (64, 64, 2001) overlap tensor alone is 131 MB; one block
-    # and its temporaries stay far below it
-    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.6, 1.0)), 2000)
-    tracemalloc.start()
-    try:
-        q_grid(state, 64, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
+    # the whole (64, 64, 2001) overlap tensor alone is 131 MB; q_grid holds
+    # one block of 2 theta rows (4 MB) and its build's temporaries.  On top
+    # of that build's own peak it may add only the 64 x 64 results, 32 kB
+    # each, and 16 kB for one block's contraction and small Python objects;
+    # a row block held into the next build would add 4 MB.  Three sources
+    # may add to one source's peak only their two extra results (and 8 kB,
+    # as the small objects' share moves by about 2 kB with what ran before)
+    states = [
+        build_spin_coherent(bloch_to_ge(BlochAngles(theta, 1.0)), 2000)
+        for theta in (0.6, 1.1, 2.0)
+    ]
+    thetas, phis = grid_node(64, np.arange(2), np.arange(64))
+    result = 64 * 64 * 8
+
+    def peak(run, *args):
+        tracemalloc.start()
+        try:
+            run(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    build = peak(_overlap_matrix, 2000, thetas, phis)
+    one = peak(q_grid, states[0], 64, 64)
+    three = peak(q_grid, states, 64, 64)
+    assert one < 32e6
+    assert three - one <= 2 * result + 8192
+    assert three - build <= 3 * result + 16384
