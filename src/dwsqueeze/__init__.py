@@ -10,59 +10,3 @@ validation oracles.
 """
 
 __version__ = "0.1.0"
-
-from .spin_core import (
-    AtomState,
-    BlochAngles,
-    GroundExcitedAmplitudes,
-    SpinMoments,
-    bloch_to_ge,
-    build_spin_coherent,
-    ge_to_lr_amplitudes,
-    moments_from_density,
-)
-from .pure_measure import (
-    DetectionOutcome,
-    InteractionSetting,
-    LightPair,
-    conditional_gaussian,
-    conditional_state,
-    gaussian_window,
-    most_probable_outcome,
-    outcome_cutoff,
-    port_amplitudes,
-)
-from .master_eq import (
-    ModelParams,
-    Sample,
-    TimeGrid,
-    conditional_density,
-    integrate,
-)
-from .husimi import QGrid, q_grid
-
-__all__ = [
-    "AtomState",
-    "BlochAngles",
-    "DetectionOutcome",
-    "GroundExcitedAmplitudes",
-    "InteractionSetting",
-    "LightPair",
-    "ModelParams",
-    "QGrid",
-    "Sample",
-    "SpinMoments",
-    "TimeGrid",
-    "bloch_to_ge",
-    "build_spin_coherent",
-    "conditional_density",
-    "conditional_gaussian",
-    "conditional_state",
-    "ge_to_lr_amplitudes",
-    "integrate",
-    "moments_from_density",
-    "most_probable_outcome",
-    "outcome_cutoff",
-    "port_amplitudes",
-    "q_grid",
-]

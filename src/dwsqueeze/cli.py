@@ -5,9 +5,10 @@ types every config key, and write_csv writes every output from named
 columns, floats in 17-significant-digit scientific notation.  Every file
 header echoes the fully resolved configuration, so identical configs
 produce byte-identical files.  A config or output path that cannot be
-read or written, or a config value out of its range, exits 2 before any
-work.  validate selects suites from validation.SUITES and only writes
-their reports.  Nothing here uses a random number generator.
+read or written, or a config value that is out of its range or not
+finite, exits 2 before any work.  validate selects suites from
+validation.SUITES and only writes their reports.  Nothing here uses a
+random number generator.
 """
 
 from __future__ import annotations
@@ -130,12 +131,19 @@ class ExperimentConfig:
             raise ConfigError(f"bad outcome {self.outcome!r}: {exc}") from exc
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(_parse_float(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(_parse_float(parts[0]), _parse_float(parts[1]))
     raise ConfigError(f"complex value must be 're' or 're,im', got {text!r}")
 
 
@@ -148,7 +156,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",")) if text.strip() else ()
+    return tuple(_parse_float(p) for p in text.split(",")) if text.strip() else ()
 
 
 def _parse_outcome(text: str) -> tuple[int, int]:
@@ -162,8 +170,8 @@ def _parse_outcome(text: str) -> tuple[int, int]:
 # ValueError as a ConfigError naming the key and the raw value
 _PARSERS = {
     "n_atoms": int, "sample_stride": int, "n_theta": int, "n_phi": int,
-    "theta": float, "phi": float, "omega": float, "g": float, "gamma": float,
-    "t": float, "t_max": float, "dt": float,
+    "theta": _parse_float, "phi": _parse_float, "omega": _parse_float, "g": _parse_float,
+    "gamma": _parse_float, "t": _parse_float, "t_max": _parse_float, "dt": _parse_float,
     "alpha": _parse_complex, "beta": _parse_complex,
     "alpha_l": _parse_complex, "alpha_r": _parse_complex,
     "emit_q": _parse_bool,

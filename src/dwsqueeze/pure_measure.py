@@ -24,6 +24,7 @@ import numpy as np
 from .spin_core import (
     AtomState,
     GroundExcitedAmplitudes,
+    _xlogy,
     ge_to_lr_amplitudes,
     log_factorials,
 )
@@ -96,26 +97,19 @@ class InteractionSetting:
         return self.g * self.t
 
 
-def port_amplitudes(
-    light: LightPair, setting: InteractionSetting, k, n_atoms: int
-):
-    """Detector-port amplitudes (alpha_c, alpha_d) for imbalance index k.
+def _port_amplitudes(light: LightPair, setting: InteractionSetting, n_atoms: int):
+    """Detector-port amplitudes (alpha_c(k), alpha_d(k)), k = 0..N.
 
     alpha_c(k) = (a_l + i a_r) cos[gt(k - N/2)] - (i a_l + a_r) sin[gt(k - N/2)]
     alpha_d(k) = (i a_l + a_r) cos[gt(k - N/2)] + (a_l + i a_r) sin[gt(k - N/2)]
 
-    Accepts scalar or array k.  |alpha_c|^2 + |alpha_d|^2 is conserved.
+    |alpha_c|^2 + |alpha_d|^2 is conserved.
     """
-    k = np.asarray(k)
-    if np.any(k < 0) or np.any(k > n_atoms):
-        raise ValueError(f"k out of range 0..{n_atoms}")
-    phase = setting.gt * (k - n_atoms / 2.0)
+    phase = setting.gt * (np.arange(n_atoms + 1) - n_atoms / 2.0)
     c, s = np.cos(phase), np.sin(phase)
     al, ar = light.alpha_l, light.alpha_r
     alpha_c = (al + 1j * ar) * c - (1j * al + ar) * s
     alpha_d = (1j * al + ar) * c + (al + 1j * ar) * s
-    if k.ndim == 0:
-        return complex(alpha_c), complex(alpha_d)
     return alpha_c, alpha_d
 
 
@@ -132,15 +126,9 @@ def _log_detection_amplitudes(
     tunneling, so the master-equation readout conditions through it too.
     """
     nc, nd = outcome.n_c, outcome.n_d
-    k = np.arange(n_atoms + 1)
-    alpha_c, alpha_d = port_amplitudes(light, setting, k, n_atoms)
-    mag_c = np.abs(alpha_c) / np.sqrt(2.0)
-    mag_d = np.abs(alpha_d) / np.sqrt(2.0)
-    with np.errstate(divide="ignore"):
-        term_c = np.where(nc > 0, nc * np.log(np.where(mag_c > 0, mag_c, 1.0)), 0.0)
-        term_c = np.where((nc > 0) & (mag_c == 0), -np.inf, term_c)
-        term_d = np.where(nd > 0, nd * np.log(np.where(mag_d > 0, mag_d, 1.0)), 0.0)
-        term_d = np.where((nd > 0) & (mag_d == 0), -np.inf, term_d)
+    alpha_c, alpha_d = _port_amplitudes(light, setting, n_atoms)
+    term_c = _xlogy(nc, np.abs(alpha_c) / np.sqrt(2.0))
+    term_d = _xlogy(nd, np.abs(alpha_d) / np.sqrt(2.0))
     lf = log_factorials(max(nc, nd))
     log_mag = -light.total_intensity / 2.0 + term_c + term_d - 0.5 * (lf[nc] + lf[nd])
     phase = nc * np.angle(alpha_c) + nd * np.angle(alpha_d)
@@ -219,18 +207,9 @@ def outcome_cutoff(light: LightPair) -> int:
 def _poisson_rows(lam: np.ndarray, n_max: int) -> np.ndarray:
     """Poisson pmf rows e^{-lam_k} lam_k^n / n!, n = 0..n_max, one row per k."""
     n = np.arange(n_max + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = (
-            n[None, :] * np.log(np.where(lam > 0, lam, 1.0))[:, None]
-            - lam[:, None]
-            - log_factorials(n_max)[None, :]
-        )
-    rows = np.exp(log_p)
-    zero = lam == 0
-    if np.any(zero):
-        rows[zero] = 0.0
-        rows[zero, 0] = 1.0
-    return rows
+    # a dark port (lam = 0) gives exp(0) = 1 at n = 0 and exp(-inf) = 0 beyond
+    log_p = _xlogy(n[None, :], lam[:, None]) - lam[:, None] - log_factorials(n_max)[None, :]
+    return np.exp(log_p)
 
 
 def detection_pmf_grid(
@@ -247,8 +226,7 @@ def detection_pmf_grid(
     """
     if n_max is None:
         n_max = outcome_cutoff(light)
-    k = np.arange(state.n_atoms + 1)
-    alpha_c, alpha_d = port_amplitudes(light, setting, k, state.n_atoms)
+    alpha_c, alpha_d = _port_amplitudes(light, setting, state.n_atoms)
     pc = _poisson_rows(np.abs(alpha_c) ** 2 / 2.0, n_max)
     pd = _poisson_rows(np.abs(alpha_d) ** 2 / 2.0, n_max)
     return (pc * state.pmf()[:, None]).T @ pd

@@ -12,6 +12,10 @@ every entry equals `gammaln(n + 1)` bit for bit without importing the
 special-function library.  It takes log x from math.log because that is
 the C library's log, the one cephes calls; np.log has its own
 implementation and differs from it in the last bit for a few integers.
+
+`_xlogy` is, next to it, the one owner of n log x with 0 log 0 = 0: the
+coherent amplitudes here, the detection factor A(k) and the Poisson rows
+of pure_measure all take their n log x terms from it.
 """
 
 from __future__ import annotations
@@ -155,6 +159,12 @@ def bloch_to_ge(angles: BlochAngles) -> GroundExcitedAmplitudes:
     )
 
 
+def _xlogy(n, x):
+    """n * log x elementwise, with 0 * log 0 = 0 and n * log 0 = -inf for n > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n == 0, 0.0, n * np.log(x))
+
+
 def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int):
     """Log magnitude and phase of binom(N,k)^(1/2) eta_l^k eta_r^(N-k).
 
@@ -166,11 +176,7 @@ def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int):
     log_binom = 0.5 * (lf[n_atoms] - lf - lf[::-1])
     eta_l = np.asarray(eta_l)[..., None]
     eta_r = np.asarray(eta_r)[..., None]
-    # k*log|eta| with the 0*log(0) = 0 convention at the endpoints
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_l = np.where(k > 0, k * np.log(np.abs(eta_l)), 0.0)
-        log_r = np.where(k < n_atoms, (n_atoms - k) * np.log(np.abs(eta_r)), 0.0)
-    log_mag = log_binom + log_l + log_r
+    log_mag = log_binom + _xlogy(k, np.abs(eta_l)) + _xlogy(n_atoms - k, np.abs(eta_r))
     phase = k * np.angle(eta_l) + (n_atoms - k) * np.angle(eta_r)
     return log_mag, phase
 

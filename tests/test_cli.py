@@ -509,14 +509,16 @@ def test_max_count_outcome_unreachable_fast(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_out():
+    # the CLI needs no scipy, and the package root imports nothing at all
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = "import sys, dwsqueeze.cli; print('scipy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    for module, absent in (("dwsqueeze.cli", "scipy"), ("dwsqueeze", "numpy")):
+        probe = f"import sys, {module}; print({absent!r} in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False", module
 
 
 @pytest.mark.parametrize(
@@ -535,10 +537,21 @@ def test_cli_import_leaves_scipy_out():
         ("sweep", {"sweep_param": "g", "sweep_values": "0", "t_max": "0"}),
         # a bad value outranks an earlier point over the step bound
         ("sweep", {"sweep_param": "gamma", "sweep_values": "1,-1"}),
+        # a value that is not finite
+        ("master", {"t_max": "inf"}),
+        ("master", {"dt": "nan"}),
+        ("master", {"omega": "nan"}),
+        ("master", {"gamma": "nan"}),
+        ("master", {"q_omega_t": "nan"}),
+        ("pure", {"t": "inf", "g": "1.0", "t_max": None}),
+        ("pure", {"t": "0.01", "g": "nan", "t_max": None}),
+        ("sweep", {"sweep_param": "omega", "sweep_values": "1,inf"}),
     ],
     ids=[
         "n_atoms", "dt", "gamma", "theta", "pure_t", "pure_light", "light_most_probable",
         "n_theta", "qfunc_n_phi", "sweep_point", "sweep_t_max", "sweep_bound_then_bad",
+        "t_max_inf", "dt_nan", "omega_nan", "gamma_nan", "q_omega_t_nan", "pure_t_inf",
+        "pure_g_nan", "sweep_values_inf",
     ],
 )
 def test_out_of_range_config_exit(tmp_path, capsys, monkeypatch, command, overrides):

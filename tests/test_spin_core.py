@@ -1,6 +1,7 @@
 """Spin basis, coherent states, operator matrices, moments, precession oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dwsqueeze.spin_core import (
     BlochAngles,
     GroundExcitedAmplitudes,
     MAX_ATOMS,
+    _xlogy,
     bloch_to_ge,
     build_spin_coherent,
     ge_to_lr_amplitudes,
@@ -295,3 +297,18 @@ def test_log_factorials_prefix_and_read_only():
     assert not small.flags.writeable
     with pytest.raises(ValueError):
         small[0] = 1.0
+
+
+def test_xlogy_zero_log_zero():
+    # 0 log 0 = 0 and n log 0 = -inf for n > 0, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _xlogy(0, 0.0) == 0.0
+        assert _xlogy(3, 0.0) == -np.inf
+        n = np.arange(4)[None, :]
+        x = np.array([0.0, 0.5, 2.0])[:, None]
+        out = _xlogy(n, x)
+    assert out.shape == (3, 4)
+    assert out[0, 0] == 0.0 and np.all(out[0, 1:] == -np.inf)
+    assert np.all(out[:, 0] == 0.0)
+    assert np.array_equal(out[1:, 1:], n[:, 1:] * np.log(x[1:]))
