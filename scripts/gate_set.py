@@ -10,7 +10,9 @@ Each run gets its own directory OUT_DIR/<name>/ holding the config it read
 - master and qfunc at gamma = 0.001 on the fig6_master seed-0 config;
 - pure on the pure_wide seed-0 config with both arms dark (every
   Poisson mean is 0);
-- the default validate.
+- the default validate;
+- validate's normalization suite on the fig6_master seed-0 config with
+  dt = 5.0, over the step bound, so its FAIL lines show.
 
 The configs come from perfbench/workloads.py, which is only read.  The
 program runs from this tree's src/ in a fresh interpreter per run.  To
@@ -49,6 +51,8 @@ def _jobs() -> dict[str, Job | None]:
     dark = {**generate("pure_wide", 0).config, "alpha_l": 0.0, "alpha_r": 0.0, "outcome": "0,0"}
     jobs["pure_wide-seed0-dark"] = Job("pure", dark)
     jobs["validate"] = None
+    unstable = {**generate("fig6_master", 0).config, "dt": 5.0, "suites": "normalization"}
+    jobs["validate-fault"] = Job("validate", unstable)
     return jobs
 
 

@@ -51,7 +51,7 @@ from .spin_core import (
     build_spin_coherent,
     moments_from_density,
 )
-from .validation import SUITES, suite_reports
+from .validation import SUITES, normalization_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -469,8 +469,10 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Oracle suites; exit 0 iff every report passes.
 
     Without a config the default suites run.  With a config, the
-    normalization checks run on the configured parameters instead, which
-    doubles as the fault-injection path (for example an unstable dt).
+    normalization checks run on the configured model instead, built
+    before any suite runs; this doubles as the fault-injection path (for
+    example an unstable dt).  A FAIL line ends with its report's error
+    text, when it has one.
     """
     names = cfg.suites if cfg else "all"
     selected = (
@@ -479,8 +481,11 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
     unknown = selected.difference(SUITES)
     if unknown:
         raise ConfigError(f"unknown suites {sorted(unknown)}; choose from {tuple(SUITES)}")
-    entries = [_model(cfg)] if cfg and "normalization" in selected else None
-    reports = suite_reports(selected, entries)
+    suites = {name: suite for name, suite in SUITES.items() if name in selected}
+    if cfg and "normalization" in suites:
+        entry = _model(cfg)  # refused (exit 2) before any suite runs
+        suites["normalization"] = lambda: normalization_sweep([entry])
+    reports = [r for suite in suites.values() for r in suite()]
     echo = config_echo_lines(cfg or ExperimentConfig(n_atoms=2), "validate")
     write_csv(
         out_dir / "validation_report.csv",
@@ -494,7 +499,8 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
     )
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name} error={r.max_abs_error:.3e} tol={r.tolerance:.0e}")
+        reason = "" if r.passed or "error" not in r.context else f" reason={r.context['error']}"
+        print(f"{status} {r.name} error={r.max_abs_error:.3e} tol={r.tolerance:.0e}{reason}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 

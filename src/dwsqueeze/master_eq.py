@@ -61,6 +61,8 @@ from .spin_core import (
 
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-8
+# resource guard, like spin_core.MAX_ATOMS: TimeGrid refuses more steps
+MAX_STEPS = 10**6
 
 # a start state within this distance (max |dC_k|, global phase aligned)
 # of a spin coherent state is evolved as a rotation
@@ -109,7 +111,11 @@ class Sample:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Fixed-step grid; integrate rounds dt so the steps land exactly on t_max."""
+    """Fixed-step grid; integrate rounds dt so the steps land exactly on t_max.
+
+    Refused unless t_max / dt <= MAX_STEPS, so a run that cannot finish
+    (or whose step count overflows) is refused before any work.
+    """
 
     t_max: float
     dt: float
@@ -118,6 +124,10 @@ class TimeGrid:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
+        if not self.t_max / self.dt <= MAX_STEPS:
+            raise ValueError(
+                f"t_max / dt = {self.t_max / self.dt:.3g} steps exceeds the budget {MAX_STEPS}"
+            )
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 

@@ -6,8 +6,11 @@ beamsplitter unitary, so it shares no math with the production detection
 path.  It is exponential in the photon cutoff and only meant for small
 instances.
 
-SUITES is validate's one table of suites, in report order.  A report's
-verdict is derived from its error and its tolerance, a module constant.
+SUITES is validate's one table of suites, in report order.  Every entry
+has one shape: a function of no arguments that returns its reports.
+normalization_sweep also takes a list of entries; the CLI calls it on
+the configured model in the normalization slot.  A report's verdict is
+derived from its error and its tolerance, a module constant.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ ORACLE_TAIL_TOL = 1e-10
 FOCK_TOL = 1e-8
 CROSSCHECK_TOL = 1e-8
 STIRLING_TOL = 0.05
+Q_NORM_TOL = 1e-3
 
 
 class OracleInconclusiveError(RuntimeError):
@@ -259,10 +263,7 @@ def stirling_regime_check(
     )
 
 
-SweepEntry = tuple[ModelParams, AtomState, TimeGrid]
-
-
-def _default_sweep_entries() -> list[SweepEntry]:
+def _default_sweep_entries() -> list[tuple[ModelParams, AtomState, TimeGrid]]:
     omega = math.pi / 4.0
     ge = GroundExcitedAmplitudes(math.sqrt(0.001), math.sqrt(0.999))
     grid = TimeGrid(8.0 / omega, 0.02, 20)
@@ -274,7 +275,15 @@ def _default_sweep_entries() -> list[SweepEntry]:
     return entries
 
 
-def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleReport]:
+# the reports that read an entry's trajectory, in report order
+_TRAJECTORY_CHECKS = (
+    ("trace_drift", TRACE_TOL), ("hermiticity", HERM_TOL), ("q_normalization", Q_NORM_TOL)
+)
+
+
+def normalization_sweep(
+    entries: list[tuple[ModelParams, AtomState, TimeGrid]] | None = None,
+) -> list[OracleReport]:
     """Completeness, trace, Hermiticity and Q-normalization over a parameter matrix.
 
     Each entry is a model, its initial state and its time grid; defaults
@@ -282,9 +291,11 @@ def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleR
     operating point.  Completeness is checked at gt = g * t_max.  The
     start is passed to integrate as a density matrix, so every entry
     deliberately runs the rho-RK4 path, also at gamma = 0, and its trace
-    and Hermiticity drifts are the ones reported.  A run that integrate
-    refuses or aborts (an unstable dt, say) fails those and the Q report,
-    with the error text in their context; the drift maxima propagate nan.
+    and Hermiticity drifts are the ones reported; the drift maxima
+    propagate nan.  An IntegrationError or ValueError on the way (integrate
+    refusing an unstable dt, conditioning refusing an unreachable
+    outcome, q_grid refusing its result) fails every report of the entry
+    not yet made, with the error text in its context.
     """
     if entries is None:
         entries = _default_sweep_entries()
@@ -303,39 +314,24 @@ def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleR
         )
 
         rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
+        made = len(reports)
         try:
             samples = integrate(params, rho0, grid)
-        except (IntegrationError, ValueError) as exc:
-            for name, tol in (
-                ("trace_drift", TRACE_TOL), ("hermiticity", HERM_TOL), ("q_normalization", 1e-3)
-            ):
-                reports.append(OracleReport.make(f"{name}[{tag}]", math.inf, tol, error=str(exc)))
-            continue
-        for name, drifts, tol in (
-            ("trace_drift", [s.trace_err for s in samples], TRACE_TOL),
-            ("hermiticity", [s.herm_err for s in samples], HERM_TOL),
-        ):
-            reports.append(OracleReport.make(f"{name}[{tag}]", np.max(drifts), tol, dt=grid.dt))
-
-        # conditioning or the Q grid can still refuse a gated trajectory;
-        # that fails this report only
-        try:
+            drifts = ([s.trace_err for s in samples], [s.herm_err for s in samples])
+            for (name, tol), d in zip(_TRAJECTORY_CHECKS, drifts):
+                reports.append(OracleReport.make(f"{name}[{tag}]", np.max(d), tol, dt=grid.dt))
             last = samples[-1]
             cond = conditional_density(
                 params, last.state, last.t, most_probable_outcome(params.light)
             )
             q_err = abs(1.0 - q_grid(cond, 128, 128).quadrature_sum())
-        except Exception as exc:
             reports.append(
-                OracleReport.make(
-                    f"q_normalization[{tag}]", math.inf, 1e-3, error=str(exc)
-                )
+                OracleReport.make(f"q_normalization[{tag}]", q_err, Q_NORM_TOL, grid=(128, 128))
             )
-        else:
-            reports.append(
-                OracleReport.make(
-                    f"q_normalization[{tag}]", q_err, 1e-3, grid=(128, 128)
-                )
+        except (IntegrationError, ValueError) as exc:
+            reports.extend(
+                OracleReport.make(f"{name}[{tag}]", math.inf, tol, error=str(exc))
+                for name, tol in _TRAJECTORY_CHECKS[len(reports) - made :]
             )
     return reports
 
@@ -343,7 +339,7 @@ def normalization_sweep(entries: list[SweepEntry] | None = None) -> list[OracleR
 _SUITE_GE = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
 
 
-def _fock_suite(entries: list[SweepEntry] | None) -> list[OracleReport]:
+def _fock_suite() -> list[OracleReport]:
     state, light = build_spin_coherent(_SUITE_GE, 2), LightPair(1.0, 1.0)
     return [
         fock_oracle_report(state, light, InteractionSetting(1.0, gt), 12)
@@ -351,29 +347,21 @@ def _fock_suite(entries: list[SweepEntry] | None) -> list[OracleReport]:
     ]
 
 
-def _crosscheck_suite(entries: list[SweepEntry] | None) -> list[OracleReport]:
+def _crosscheck_suite() -> list[OracleReport]:
     params = ModelParams(n_atoms=30, omega=0.0, g=1.0, gamma=0.0, light=LightPair(2.0, 2.0))
     state = build_spin_coherent(_SUITE_GE, 30)
     return [me_vs_pure_crosscheck(params, state, DetectionOutcome(4, 4), t=0.1)]
 
 
-def _stirling_suite(entries: list[SweepEntry] | None) -> list[OracleReport]:
+def _stirling_suite() -> list[OracleReport]:
     ge, light = GroundExcitedAmplitudes(0.0, 1.0), LightPair(math.sqrt(20.0), math.sqrt(20.0))
     return [stirling_regime_check(ge, 200, light, InteractionSetting(1.0, 0.005))]
 
 
-# validate's suites in report order; each takes the normalization entries
-# (None for the default matrix), which only normalization reads
+# validate's suites in report order, each a function of no arguments
 SUITES = {
     "normalization": normalization_sweep,
     "fock": _fock_suite,
     "crosscheck": _crosscheck_suite,
     "stirling": _stirling_suite,
 }
-
-
-def suite_reports(
-    selected: set[str], entries: list[SweepEntry] | None
-) -> list[OracleReport]:
-    """The selected suites' reports, in SUITES order."""
-    return [r for name, suite in SUITES.items() if name in selected for r in suite(entries)]

@@ -422,13 +422,17 @@ def test_validate_fault_injection_fails(tmp_path, capsys, monkeypatch):
     )
     out = tmp_path / "out"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
-    status = dict(reversed(l.split()[:2]) for l in capsys.readouterr().out.splitlines())
+    lines = capsys.readouterr().out.splitlines()
+    status = dict(reversed(l.split()[:2]) for l in lines)
     assert status == {
         "completeness[N=30]": "PASS",  # the detection grid takes no step
         "trace_drift[N=30]": "FAIL",
         "hermiticity[N=30]": "FAIL",
         "q_normalization[N=30]": "FAIL",
     }
+    # each FAIL line, and no PASS line, ends with the refusal
+    for line in lines:
+        assert ("step bound" in line) == line.startswith("FAIL")
     assert steps == []
 
 
@@ -546,12 +550,15 @@ def test_cli_import_leaves_scipy_out():
         ("pure", {"t": "inf", "g": "1.0", "t_max": None}),
         ("pure", {"t": "0.01", "g": "nan", "t_max": None}),
         ("sweep", {"sweep_param": "omega", "sweep_values": "1,inf"}),
+        # a step count whose t_max / dt overflows
+        ("master", {"t_max": "1e300", "dt": "1e-10"}),
+        ("sweep", {"sweep_param": "gamma", "sweep_values": "0", "t_max": "1e300", "dt": "1e-10"}),
     ],
     ids=[
         "n_atoms", "dt", "gamma", "theta", "pure_t", "pure_light", "light_most_probable",
         "n_theta", "qfunc_n_phi", "sweep_point", "sweep_t_max", "sweep_bound_then_bad",
         "t_max_inf", "dt_nan", "omega_nan", "gamma_nan", "q_omega_t_nan", "pure_t_inf",
-        "pure_g_nan", "sweep_values_inf",
+        "pure_g_nan", "sweep_values_inf", "step_overflow", "sweep_step_overflow",
     ],
 )
 def test_out_of_range_config_exit(tmp_path, capsys, monkeypatch, command, overrides):

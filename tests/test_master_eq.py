@@ -625,6 +625,18 @@ def test_model_params_validation():
         TimeGrid(t_max=1.0, dt=-0.1)
 
 
+def test_time_grid_step_budget():
+    # a grid that cannot finish is refused before any work: 5e13 steps,
+    # and a t_max / dt that overflows to inf
+    for t_max, dt in ((1e12, 0.02), (1e300, 1e-10)):
+        with pytest.raises(ValueError, match="budget"):
+            TimeGrid(t_max, dt)
+    # one step under the budget is accepted and planned as such
+    grid = TimeGrid(0.02 * (master_eq.MAX_STEPS - 1), 0.02)
+    n_steps, _ = master_eq.step_plan(make_params(n=4, omega=0.1), grid)
+    assert n_steps == master_eq.MAX_STEPS - 1
+
+
 def test_rho_sample_gate():
     good = master_eq._rho_sample(0.0, np.eye(3, dtype=complex) / 3)
     assert (good.trace_err, good.herm_err) == (0.0, 0.0)

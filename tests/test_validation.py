@@ -9,6 +9,7 @@ import dwsqueeze.validation as validation
 from dwsqueeze.master_eq import ModelParams, Sample, TimeGrid
 from dwsqueeze.pure_measure import (
     DetectionOutcome,
+    ImpossibleOutcomeError,
     InteractionSetting,
     LightPair,
     _conditioning_factor,
@@ -185,6 +186,42 @@ def test_normalization_sweep_nan_trajectory_fails(monkeypatch):
         assert math.isnan(reports[name].max_abs_error)
         assert not reports[name].passed
     assert reports["completeness[N=2]"].passed
+
+
+def test_normalization_sweep_conditioning_failure(monkeypatch):
+    # a good trajectory whose outcome conditioning refuses: the drift
+    # reports are real and only the Q report fails, carrying the refusal
+    def refuse(*args):
+        raise ImpossibleOutcomeError("outcome has zero probability")
+
+    monkeypatch.setattr(validation, "conditional_density", refuse)
+    entries = validation._default_sweep_entries()[:1]  # N = 2
+    reports = normalization_sweep(entries)
+    assert [r.name for r in reports] == [
+        f"{check}[N=2]"
+        for check in ("completeness", "trace_drift", "hermiticity", "q_normalization")
+    ]
+    assert all(r.passed and "error" not in r.context for r in reports[:3])
+    q = reports[3]
+    assert q.max_abs_error == math.inf and not q.passed
+    assert q.context == {"error": "outcome has zero probability"}
+
+
+def test_normalization_sweep_undesigned_error_propagates(monkeypatch):
+    # only the designed refusals become FAIL rows; a broken invariant such
+    # as a detection probability above 1 is not swallowed
+    def broken(*args):
+        raise AssertionError("detection probability 1.5 exceeds 1")
+
+    monkeypatch.setattr(validation, "conditional_density", broken)
+    with pytest.raises(AssertionError):
+        normalization_sweep(validation._default_sweep_entries()[:1])
+
+
+def test_suites_take_no_arguments():
+    for name, suite in validation.SUITES.items():
+        reports = suite()
+        assert reports and all(isinstance(r, OracleReport) for r in reports), name
 
 
 def test_normalization_sweep_empty_is_success():
