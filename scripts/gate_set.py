@@ -10,6 +10,9 @@ Each run gets its own directory OUT_DIR/<name>/ holding the config it read
 - master and qfunc at gamma = 0.001 on the fig6_master seed-0 config;
 - pure on the pure_wide seed-0 config with both arms dark (every
   Poisson mean is 0);
+- sweeps on the dephasing_sweep seed-0 config over g and over omega,
+  each at that config's first gamma, and over gamma with a 0 point
+  first, so one batch mixes the rotation with the stepped points;
 - the default validate;
 - validate's normalization suite on the fig6_master seed-0 config with
   dt = 5.0, over the step bound, so its FAIL lines show.
@@ -50,6 +53,19 @@ def _jobs() -> dict[str, Job | None]:
     jobs["fig6_master-seed0-gamma0.001-qfunc"] = Job("qfunc", dephased)
     dark = {**generate("pure_wide", 0).config, "alpha_l": 0.0, "alpha_r": 0.0, "outcome": "0,0"}
     jobs["pure_wide-seed0-dark"] = Job("pure", dark)
+    sweep = generate("dephasing_sweep", 0).config
+    at_gamma = {**sweep, "gamma": sweep["sweep_values"][0]}
+    g, omega = sweep["g"], sweep["omega"]
+    jobs["dephasing_sweep-seed0-g"] = Job(
+        "sweep", {**at_gamma, "sweep_param": "g", "sweep_values": (0.5 * g, g, 1.5 * g)}
+    )
+    jobs["dephasing_sweep-seed0-omega"] = Job(
+        "sweep",
+        {**at_gamma, "sweep_param": "omega", "sweep_values": (0.5 * omega, omega, 1.2 * omega)},
+    )
+    jobs["dephasing_sweep-seed0-gamma0"] = Job(
+        "sweep", {**sweep, "sweep_values": (0.0, *sweep["sweep_values"])}
+    )
     jobs["validate"] = None
     unstable = {**generate("fig6_master", 0).config, "dt": 5.0, "suites": "normalization"}
     jobs["validate-fault"] = Job("validate", unstable)

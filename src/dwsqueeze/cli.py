@@ -350,15 +350,16 @@ def _write_q_csv(path: Path, echo: list[str], qg: QGrid):
     )
 
 
-def _conditional_timeseries(
-    params: ModelParams, samples, outcome: DetectionOutcome
-) -> dict[str, np.ndarray]:
-    """Conditional spin moments and sample drifts, one column entry per sample."""
-    moments = [
-        moments_from_density(conditional_density(params, s.state, s.t, outcome))
-        for s in samples
-    ]
-    t = np.array([s.t for s in samples])
+def _moments_row(params: ModelParams, outcome: DetectionOutcome, s) -> tuple:
+    """One sample reduced to (t, conditional moments, trace_err, herm_err)."""
+    m = moments_from_density(conditional_density(params, s.state, s.t, outcome))
+    return s.t, m, s.trace_err, s.herm_err
+
+
+def _timeseries_columns(params: ModelParams, rows) -> dict[str, np.ndarray]:
+    """The columns of _moments_row's rows, one column entry per sample."""
+    t, moments, trace_err, herm_err = zip(*rows)
+    t = np.array(t)
     norm = 4.0 / params.n_atoms
     return {
         "t": t,
@@ -369,9 +370,16 @@ def _conditional_timeseries(
         "jx_var_norm": norm * np.array([m.jx_var for m in moments]),
         "jy_var_norm": norm * np.array([m.jy_var for m in moments]),
         "jz_var_norm": norm * np.array([m.jz_var for m in moments]),
-        "trace_err": np.array([s.trace_err for s in samples]),
-        "herm_err": np.array([s.herm_err for s in samples]),
+        "trace_err": np.array(trace_err),
+        "herm_err": np.array(herm_err),
     }
+
+
+def _conditional_timeseries(
+    params: ModelParams, samples, outcome: DetectionOutcome
+) -> dict[str, np.ndarray]:
+    """Conditional spin moments and sample drifts, one column entry per sample."""
+    return _timeseries_columns(params, [_moments_row(params, outcome, s) for s in samples])
 
 
 def _model(cfg: ExperimentConfig) -> tuple[ModelParams, AtomState, TimeGrid]:
@@ -422,7 +430,14 @@ def run_qfunc(cfg: ExperimentConfig, out_dir: Path) -> int:
     echo = config_echo_lines(cfg, "qfunc")
     if cfg.t_max > 0:
         params, state, grid = _model(cfg)
-        last = integrate(params, state, grid)[-1]
+        # every sample is gated as it is made, and only the last one is held
+        kept = [None]
+
+        def keep_last(sample):
+            kept[0] = sample
+
+        integrate(params, state, grid, keep_last)
+        last = kept[0]
         source = conditional_density(params, last.state, last.t, outcome)
     else:
         state, setting = _pure_model(cfg)
@@ -440,7 +455,15 @@ def _first_crossing(omega_t: np.ndarray, values: np.ndarray) -> float:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Repeat the master run over one parameter, summarizing squeezing per point."""
+    """Repeat the master run over one parameter, summarizing squeezing per point.
+
+    All points run in one batched integrate call: its gamma > 0 points
+    step together as one rho stack, and each sample is reduced to its
+    moments row as it is made, so no trajectory is held.  A failed point
+    exits 1 with its error prefixed by the swept parameter and value; when
+    several fail, the one reported is at the earliest failing sample time
+    and, at that time, the first in sweep order.
+    """
     if cfg.sweep_param not in ("g", "gamma", "omega"):
         raise ConfigError("sweep_param must be one of g, gamma, omega")
     if not cfg.sweep_values:
@@ -453,9 +476,19 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     for params, _, grid in models:
         step_plan(params, grid)
     echo = config_echo_lines(cfg, "sweep")
+    points, states, grids = zip(*models)
+
+    def moments_rows(params):
+        return lambda s: _moments_row(params, outcome, s)
+
+    try:
+        series = integrate(points, states, grids[0], [moments_rows(p) for p in points])
+    except IntegrationError as exc:  # integrate tags it with the failing point
+        value = cfg.sweep_values[exc.point]
+        raise IntegrationError(f"sweep {cfg.sweep_param} = {value}: {exc}") from exc
     rows = []
-    for value, (params, state, grid) in zip(cfg.sweep_values, models):
-        ts = _conditional_timeseries(params, integrate(params, state, grid), outcome)
+    for value, params, point_rows in zip(cfg.sweep_values, points, series):
+        ts = _timeseries_columns(params, point_rows)
         omega_t, jx_var = ts["omega_t"], ts["jx_var_norm"]
         i_min = int(np.argmin(jx_var))
         crossing = _first_crossing(omega_t, jx_var)

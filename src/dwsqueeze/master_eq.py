@@ -27,6 +27,15 @@ Either path records each sample as a Sample: its time, its state (rho,
 or the lifted AtomState) and the drifts measured where integrate gates
 them, once per sample; Hermiticity is gated on the input only.
 
+integrate also takes a batch of points on one time grid, as a sweep
+does.  Its rho-RK4 points step together as one stack of matrices, each
+with its own coefficients, damping and overlaps, so numpy's per-call
+cost is paid once per batch instead of once per point, while every
+product pairs the same numbers as a run of one point and each point's
+samples stay bit-identical to its own run.  Each sample is handed to a
+caller's reduction as soon as it is gated, so a caller that keeps only
+a row per sample, or only the last sample, never holds a trajectory.
+
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
 = alpha_c(k)/sqrt2 and u_d(k) = (i a_{k,l} + a_{k,r})/sqrt2 = alpha_d(k)/sqrt2,
@@ -75,7 +84,14 @@ _BLOCK = 4096
 
 
 class IntegrationError(RuntimeError):
-    """Raised when density-matrix invariants break during integration."""
+    """Raised when density-matrix invariants break during integration.
+
+    integrate tags a failed sample's error with its time t and with point,
+    the failing point's index in the batch; both stay None otherwise.
+    """
+
+    t: float | None = None
+    point: int | None = None
 
 
 @dataclass(frozen=True)
@@ -98,8 +114,9 @@ class Sample:
     """One trajectory sample: the atomic state at time t and its drifts.
 
     On rho-RK4 state is rho_{kk'} (light amplitudes implicit), trace_err
-    |tr rho - 1| and herm_err max |rho - rho^dagger|.  On the rotation state
-    is the renormalized lift, trace_err the one-atom norm drift
+    |tr rho - 1| and herm_err max |rho - rho^dagger|, scanned on the input
+    and 0.0 after it, where rho is Hermitian by construction.  On the
+    rotation state is the renormalized lift, trace_err the one-atom norm drift
     | |xi|^2 - 1 | and herm_err 0.0, as for any projector.
     """
 
@@ -150,87 +167,111 @@ def coherent_overlaps(params: ModelParams, t):
     )
 
 
+class _Stack:
+    """A batch of B matrices rho_{kk'}, stored as one (N+1, B, N+1) array.
+
+    Row k of every point is one contiguous run, so the row neighbors of
+    all points are one shifted slice away at once: head holds rows
+    0 .. N-1 and tail rows 1 .. N, each as one contiguous (N, B (N+1))
+    block, and first is row 0.  transposed swaps k and k' within each
+    point.  The views are taken once per run, not once per stage.
+    """
+
+    def __init__(self, array: np.ndarray):
+        n = len(array) - 1
+        self.array, self.first = array, array[0]
+        self.head, self.tail = array[:-1].reshape(n, -1), array[1:].reshape(n, -1)
+        self.transposed = array.transpose(2, 1, 0)
+
+
 class _Generator:
-    """d rho / dt of the hybrid equation, with its constant parts built once.
+    """d rho / dt of the hybrid equation for a batch of points, constant parts built once.
 
     The row tunneling terms i H(t) rho, each neighbor weighted by its light
     overlap, plus their adjoint, plus the Lindblad dephasing
     -gamma/2 (m - m')^2 rho; ladder factors vanish at the k = 0 and k = N
     edges, so boundary terms drop out by construction.  For a Hermitian
     rho the column half of the commutator, -i rho H, is the adjoint of
-    the row half R = i H rho, so apply forms R and adds R^dagger.  On the
-    flattened matrix a row neighbor of rho_{kk'} is N + 1 entries away,
-    so each of R's two terms is one product of contiguous slices with
-    i omega s_k repeated along each row, which set_overlap weights by the
-    light overlap, the only part that depends on t; damping holds
-    gamma (m - m')^2 / 2.  apply writes into a caller's buffer through
-    work buffers of its own, and k, acc and y are the RK4 stage buffers,
-    so a step allocates nothing.
+    the row half R = i H rho, so apply forms R and adds R^dagger.  Each
+    of R's two terms is one product of a _Stack's head or tail with rows,
+    i omega s_k laid out like them, which set_overlap weights by the light
+    overlap, the only part that depends on t; damping holds
+    gamma (m - m')^2 / 2.  Every point of the batch (one ModelParams each,
+    all of one n_atoms) has its own omega in rows, its own gamma in
+    damping and its own overlaps.  Every product pairs the same two
+    numbers, in the same order, as in a batch of one, and runs over
+    contiguous memory, so a point's arithmetic does not depend on the
+    batch.  apply writes into a caller's stack through work buffers of its
+    own, and k, acc and y are the RK4 stage stacks.
     """
 
-    def __init__(self, params: ModelParams):
-        n = params.n_atoms
+    def __init__(self, points: list[ModelParams]):
+        n = points[0].n_atoms
         w = self.width = n + 1
-        self.rows = np.repeat(1j * params.omega * _ladder_factors(n), w)
+        ladder = _ladder_factors(n)
+        # rows[k, p (N+1) + k'] = i omega_p s_k, shaped like a _Stack's head
+        self.rows = np.stack(
+            [np.repeat(1j * p.omega * ladder, w).reshape(n, w) for p in points], axis=1
+        ).reshape(n, -1)
         self.row_plus, self.row_minus, self.row_term = (
             np.empty_like(self.rows) for _ in range(3)
         )
         m = np.arange(w, dtype=float)
         # stored complex: numpy would cast a real matrix on every product
-        gap = m[:, None] - m[None, :]
-        self.damping = (0.5 * params.gamma * gap**2).astype(complex).ravel()
-        self.full = np.empty(w * w, dtype=complex)
-        self.adj, self.k, self.acc, self.y = (
-            np.empty((w, w), dtype=complex) for _ in range(4)
-        )
+        gap2 = (m[:, None] - m[None, :]) ** 2
+        self.damping = np.stack([(0.5 * p.gamma * gap2).astype(complex) for p in points], axis=1)
+        self.full, self.adj = (np.empty_like(self.damping) for _ in range(2))
+        self.k, self.acc, self.y = (_Stack(np.empty_like(self.damping)) for _ in range(3))
 
-    def set_overlap(self, ov_plus: complex):
-        """Weight the coefficients by <a_m|a_{m+1}> and <a_{m+1}|a_m> = its conjugate."""
-        np.multiply(self.rows, ov_plus, out=self.row_plus)
-        np.multiply(self.rows, ov_plus.conjugate(), out=self.row_minus)
+    def set_overlap(self, ov_plus: np.ndarray):
+        """Weight the coefficients by <a_m|a_{m+1}> and <a_{m+1}|a_m> = its conjugate.
 
-    def apply(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write d rho / dt at the overlap last set into out.
-
-        Both are C-contiguous (N+1) x (N+1) arrays, rho Hermitian and out not rho.
+        ov_plus holds one overlap per point, repeated here along the
+        point's stretch of a stack row.
         """
-        r, d, w = rho.reshape(-1), out.reshape(-1), self.width
+        row = np.repeat(ov_plus, self.width)
+        np.multiply(self.rows, row, out=self.row_plus)
+        np.multiply(self.rows, row.conjugate(), out=self.row_minus)
+
+    def apply(self, rho: _Stack, out: _Stack) -> _Stack:
+        """Write d rho / dt at the overlaps last set into out, rho Hermitian and out not rho."""
         # row couplings: rho_{m-1,k'} enters row m, rho_{m+1,k'} enters row m
-        d[:w] = 0.0
-        np.multiply(self.row_minus, r[:-w], out=d[w:])
-        d[:-w] += np.multiply(self.row_plus, r[w:], out=self.row_term)
+        out.first[...] = 0.0
+        np.multiply(self.row_minus, rho.head, out=out.tail)
+        out.head += np.multiply(self.row_plus, rho.tail, out=self.row_term)
         # column couplings: the adjoint of the row ones
-        out += np.conjugate(out.T, out=self.adj)
-        d -= np.multiply(self.damping, r, out=self.full)
+        out.array += np.conjugate(out.transposed, out=self.adj)
+        out.array -= np.multiply(self.damping, rho.array, out=self.full)
         return out
 
 
-def _rk4_step(gen: _Generator, rho: np.ndarray, ov, dt: float) -> np.ndarray:
-    """Advance rho by one RK4 step in place and return it.
+def _rk4_step(gen: _Generator, rho: _Stack, ov: np.ndarray, dt: float):
+    """Advance every matrix of rho by one RK4 step, in place.
 
-    ov holds the light overlaps at t, t + dt/2 and t + dt.  The stages
-    keep the textbook sum rho + dt/6 (k1 + 2 k2 + 2 k3 + k4), accumulated
-    in gen.acc as each k is formed; gen.y holds the next stage's input.
+    ov holds each point's light overlaps at t, t + dt/2 and t + dt, shaped
+    (3, B).  The stages keep the textbook sum
+    rho + dt/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in gen.acc as each k
+    is formed; gen.y holds the next stage's input.
     """
     k, acc, y = gen.k, gen.acc, gen.y
+    r, ka, aa, ya = rho.array, k.array, acc.array, y.array
     # complex scalars: numpy would cast a real one on every product
     half, whole, two = complex(0.5 * dt), complex(dt), complex(2.0)
     gen.set_overlap(ov[0])
     gen.apply(rho, acc)
-    np.add(rho, np.multiply(half, acc, out=y), out=y)
+    np.add(r, np.multiply(half, aa, out=ya), out=ya)
     gen.set_overlap(ov[1])
     gen.apply(y, k)
-    acc += np.multiply(two, k, out=y)
-    np.add(rho, np.multiply(half, k, out=y), out=y)
+    aa += np.multiply(two, ka, out=ya)
+    np.add(r, np.multiply(half, ka, out=ya), out=ya)
     gen.apply(y, k)
-    acc += np.multiply(two, k, out=y)
-    np.add(rho, np.multiply(whole, k, out=y), out=y)
+    aa += np.multiply(two, ka, out=ya)
+    np.add(r, np.multiply(whole, ka, out=ya), out=ya)
     gen.set_overlap(ov[2])
     gen.apply(y, k)
-    acc += k
-    acc *= complex(dt / 6.0)
-    rho += acc
-    return rho
+    aa += ka
+    aa *= complex(dt / 6.0)
+    r += aa
 
 
 def _one_atom_state(state: AtomState) -> np.ndarray | None:
@@ -286,9 +327,12 @@ def _su2_propagators(params: ModelParams, first: int, count: int, dt: float):
 
 
 def _rotate(
-    params: ModelParams, xi: np.ndarray, n_steps: int, dt: float, stride: int
-) -> list[Sample]:
-    """Rotation trajectory of the one-atom state, gated and lifted at every sample."""
+    params: ModelParams, xi: np.ndarray, n_steps: int, dt: float, stride: int, out: _Trajectory
+) -> list:
+    """Rotation trajectory of the one-atom state, gated, lifted and added to out at every sample.
+
+    Returns out's values.
+    """
     n = params.n_atoms
     x0, x1 = complex(xi[0]), complex(xi[1])
 
@@ -300,7 +344,7 @@ def _rotate(
             raise IntegrationError(f"trace drift at t={t}: {drift:.3e}")
         return Sample(t, AtomState(n, _coherent_amplitudes(x1, x0, n)), drift, 0.0)
 
-    samples = [sample(0.0)]
+    out.add(0.0, sample)
     # a nan one-atom state is reported by the drift gate before it is lifted
     with np.errstate(invalid="ignore"):
         for first in range(0, n_steps, _BLOCK):
@@ -308,8 +352,8 @@ def _rotate(
             for step, (a, b) in enumerate(zip(p.tolist(), q.tolist()), first + 1):
                 x0, x1 = a * x0 + b * x1, a.conjugate() * x1 - b.conjugate() * x0
                 if step % stride == 0 or step == n_steps:
-                    samples.append(sample(step * dt))
-    return samples
+                    out.add(step * dt, sample)
+    return out.values
 
 
 def step_plan(params: ModelParams, grid: TimeGrid) -> tuple[int, float]:
@@ -331,12 +375,17 @@ def step_plan(params: ModelParams, grid: TimeGrid) -> tuple[int, float]:
 def _rho_sample(t: float, rho: np.ndarray, herm_tol: float | None = None) -> Sample:
     """rho at t as a Sample, gated on what an RK4 step can break.
 
-    That is trace drift and a diagonal in [0, 1], after Hermiticity when
-    herm_tol is given; `not <=` so that a nan (overflowed) sample fails too.
+    That is trace drift and a diagonal in [0, 1]; `not <=` so that a nan
+    (overflowed) sample fails too.  Hermiticity is scanned and gated only
+    when herm_tol is given, on the input: a stepped rho is Hermitian to the
+    last bit, since the generator adds its own adjoint, so its herm_err is
+    0.0.
     """
-    he = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_tol is not None and not he <= herm_tol:
-        raise IntegrationError(f"Hermiticity broken at t={t}: {he:.3e}")
+    he = 0.0
+    if herm_tol is not None:
+        he = float(np.max(np.abs(rho - rho.conj().T)))
+        if not he <= herm_tol:
+            raise IntegrationError(f"Hermiticity broken at t={t}: {he:.3e}")
     te = float(abs(np.trace(rho) - 1.0))
     if not te <= TRACE_TOL:
         raise IntegrationError(f"trace drift at t={t}: {te:.3e}")
@@ -346,7 +395,58 @@ def _rho_sample(t: float, rho: np.ndarray, herm_tol: float | None = None) -> Sam
     return Sample(t, rho, te, he)
 
 
-def integrate(params: ModelParams, initial, grid: TimeGrid) -> list[Sample]:
+def _keep(sample: Sample) -> Sample:
+    return sample
+
+
+class _Trajectory:
+    """One point's samples, each reduced as it is made.
+
+    add(t, gate, *args) makes the sample gate(t, *args) and appends
+    reduce(sample) to values.  An IntegrationError of the gate or of
+    reduce leaves tagged with t and point, the point's batch index.
+    """
+
+    def __init__(self, point: int, reduce):
+        self.point, self.reduce, self.values = point, reduce, []
+
+    def add(self, t: float, gate, *args):
+        try:
+            self.values.append(self.reduce(gate(t, *args)))
+        except IntegrationError as exc:
+            exc.t, exc.point = t, self.point
+            raise
+
+
+def _step_batch(points, rhos, outs, n_steps: int, dt: float, stride: int):
+    """rho-RK4 of a batch of points of one n_atoms, stepped as one _Stack.
+
+    Every input is gated, Hermiticity included, and added at t = 0 before
+    the first step; at each later sample time the points are gated and
+    added in batch order, so the first failure raised is at the earliest
+    failing time and, at that time, of the first failing point.
+    """
+    for rho0, out in zip(rhos, outs):
+        out.add(0.0, _rho_sample, rho0.copy(), HERM_TOL)
+    # the generator takes the Hermitian part; the gate bounds the rest by HERM_TOL
+    rho = _Stack(np.stack([0.5 * (r + r.conj().T) for r in rhos], axis=1))
+    gen = _Generator(points)
+    # an unstable step overflows to inf/nan, which the sample gate reports,
+    # so numpy's warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_steps, _BLOCK):
+            t = (first + np.arange(min(_BLOCK, n_steps - first))) * dt
+            times = np.stack((t, t + 0.5 * dt, t + dt), axis=1)
+            # (steps, 3, B): each point's overlap at each RK4 node
+            nodes = np.stack([coherent_overlaps(p, times) for p in points], axis=-1)
+            for step, ov in enumerate(nodes, first + 1):
+                _rk4_step(gen, rho, ov, dt)
+                if step % stride == 0 or step == n_steps:
+                    for i, out in enumerate(outs):
+                        out.add(step * dt, _rho_sample, rho.array[:, i].copy())
+
+
+def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
     """Trajectory from a density matrix or an AtomState, sampled every stride steps.
 
     At gamma = 0 a spin coherent AtomState is rotated through its
@@ -356,6 +456,18 @@ def integrate(params: ModelParams, initial, grid: TimeGrid) -> list[Sample]:
     given at t = 0, then Hermitian to the last bit.  The step count is
     rounded so the trajectory lands exactly on t_max.
 
+    Each sample is handed to reduce as soon as it is made, and the list
+    of what reduce returns is the result; without reduce it is the list
+    of samples.  So a caller that reduces each sample to a row holds no
+    trajectory.
+
+    params may also be a list of points sharing grid, with initial and
+    reduce (when given) lists of the same length; the result is then one
+    list per point.  Their rotations run one by one, and their rho-RK4
+    points, which must share n_atoms, step together as one stack with
+    each point's own coefficients, damping and overlaps: each point's
+    samples are bit-identical to those of its own call.
+
     Each invariant is gated once, where it can break, and each sample
     records the drifts its gate measured: before the first step the step
     bound of step_plan, the input's size and a square rho (ValueError),
@@ -363,35 +475,48 @@ def integrate(params: ModelParams, initial, grid: TimeGrid) -> list[Sample]:
     sample the trace drift <= TRACE_TOL (on the rotation the one-atom
     norm drift, before the lift) and rho's diagonal in [0, 1].  Every
     other gate raises IntegrationError naming the offending time, and a
-    nan fails every gate.
+    nan fails every gate.  When points of a batch fail, the error raised
+    is that of the earliest failing sample time and, at that time, of the
+    first failing point; an IntegrationError of reduce counts as a
+    failure of its sample.  The error carries the time as t and the
+    point's index as point.
     """
-    n_steps, dt = step_plan(params, grid)
-    size = initial.n_atoms if isinstance(initial, AtomState) else len(initial) - 1
-    if size != params.n_atoms:
-        raise ValueError(f"state of {size} atoms for a model of {params.n_atoms}")
-    if isinstance(initial, AtomState):
-        xi = _one_atom_state(initial) if params.gamma == 0.0 else None
-        if xi is not None:
-            return _rotate(params, xi, n_steps, dt, grid.sample_stride)
-        initial = np.outer(initial.amplitudes, initial.amplitudes.conj())
-    rho0 = np.asarray(initial, dtype=complex)
-    if rho0.shape != (size + 1, size + 1):
-        raise ValueError("rho must be square")
-    samples = [_rho_sample(0.0, rho0.copy(), HERM_TOL)]
-    # the generator takes the Hermitian part; the gate bounds the rest by HERM_TOL
-    rho = 0.5 * (rho0 + rho0.conj().T)
-    gen = _Generator(params)
-    # an unstable step overflows to inf/nan, which the sample gate reports,
-    # so numpy's warnings would only repeat it on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_steps, _BLOCK):
-            t = (first + np.arange(min(_BLOCK, n_steps - first))) * dt
-            nodes = coherent_overlaps(params, np.stack((t, t + 0.5 * dt, t + dt), axis=1))
-            for step, ov in enumerate(nodes, first + 1):
-                rho = _rk4_step(gen, rho, ov, dt)
-                if step % grid.sample_stride == 0 or step == n_steps:
-                    samples.append(_rho_sample(step * dt, rho.copy()))
-    return samples
+    if isinstance(params, ModelParams):
+        return integrate([params], [initial], grid, None if reduce is None else [reduce])[0]
+    points = list(params)
+    # every point's step bound is checked; the plan itself depends on grid only
+    (n_steps, dt), *_ = [step_plan(p, grid) for p in points]
+    reduces = [_keep] * len(points) if reduce is None else reduce
+    outs = [_Trajectory(i, r) for i, r in enumerate(reduces)]
+    rotations, stepped = [], []
+    for p, state, out in zip(points, initial, outs, strict=True):
+        size = state.n_atoms if isinstance(state, AtomState) else len(state) - 1
+        if size != p.n_atoms:
+            raise ValueError(f"state of {size} atoms for a model of {p.n_atoms}")
+        if isinstance(state, AtomState):
+            xi = _one_atom_state(state) if p.gamma == 0.0 else None
+            if xi is not None:
+                rotations.append((p, xi, out))
+                continue
+            state = np.outer(state.amplitudes, state.amplitudes.conj())
+        rho0 = np.asarray(state, dtype=complex)
+        if rho0.shape != (size + 1, size + 1):
+            raise ValueError("rho must be square")
+        stepped.append((p, rho0, out))
+    failures = []
+    for p, xi, out in rotations:
+        try:
+            _rotate(p, xi, n_steps, dt, grid.sample_stride, out)
+        except IntegrationError as exc:
+            failures.append(exc)
+    if stepped:
+        try:
+            _step_batch(*zip(*stepped), n_steps, dt, grid.sample_stride)
+        except IntegrationError as exc:
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: (exc.t, exc.point))
+    return [out.values for out in outs]
 
 
 def conditional_density(

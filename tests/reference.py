@@ -8,7 +8,7 @@ tests can check it against closed forms and a rebuilt oracle.
 
 import numpy as np
 
-from dwsqueeze.master_eq import ModelParams, _Generator, coherent_overlaps
+from dwsqueeze.master_eq import ModelParams, _Generator, _Stack, coherent_overlaps
 from dwsqueeze.spin_core import GroundExcitedAmplitudes, SpinMoments
 
 
@@ -17,10 +17,10 @@ def rhs(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
 
     The generator integrate caches and steps, evaluated once.
     """
-    gen = _Generator(params)
-    gen.set_overlap(coherent_overlaps(params, t))
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    return gen.apply(rho, np.empty_like(rho))
+    gen = _Generator([params])
+    gen.set_overlap(np.array([coherent_overlaps(params, t)]))
+    rho = _Stack(np.array(rho, dtype=complex)[:, None, :])
+    return gen.apply(rho, _Stack(np.empty_like(rho.array))).array[:, 0]
 
 
 def spin_operator_matrices(n_atoms: int):

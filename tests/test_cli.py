@@ -636,7 +636,7 @@ def test_removed_config_keys_refused(tmp_path, capsys, key, value):
 
 
 def _nan_rk4_step(gen, rho, ov, dt):
-    return np.full_like(rho, np.nan)
+    rho.array[...] = np.nan
 
 
 def _nan_su2_propagators(params, first, count, dt):
@@ -677,6 +677,43 @@ def test_nan_sample_trips_drift_gate(tmp_path, capsys, monkeypatch, command, ste
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert message in errors[0]
+
+
+@pytest.mark.parametrize(
+    "values, poison, named",
+    [
+        # one point overflows
+        ("1e-05,2e-05,3e-05", {1: 1}, "2e-05"),
+        # two overflow: the earlier failing sample time wins ...
+        ("1e-05,2e-05,3e-05", {0: 120, 2: 30}, "3e-05"),
+        # ... and at one time, the first point in sweep order
+        ("1e-05,2e-05,3e-05", {2: 1, 1: 1}, "2e-05"),
+        # a gamma = 0 point is rotated, so stack index 0 is the second point
+        ("0,0.0005", {0: 1}, "0.0005"),
+    ],
+    ids=["one", "earlier_time", "same_time", "with_rotation"],
+)
+def test_sweep_failure_names_its_point(tmp_path, capsys, monkeypatch, values, poison, named):
+    # a nan in one point of the stepped stack fails that point's drift gate;
+    # the error names the swept parameter and value, exit 1, no summary
+    real = master_eq._rk4_step
+    taken = []
+
+    def poisoned(gen, rho, ov, dt):
+        real(gen, rho, ov, dt)
+        taken.append(None)
+        for point, first in poison.items():
+            if len(taken) >= first:
+                rho.array[:, point] = np.nan
+
+    monkeypatch.setattr(master_eq, "_rk4_step", poisoned)
+    cfg = write(tmp_path / "c.cfg", base_config(sweep_param="gamma", sweep_values=values))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: sweep gamma = {named}: trace drift at t=")
+    assert not (out / "sweep_summary.csv").exists()
 
 
 def test_overflowed_run_prints_one_error_line(tmp_path, capsys):

@@ -440,7 +440,8 @@ def test_rotation_fourth_order():
     xi = np.array([0.6, 0.8j])
 
     def final(steps):
-        return master_eq._rotate(params, xi, steps, 3.0 / steps, steps)[-1].state.amplitudes
+        out = master_eq._Trajectory(0, master_eq._keep)
+        return master_eq._rotate(params, xi, steps, 3.0 / steps, steps, out)[-1].state.amplitudes
 
     ref = final(25600)
 
@@ -645,3 +646,141 @@ def test_rho_sample_gate():
     # an overflowed sample: every drift is nan and must fail, not pass
     with pytest.raises(IntegrationError):
         master_eq._rho_sample(0.0, np.full((3, 3), np.nan, dtype=complex))
+
+
+def bits(x):
+    """A float or complex array's bit patterns, so -0.0 and each nan count as themselves."""
+    a = np.ascontiguousarray(x)
+    return a.view(np.int64)
+
+
+def state_bits(state):
+    return bits(state.amplitudes if isinstance(state, AtomState) else state)
+
+
+SWEEP_OMEGA = math.pi / 4
+SWEEP_G = 0.1 * SWEEP_OMEGA / 30
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        # a 0 point takes the rotation; the others step as one stack
+        ("gamma", (0.3 * SWEEP_G, 0.0, 2.0 * SWEEP_G)),
+        ("g", (SWEEP_G, 0.0, 1.7 * SWEEP_G)),
+        ("omega", (SWEEP_OMEGA, 0.0, 1.3 * SWEEP_OMEGA)),
+    ],
+)
+def test_batched_sweep_matches_per_point_runs(field, values):
+    # a batch, each sample reduced to its moments row as it is made, gives
+    # each point's columns bit for bit as its own integrate call followed
+    # by _conditional_timeseries, and each point's states bit for bit
+    from dwsqueeze.cli import _conditional_timeseries, _moments_row, _timeseries_columns
+
+    base = {"n_atoms": 30, "omega": SWEEP_OMEGA, "g": SWEEP_G, "gamma": 1e-3,
+            "light": LightPair(2.0, 2.0)}
+    points = [ModelParams(**{**base, field: v}) for v in values]
+    states = [build_spin_coherent(TILTED, 30)] * len(points)
+    grid = TimeGrid(3.0 / SWEEP_OMEGA, 0.005, 20)
+    outcome = DetectionOutcome(3, 5)
+
+    def moments_rows(params):
+        return lambda s: _moments_row(params, outcome, s)
+
+    batch = integrate(points, states, grid, [moments_rows(p) for p in points])
+    raw = integrate(points, states, grid)
+    for params, state, rows, samples in zip(points, states, batch, raw, strict=True):
+        single = integrate(params, state, grid)
+        ref = _conditional_timeseries(params, single, outcome)
+        got = _timeseries_columns(params, rows)
+        assert list(got) == list(ref)
+        for name in ref:
+            assert np.array_equal(bits(got[name]), bits(ref[name])), name
+        assert [s.t for s in samples] == [s.t for s in single]
+        for a, b in zip(samples, single, strict=True):
+            assert np.array_equal(state_bits(a.state), state_bits(b.state))
+            assert (a.trace_err, a.herm_err) == (b.trace_err, b.herm_err)
+    kinds = [isinstance(s[-1].state, AtomState) for s in raw]
+    assert kinds == [field == "gamma" and v == 0.0 for v in values]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
+def test_integrate_reduce_maps_each_sample(gamma):
+    # integrate(..., reduce) is [reduce(s) for s in integrate(...)], on the
+    # rotation and on rho-RK4 alike, with reduce called once per sample
+    params = make_params(n=12, omega=math.pi / 4, g=0.02, gamma=gamma)
+    state = build_spin_coherent(TILTED, 12)
+    grid = TimeGrid(3.0, 0.01, 17)
+    calls = []
+
+    def reduce(s):
+        calls.append(s.t)
+        return s.t, state_bits(s.state).tobytes(), s.trace_err, s.herm_err
+
+    got = integrate(params, state, grid, reduce)
+    assert got == [reduce(s) for s in integrate(params, state, grid)]
+    assert calls[: len(got)] == [t for t, *_ in got]
+
+
+def test_batch_reports_earliest_failure(monkeypatch):
+    # a batch whose points fail at different sample times reports the
+    # earliest time and, at that time, the first failing point in order
+    params = [dephasing_params(5) for _ in range(3)]
+    rho0 = random_density(5, seed=2)
+    grid = TimeGrid(1.0, 0.01, 10)
+    real = master_eq._rk4_step
+
+    def poisoned(first_steps):
+        taken = []
+
+        def step(gen, rho, ov, dt):
+            real(gen, rho, ov, dt)
+            taken.append(None)
+            for point, first in first_steps.items():
+                if len(taken) >= first:
+                    rho.array[:, point] = np.nan
+
+        return step
+
+    for first_steps, point, t in (
+        ({1: 1}, 1, 0.1),
+        ({0: 35, 2: 12}, 2, 0.2),
+        ({2: 3, 0: 5}, 0, 0.1),
+    ):
+        monkeypatch.setattr(master_eq, "_rk4_step", poisoned(first_steps))
+        with pytest.raises(IntegrationError, match="trace drift") as err:
+            integrate(params, [rho0] * 3, grid)
+        assert (err.value.point, err.value.t) == (point, t)
+
+
+def test_batch_rotation_failure_ordered_with_rk4(monkeypatch):
+    # the rotations run before the stack steps, yet a rotation point's
+    # failure takes its place in the same (time, point) order
+    params = [make_params(n=5, omega=0.5, g=0.02, gamma=gm) for gm in (1e-4, 0.0)]
+    states = [build_spin_coherent(TILTED, 5)] * 2
+    grid = TimeGrid(1.0, 0.01, 10)
+    real = master_eq._rk4_step
+
+    def nan_propagators(params, first, count, dt):
+        nan = np.full(count, np.nan, dtype=complex)
+        return nan, nan
+
+    def poisoned_from(first):
+        taken = []
+
+        def step(gen, rho, ov, dt):
+            real(gen, rho, ov, dt)
+            taken.append(None)
+            if len(taken) >= first:
+                rho.array[...] = np.nan
+
+        return step
+
+    monkeypatch.setattr(master_eq, "_su2_propagators", nan_propagators)
+    # the rotation fails at the first sample after t = 0; the stepped
+    # point fails there too (first in order), or later
+    for first, point in ((1, 0), (15, 1)):
+        monkeypatch.setattr(master_eq, "_rk4_step", poisoned_from(first))
+        with pytest.raises(IntegrationError, match="trace drift at t=0.1") as err:
+            integrate(params, states, grid)
+        assert err.value.point == point
