@@ -7,7 +7,10 @@ Each run gets its own directory OUT_DIR/<name>/ holding the config it read
 (result.txt).  The runs are:
 
 - the three benchmark workloads at seeds 0 and 7, each also run as qfunc;
-- master and qfunc at gamma = 0.001 on the fig6_master seed-0 config;
+- master and qfunc at gamma = 0.001 on the fig6_master seed-0 config,
+  and master there at omega = 1 and dt = 2^-5, sampled every step, so
+  omega t is exact on the samples and the Q targets -1, 0.046875 (a tie
+  between two samples) and 100 cover both ends and the tie rule;
 - pure on the pure_wide seed-0 config with both arms dark (every
   Poisson mean is 0);
 - sweeps on the dephasing_sweep seed-0 config over g and over omega,
@@ -51,6 +54,10 @@ def _jobs() -> dict[str, Job | None]:
     dephased = {**generate("fig6_master", 0).config, "gamma": 0.001}
     jobs["fig6_master-seed0-gamma0.001"] = Job("master", dephased)
     jobs["fig6_master-seed0-gamma0.001-qfunc"] = Job("qfunc", dephased)
+    jobs["fig6_master-seed0-gamma0.001-targets"] = Job("master", {
+        **dephased, "omega": 1.0, "t_max": 8.0, "dt": 0.03125, "sample_stride": 1,
+        "q_omega_t": (-1.0, 0.046875, 100.0),
+    })
     dark = {**generate("pure_wide", 0).config, "alpha_l": 0.0, "alpha_r": 0.0, "outcome": "0,0"}
     jobs["pure_wide-seed0-dark"] = Job("pure", dark)
     sweep = generate("dephasing_sweep", 0).config

@@ -375,13 +375,6 @@ def _timeseries_columns(params: ModelParams, rows) -> dict[str, np.ndarray]:
     }
 
 
-def _conditional_timeseries(
-    params: ModelParams, samples, outcome: DetectionOutcome
-) -> dict[str, np.ndarray]:
-    """Conditional spin moments and sample drifts, one column entry per sample."""
-    return _timeseries_columns(params, [_moments_row(params, outcome, s) for s in samples])
-
-
 def _model(cfg: ExperimentConfig) -> tuple[ModelParams, AtomState, TimeGrid]:
     """The master model, its initial coherent state and its time grid."""
     with _config_values():
@@ -393,24 +386,37 @@ def _model(cfg: ExperimentConfig) -> tuple[ModelParams, AtomState, TimeGrid]:
 
 
 def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Hybrid-equation time series of conditional moments, optional Q snapshots."""
+    """Hybrid-equation time series of conditional moments, optional Q snapshots.
+
+    Each sample is reduced to its moments row as it is made, and each
+    q_omega_t target keeps the nearest sample so far, the first of a tie,
+    so the run holds rows and one sample per target, not a trajectory.
+    """
     outcome = cfg.resolve_outcome()
     params, state, grid = _model(cfg)
     if cfg.q_omega_t:
         _check_q_grid(cfg)
-    samples = integrate(params, state, grid)
+    # per target: (|omega t - target|, sample) of the nearest sample so far
+    nearest = [(math.inf, None)] * len(cfg.q_omega_t)
+
+    def reduce(s):
+        for idx, (target, (best, _)) in enumerate(zip(cfg.q_omega_t, nearest)):
+            distance = abs(params.omega * s.t - target)
+            if distance < best:
+                nearest[idx] = distance, s
+        return _moments_row(params, outcome, s)
+
+    rows = integrate(params, state, grid, reduce)
     echo = config_echo_lines(cfg, "master")
     write_csv(
         out_dir / "master_timeseries.csv",
         echo + [f"outcome = {outcome.n_c},{outcome.n_d}"],
-        _conditional_timeseries(params, samples, outcome),
+        _timeseries_columns(params, rows),
     )
 
     if not cfg.q_omega_t:
         return EXIT_OK
-    snapshots = [
-        min(samples, key=lambda s: abs(params.omega * s.t - target)) for target in cfg.q_omega_t
-    ]
+    snapshots = [s for _, s in nearest]
     conds = [conditional_density(params, s.state, s.t, outcome) for s in snapshots]
     grids = q_grid(conds, cfg.n_theta, cfg.n_phi)
     for idx, (target, best, qg) in enumerate(zip(cfg.q_omega_t, snapshots, grids)):

@@ -32,9 +32,13 @@ does.  Its rho-RK4 points step together as one stack of matrices, each
 with its own coefficients, damping and overlaps, so numpy's per-call
 cost is paid once per batch instead of once per point, while every
 product pairs the same numbers as a run of one point and each point's
-samples stay bit-identical to its own run.  Each sample is handed to a
-caller's reduction as soon as it is gated, so a caller that keeps only
-a row per sample, or only the last sample, never holds a trajectory.
+samples stay bit-identical to its own run.  One time loop runs the
+whole batch: each block of steps advances every rotation and then steps
+the stack, and each sample time gates every point in batch order, so the
+first failure is at the earliest failing time and, at that time, of the
+first failing point, and it ends the run.  Each sample is handed to a caller's
+reduction as soon as it is gated, so a caller that keeps only a row per
+sample, or only the last sample, never holds a trajectory.
 
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
@@ -326,36 +330,6 @@ def _su2_propagators(params: ModelParams, first: int, count: int, dt: float):
     return np.cos(angle) + 1j * uz * sinc, 1j * transverse * sinc
 
 
-def _rotate(
-    params: ModelParams, xi: np.ndarray, n_steps: int, dt: float, stride: int, out: _Trajectory
-) -> list:
-    """Rotation trajectory of the one-atom state, gated, lifted and added to out at every sample.
-
-    Returns out's values.
-    """
-    n = params.n_atoms
-    x0, x1 = complex(xi[0]), complex(xi[1])
-
-    def sample(t):
-        drift = abs(abs(x0) ** 2 + abs(x1) ** 2 - 1.0)
-        # written as `not <=` so that a nan (overflowed) state fails too; it is
-        # refused before its lift, whose nan amplitudes AtomState would refuse
-        if not drift <= TRACE_TOL:
-            raise IntegrationError(f"trace drift at t={t}: {drift:.3e}")
-        return Sample(t, AtomState(n, _coherent_amplitudes(x1, x0, n)), drift, 0.0)
-
-    out.add(0.0, sample)
-    # a nan one-atom state is reported by the drift gate before it is lifted
-    with np.errstate(invalid="ignore"):
-        for first in range(0, n_steps, _BLOCK):
-            p, q = _su2_propagators(params, first, min(_BLOCK, n_steps - first), dt)
-            for step, (a, b) in enumerate(zip(p.tolist(), q.tolist()), first + 1):
-                x0, x1 = a * x0 + b * x1, a.conjugate() * x1 - b.conjugate() * x0
-                if step % stride == 0 or step == n_steps:
-                    out.add(step * dt, sample)
-    return out.values
-
-
 def step_plan(params: ModelParams, grid: TimeGrid) -> tuple[int, float]:
     """integrate's step count and dt, rounded to land on t_max.
 
@@ -395,55 +369,34 @@ def _rho_sample(t: float, rho: np.ndarray, herm_tol: float | None = None) -> Sam
     return Sample(t, rho, te, he)
 
 
-def _keep(sample: Sample) -> Sample:
-    return sample
+def _rotation_states(xi: tuple[complex, complex], p: np.ndarray, q: np.ndarray, sampled):
+    """The one-atom state xi stepped by the propagators (p, q), one step per pair.
 
-
-class _Trajectory:
-    """One point's samples, each reduced as it is made.
-
-    add(t, gate, *args) makes the sample gate(t, *args) and appends
-    reduce(sample) to values.  An IntegrationError of the gate or of
-    reduce leaves tagged with t and point, the point's batch index.
+    Returns {j: the state after step j} for each j in sampled, and the
+    last state.  A scalar recurrence that cannot raise: a nan or
+    overflowed state is reported by the gate of the sample it reaches.
     """
-
-    def __init__(self, point: int, reduce):
-        self.point, self.reduce, self.values = point, reduce, []
-
-    def add(self, t: float, gate, *args):
-        try:
-            self.values.append(self.reduce(gate(t, *args)))
-        except IntegrationError as exc:
-            exc.t, exc.point = t, self.point
-            raise
+    x0, x1 = xi
+    kept = {}
+    for j, (a, b) in enumerate(zip(p.tolist(), q.tolist())):
+        x0, x1 = a * x0 + b * x1, a.conjugate() * x1 - b.conjugate() * x0
+        if j in sampled:
+            kept[j] = x0, x1
+    return kept, (x0, x1)
 
 
-def _step_batch(points, rhos, outs, n_steps: int, dt: float, stride: int):
-    """rho-RK4 of a batch of points of one n_atoms, stepped as one _Stack.
+def _lift_sample(t: float, xi: tuple[complex, complex], n_atoms: int) -> Sample:
+    """The one-atom state xi at t lifted to n_atoms as a Sample, gated on its norm drift.
 
-    Every input is gated, Hermiticity included, and added at t = 0 before
-    the first step; at each later sample time the points are gated and
-    added in batch order, so the first failure raised is at the earliest
-    failing time and, at that time, of the first failing point.
+    The drift | |xi|^2 - 1 | is gated before the lift, `not <=` so that a
+    nan (overflowed) state fails too, rather than reach AtomState as nan
+    amplitudes.
     """
-    for rho0, out in zip(rhos, outs):
-        out.add(0.0, _rho_sample, rho0.copy(), HERM_TOL)
-    # the generator takes the Hermitian part; the gate bounds the rest by HERM_TOL
-    rho = _Stack(np.stack([0.5 * (r + r.conj().T) for r in rhos], axis=1))
-    gen = _Generator(points)
-    # an unstable step overflows to inf/nan, which the sample gate reports,
-    # so numpy's warnings would only repeat it on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_steps, _BLOCK):
-            t = (first + np.arange(min(_BLOCK, n_steps - first))) * dt
-            times = np.stack((t, t + 0.5 * dt, t + dt), axis=1)
-            # (steps, 3, B): each point's overlap at each RK4 node
-            nodes = np.stack([coherent_overlaps(p, times) for p in points], axis=-1)
-            for step, ov in enumerate(nodes, first + 1):
-                _rk4_step(gen, rho, ov, dt)
-                if step % stride == 0 or step == n_steps:
-                    for i, out in enumerate(outs):
-                        out.add(step * dt, _rho_sample, rho.array[:, i].copy())
+    x0, x1 = xi
+    drift = abs(abs(x0) ** 2 + abs(x1) ** 2 - 1.0)
+    if not drift <= TRACE_TOL:
+        raise IntegrationError(f"trace drift at t={t}: {drift:.3e}")
+    return Sample(t, AtomState(n_atoms, _coherent_amplitudes(x1, x0, n_atoms)), drift, 0.0)
 
 
 def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
@@ -463,10 +416,15 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
 
     params may also be a list of points sharing grid, with initial and
     reduce (when given) lists of the same length; the result is then one
-    list per point.  Their rotations run one by one, and their rho-RK4
-    points, which must share n_atoms, step together as one stack with
+    list per point.  Its rho-RK4 points must share n_atoms (ValueError
+    naming the numbers otherwise) and step together as one stack with
     each point's own coefficients, damping and overlaps: each point's
-    samples are bit-identical to those of its own call.
+    samples are bit-identical to those of its own call.  All points run
+    in one time loop: each block of steps forms the rotations'
+    propagators and their one-atom states at the block's sample times,
+    and the stack's RK4 node overlaps; the stack then steps through the
+    block, and each sample time gates and reduces every point in batch
+    order.
 
     Each invariant is gated once, where it can break, and each sample
     records the drifts its gate measured: before the first step the step
@@ -475,48 +433,87 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
     sample the trace drift <= TRACE_TOL (on the rotation the one-atom
     norm drift, before the lift) and rho's diagonal in [0, 1].  Every
     other gate raises IntegrationError naming the offending time, and a
-    nan fails every gate.  When points of a batch fail, the error raised
-    is that of the earliest failing sample time and, at that time, of the
-    first failing point; an IntegrationError of reduce counts as a
-    failure of its sample.  The error carries the time as t and the
-    point's index as point.
+    nan fails every gate.  The first failure ends the run, so the error
+    raised is that of the earliest failing sample time and, at that
+    time, of the first failing point, and no sample after it is made; an
+    IntegrationError of reduce counts as a failure of its sample.  The
+    error carries the time as t and the point's index as point.
     """
     if isinstance(params, ModelParams):
         return integrate([params], [initial], grid, None if reduce is None else [reduce])[0]
     points = list(params)
     # every point's step bound is checked; the plan itself depends on grid only
     (n_steps, dt), *_ = [step_plan(p, grid) for p in points]
-    reduces = [_keep] * len(points) if reduce is None else reduce
-    outs = [_Trajectory(i, r) for i, r in enumerate(reduces)]
-    rotations, stepped = [], []
-    for p, state, out in zip(points, initial, outs, strict=True):
+    reduces = [None] * len(points) if reduce is None else reduce
+    # batch index -> one-atom state of a rotated point, or rho of a stacked one
+    xis, rhos = {}, {}
+    for i, (p, state, _) in enumerate(zip(points, initial, reduces, strict=True)):
         size = state.n_atoms if isinstance(state, AtomState) else len(state) - 1
         if size != p.n_atoms:
             raise ValueError(f"state of {size} atoms for a model of {p.n_atoms}")
         if isinstance(state, AtomState):
             xi = _one_atom_state(state) if p.gamma == 0.0 else None
             if xi is not None:
-                rotations.append((p, xi, out))
+                xis[i] = complex(xi[0]), complex(xi[1])
                 continue
             state = np.outer(state.amplitudes, state.amplitudes.conj())
         rho0 = np.asarray(state, dtype=complex)
         if rho0.shape != (size + 1, size + 1):
             raise ValueError("rho must be square")
-        stepped.append((p, rho0, out))
-    failures = []
-    for p, xi, out in rotations:
-        try:
-            _rotate(p, xi, n_steps, dt, grid.sample_stride, out)
-        except IntegrationError as exc:
-            failures.append(exc)
-    if stepped:
-        try:
-            _step_batch(*zip(*stepped), n_steps, dt, grid.sample_stride)
-        except IntegrationError as exc:
-            failures.append(exc)
-    if failures:
-        raise min(failures, key=lambda exc: (exc.t, exc.point))
-    return [out.values for out in outs]
+        rhos[i] = rho0
+    stacked = [points[i] for i in rhos]
+    sizes = {p.n_atoms for p in stacked}
+    if len(sizes) > 1:
+        raise ValueError(f"rho-RK4 points of a batch mix atom numbers {sorted(sizes)}")
+    values = [[] for _ in points]
+
+    def sample(t, xis, rhos, herm_tol=None):
+        """Gate and reduce every point's state at t, in batch order."""
+        for i, (p, r) in enumerate(zip(points, reduces)):
+            try:
+                if i in xis:
+                    s = _lift_sample(t, xis[i], p.n_atoms)
+                else:
+                    s = _rho_sample(t, rhos[i].copy(), herm_tol)
+                values[i].append(s if r is None else r(s))
+            except IntegrationError as exc:
+                exc.t, exc.point = t, i
+                raise
+
+    sample(0.0, xis, rhos, HERM_TOL)
+    if stacked:
+        # the generator takes the Hermitian part; the gate bounds the rest by HERM_TOL
+        rho = _Stack(np.stack([0.5 * (r + r.conj().T) for r in rhos.values()], axis=1))
+        gen = _Generator(stacked)
+        rhos = {i: rho.array[:, k] for k, i in enumerate(rhos)}
+    # an unstable step overflows to inf/nan, which the sample gates report,
+    # so numpy's warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_steps, _BLOCK):
+            count = min(_BLOCK, n_steps - first)
+            # the block's steps j, after which every point is sampled
+            sampled = {
+                j for j in range(count)
+                if (first + j + 1) % grid.sample_stride == 0 or first + j + 1 == n_steps
+            }
+            turns = {
+                i: _rotation_states(xi, *_su2_propagators(points[i], first, count, dt), sampled)
+                for i, xi in xis.items()
+            }
+            nodes = [None] * count
+            if stacked:
+                t = (first + np.arange(count)) * dt
+                times = np.stack((t, t + 0.5 * dt, t + dt), axis=1)
+                # (steps, 3, B): each stacked point's overlap at each RK4 node
+                nodes = np.stack([coherent_overlaps(p, times) for p in stacked], axis=-1)
+            for j, ov in enumerate(nodes):
+                if ov is not None:
+                    _rk4_step(gen, rho, ov, dt)
+                if j in sampled:
+                    at_j = {i: kept[j] for i, (kept, _) in turns.items()}
+                    sample((first + j + 1) * dt, at_j, rhos)
+            xis = {i: last for i, (_, last) in turns.items()}
+    return values
 
 
 def conditional_density(
@@ -535,7 +532,7 @@ def conditional_density(
     if isinstance(state, AtomState):
         return conditional_state(state, params.light, setting, outcome)
     rho = np.asarray(state, dtype=complex)
-    mag, rot = _reachable_factor(params.light, setting, outcome, np.diag(rho).real)
+    mag, rot, _ = _reachable_factor(params.light, setting, outcome, np.diag(rho).real)
     b = mag * rot
     cond = rho * np.outer(b, b.conj())
     tr = np.trace(cond)

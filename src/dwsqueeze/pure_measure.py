@@ -135,7 +135,7 @@ def _log_detection_amplitudes(
     return log_mag, phase
 
 
-def _conditioning_factor(
+def _reachable_factor(
     light: LightPair,
     setting: InteractionSetting,
     outcome: DetectionOutcome,
@@ -143,9 +143,10 @@ def _conditioning_factor(
 ):
     """(|A(k)| / max_k |A(k)|, A(k)/|A(k)|, P) for a distribution p_k, k = 0..N.
 
-    P = sum_k p_k |A(k)|^2 is summed in the rescaled form.  Both models
-    condition through this one evaluation of A(k): p_k is |C_k|^2 for a
-    state and the real diagonal rho_kk for a density matrix.
+    P = sum_k p_k |A(k)|^2 is summed in the rescaled form, and an outcome
+    with P below PROB_FLOOR is refused.  Both models condition through
+    this one evaluation of A(k): p_k is |C_k|^2 for a state and the real
+    diagonal rho_kk for a density matrix.
     """
     log_mag, phase = _log_detection_amplitudes(light, setting, outcome, len(pk) - 1)
     # P <= max_k |A(k)|^2, so flooring the shift only touches outcomes below
@@ -155,23 +156,12 @@ def _conditioning_factor(
     p = float(np.sum(pk * mag**2)) * math.exp(2.0 * shift)
     if p > 1.0 + 1e-10:
         raise AssertionError(f"detection probability {p} exceeds 1")
-    return mag, np.exp(1j * phase), min(p, 1.0)
-
-
-def _reachable_factor(
-    light: LightPair,
-    setting: InteractionSetting,
-    outcome: DetectionOutcome,
-    pk: np.ndarray,
-):
-    """Rescaled magnitude and phase factor of A(k); refuses outcomes below PROB_FLOOR."""
-    mag, rot, p = _conditioning_factor(light, setting, outcome, pk)
     if not p >= PROB_FLOOR:  # a nan P is refused too
         raise ImpossibleOutcomeError(
             f"impossible outcome (n_c={outcome.n_c}, n_d={outcome.n_d}): "
             f"probability {p:.3e}"
         )
-    return mag, rot
+    return mag, np.exp(1j * phase), min(p, 1.0)
 
 
 def conditional_state(
@@ -185,7 +175,7 @@ def conditional_state(
     The phases of A(k) are kept; they carry the k-dependent rotation that
     shows up in the transverse spin moments.
     """
-    mag, rot = _reachable_factor(light, setting, outcome, state.pmf())
+    mag, rot, _ = _reachable_factor(light, setting, outcome, state.pmf())
     amp = state.amplitudes * mag * rot
     amp /= np.linalg.norm(amp)
     return AtomState(n_atoms=state.n_atoms, amplitudes=amp)

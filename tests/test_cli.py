@@ -170,11 +170,22 @@ def test_write_csv_matches_per_row_formatting(tmp_path, monkeypatch):
     assert (tmp_path / "t.csv").read_bytes() == naive.encode()
 
 
-@pytest.mark.parametrize("gamma", ["0", "0.01"])
-def test_master_q_files_match_one_grid_per_snapshot(tmp_path, gamma):
+@pytest.mark.parametrize(
+    "gamma, grid",
+    [
+        ("0", {"q_omega_t": "5,10,15"}),
+        ("0.01", {"q_omega_t": "5,10,15"}),
+        # omega t exact on the samples: 0.046875 ties 0.03125 and 0.0625
+        # and takes the earlier, and -1 and 100 lie off either end
+        ("0.01", {"omega": "1", "t_max": "8", "dt": fmt(2.0**-5), "sample_stride": "1",
+                  "q_omega_t": "0.046875,-1,100"}),
+    ],
+    ids=["0", "0.01", "tie-and-out-of-range"],
+)
+def test_master_q_files_match_one_grid_per_snapshot(tmp_path, gamma, grid):
     text = base_config(
         n_atoms="8", g=fmt(0.1 * FIG6_OMEGA / 8), gamma=gamma,
-        q_omega_t="5,10,15", n_theta="16", n_phi="16",
+        n_theta="16", n_phi="16", **grid,
     )
     cfg = load_config(write(tmp_path / "c.cfg", text))
     out = tmp_path / "out"
@@ -196,6 +207,10 @@ def test_master_q_files_match_one_grid_per_snapshot(tmp_path, gamma):
         )
         assert (out / f"master_q_{idx:02d}.csv").read_bytes() == expected.read_bytes()
     assert not (out / "master_q_03.csv").exists()
+    if cfg.q_omega_t[0] == 0.046875:
+        headers = [read_rows(out / f"master_q_{i:02d}.csv")[0] for i in range(3)]
+        for header, actual in zip(headers, (0.03125, 0.0, 8.0)):
+            assert f"# omega_t_actual = {fmt(actual)}" in header
 
 
 def test_config_state_parametrizations():
@@ -318,9 +333,12 @@ def test_master_rotation_reaches_1000_atoms(tmp_path, monkeypatch):
     # and the readout is O(N) per sample
     seen = []
 
-    def recording(*args, **kwargs):
-        seen.extend(integrate(*args, **kwargs))
-        return seen
+    def recording(params, state, grid, reduce):
+        def record(sample):
+            seen.append(sample)
+            return reduce(sample)
+
+        return integrate(params, state, grid, record)
 
     monkeypatch.setattr(cli, "integrate", recording)
     cfg = write(

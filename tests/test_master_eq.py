@@ -21,7 +21,7 @@ from dwsqueeze.pure_measure import (
     conditional_state,
     detection_pmf_grid,
     InteractionSetting,
-    _conditioning_factor,
+    _reachable_factor,
     _port_amplitudes,
 )
 from dwsqueeze.spin_core import (
@@ -434,14 +434,13 @@ def test_rotation_exact_for_constant_generator():
 def test_rotation_fourth_order():
     # a light overlap that turns fast makes the Magnus commutator term
     # matter; each halving of dt cuts the error 16-fold.  The coarse steps
-    # lie outside integrate's step bound, so the rotation is called directly
-    # on the one-atom state, which at N = 1 is the state's own amplitudes
+    # lie outside integrate's step bound, so the propagators are applied
+    # directly to the one-atom state, by integrate's own recurrence
     params = make_params(n=1, omega=1.3, g=0.7, light=LightPair(1.2, 0.5j))
-    xi = np.array([0.6, 0.8j])
 
     def final(steps):
-        out = master_eq._Trajectory(0, master_eq._keep)
-        return master_eq._rotate(params, xi, steps, 3.0 / steps, steps, out)[-1].state.amplitudes
+        p, q = master_eq._su2_propagators(params, 0, steps, 3.0 / steps)
+        return np.array(master_eq._rotation_states((0.6 + 0j, 0.8j), p, q, ())[1])
 
     ref = final(25600)
 
@@ -525,7 +524,7 @@ def test_rotation_sample_gate(monkeypatch):
 
 def probability_from_rho(params, rho, t, outcome):
     setting = InteractionSetting(params.g, t)
-    return _conditioning_factor(params.light, setting, outcome, np.diag(rho).real)[2]
+    return _reachable_factor(params.light, setting, outcome, np.diag(rho).real)[2]
 
 
 def test_detection_probability_poisson_at_t0():
@@ -674,8 +673,8 @@ SWEEP_G = 0.1 * SWEEP_OMEGA / 30
 def test_batched_sweep_matches_per_point_runs(field, values):
     # a batch, each sample reduced to its moments row as it is made, gives
     # each point's columns bit for bit as its own integrate call followed
-    # by _conditional_timeseries, and each point's states bit for bit
-    from dwsqueeze.cli import _conditional_timeseries, _moments_row, _timeseries_columns
+    # by _moments_row per sample, and each point's states bit for bit
+    from dwsqueeze.cli import _moments_row, _timeseries_columns
 
     base = {"n_atoms": 30, "omega": SWEEP_OMEGA, "g": SWEEP_G, "gamma": 1e-3,
             "light": LightPair(2.0, 2.0)}
@@ -691,7 +690,7 @@ def test_batched_sweep_matches_per_point_runs(field, values):
     raw = integrate(points, states, grid)
     for params, state, rows, samples in zip(points, states, batch, raw, strict=True):
         single = integrate(params, state, grid)
-        ref = _conditional_timeseries(params, single, outcome)
+        ref = _timeseries_columns(params, [_moments_row(params, outcome, s) for s in single])
         got = _timeseries_columns(params, rows)
         assert list(got) == list(ref)
         for name in ref:
@@ -754,8 +753,8 @@ def test_batch_reports_earliest_failure(monkeypatch):
 
 
 def test_batch_rotation_failure_ordered_with_rk4(monkeypatch):
-    # the rotations run before the stack steps, yet a rotation point's
-    # failure takes its place in the same (time, point) order
+    # a rotation point's failure takes its place in the same (time, point)
+    # order as a stacked point's
     params = [make_params(n=5, omega=0.5, g=0.02, gamma=gm) for gm in (1e-4, 0.0)]
     states = [build_spin_coherent(TILTED, 5)] * 2
     grid = TimeGrid(1.0, 0.01, 10)
@@ -784,3 +783,43 @@ def test_batch_rotation_failure_ordered_with_rk4(monkeypatch):
         with pytest.raises(IntegrationError, match="trace drift at t=0.1") as err:
             integrate(params, states, grid)
         assert err.value.point == point
+
+
+def test_batch_stops_at_first_failure(monkeypatch):
+    # one time loop: the stacked point fails at the first sample after
+    # t = 0, and no point's reduction is called for a later time, the
+    # rotation's included
+    params = [make_params(n=5, omega=0.5, g=0.02, gamma=gm) for gm in (0.0, 1e-4)]
+    states = [build_spin_coherent(TILTED, 5)] * 2
+    real = master_eq._rk4_step
+
+    def poisoned(gen, rho, ov, dt):
+        real(gen, rho, ov, dt)
+        rho.array[...] = np.nan
+
+    monkeypatch.setattr(master_eq, "_rk4_step", poisoned)
+    calls = []
+
+    def recording(point):
+        return lambda s: calls.append((s.t, point))
+
+    with pytest.raises(IntegrationError, match="trace drift at t=0.1") as err:
+        integrate(params, states, TimeGrid(1.0, 0.01, 10), [recording(0), recording(1)])
+    assert err.value.point == 1
+    assert calls == [(0.0, 0), (0.0, 1), (0.1, 0)]
+
+
+def test_batch_refuses_mixed_atom_numbers():
+    # rho-RK4 points of 4 and 5 atoms cannot share one stack: refused,
+    # naming both numbers, before any sample is reduced
+    params = [dephasing_params(4), dephasing_params(5)]
+    states = [random_density(4), random_density(5)]
+    calls = []
+    with pytest.raises(ValueError, match=r"mix atom numbers \[4, 5\]"):
+        integrate(params, states, TimeGrid(1.0, 0.01, 10), [calls.append] * 2)
+    assert calls == []
+    # a rotation point of another size rides along with the stack
+    mixed = [make_params(n=7, omega=0.5), dephasing_params(5)]
+    got = integrate(mixed, [build_spin_coherent(TILTED, 7), random_density(5)],
+                    TimeGrid(1.0, 0.01, 50))
+    assert [len(s) for s in got] == [3, 3]

@@ -19,7 +19,7 @@ from dwsqueeze.pure_measure import (
     gaussian_window,
     most_probable_outcome,
     outcome_cutoff,
-    _conditioning_factor,
+    _reachable_factor,
     _log_detection_amplitudes,
     _poisson_rows,
     _port_amplitudes,
@@ -43,7 +43,13 @@ def poisson(n, lam):
 
 def detection_probability(state, light, setting, outcome):
     """P(n_c, n_d) = sum_k |C_k|^2 |A(k)|^2 from the conditioning kernel."""
-    return _conditioning_factor(light, setting, outcome, state.pmf())[2]
+    return _reachable_factor(light, setting, outcome, state.pmf())[2]
+
+
+def unshifted_probability(state, light, setting, outcome):
+    """The same sum of the unrescaled |A(k)|^2, also below the kernel's floor."""
+    log_mag, _ = _log_detection_amplitudes(light, setting, outcome, state.n_atoms)
+    return float(np.sum(state.pmf() * np.exp(2.0 * log_mag)))
 
 
 def approx_detection_probability(ge, n_atoms, light, setting, outcome):
@@ -242,18 +248,20 @@ def test_conditional_state_impossible_outcome():
 
 
 def test_detection_probability_below_floor_does_not_raise():
+    # A(k) itself is evaluated below the floor; only the kernel refuses it
     state = build_spin_coherent(GROUND, 10)
-    p = detection_probability(
-        state, LightPair(2.0, 2.0), InteractionSetting(1.0, 0.01), DetectionOutcome(400, 400)
-    )
+    args = (LightPair(2.0, 2.0), InteractionSetting(1.0, 0.01), DetectionOutcome(400, 400))
+    p = unshifted_probability(state, *args)
     assert 0.0 <= p < 1e-280
+    with pytest.raises(ImpossibleOutcomeError, match="impossible outcome"):
+        _reachable_factor(*args, state.pmf())
 
 
 def test_dark_light_with_counts_is_impossible():
     # A(k) = 0 for every k: P is exactly 0 and conditioning refuses the outcome
     state = build_spin_coherent(GROUND, 10)
     setting, outcome = InteractionSetting(1.0, 0.3), DetectionOutcome(1, 0)
-    assert detection_probability(state, LightPair(0.0, 0.0), setting, outcome) == 0.0
+    assert unshifted_probability(state, LightPair(0.0, 0.0), setting, outcome) == 0.0
     with pytest.raises(ImpossibleOutcomeError):
         conditional_state(state, LightPair(0.0, 0.0), setting, outcome)
 
@@ -263,7 +271,7 @@ def test_conditioning_factor_matches_unshifted_sum():
     light, setting = LightPair(RT20, RT20), InteractionSetting(1.0, 0.02)
     outcome = DetectionOutcome(23, 17)
     log_mag, phase = _log_detection_amplitudes(light, setting, outcome, 40)
-    mag, rot, p = _conditioning_factor(light, setting, outcome, state.pmf())
+    mag, rot, p = _reachable_factor(light, setting, outcome, state.pmf())
     assert mag.max() == 1.0
     assert np.allclose(mag * rot, np.exp(log_mag - log_mag.max() + 1j * phase), atol=1e-15)
     assert p == pytest.approx(np.sum(state.pmf() * np.exp(2.0 * log_mag)), rel=1e-12)

@@ -12,7 +12,7 @@ from dwsqueeze.pure_measure import (
     ImpossibleOutcomeError,
     InteractionSetting,
     LightPair,
-    _conditioning_factor,
+    _reachable_factor,
     detection_pmf_grid,
     outcome_cutoff,
 )
@@ -115,7 +115,7 @@ def test_crosscheck_exhaustive_small_instance():
     for nc in range(cutoff + 1):
         for nd in range(cutoff + 1):
             outcome = DetectionOutcome(nc, nd)
-            p = _conditioning_factor(
+            p = _reachable_factor(
                 light, InteractionSetting(1.0, t), outcome, state.pmf()
             )[2]
             if p <= 1e-8:
