@@ -16,14 +16,34 @@ spin-N/2 Q function holds spherical harmonics of degree <= N only, so
 the sphere integral is exact up to roundoff once n_theta, n_phi > N.
 
 Cost: q_grid builds the overlap rows a block of theta rows at a time
-(at most _BLOCK_ENTRIES complex entries, but at least one theta row) and
-contracts each block before building the next. The work is
-points * (N+1) for a state (|rows C|^2) and points * (N+1)^2 for a
-density matrix (one matrix product rows rho, then a real row-wise dot
-with the rows). A list of sources that share one N shares each block:
-it is built once, contracted with every source in turn and freed before
-the next build. The live memory is one block plus one n_theta x n_phi
-result per source.
+(theta rows * n_phi * (N+1) at most _BLOCK_ENTRIES, but at least one
+theta row) and contracts each block before building the next.  In a
+block the log magnitudes m_k and their real exp are formed for every k,
+as the row norm needs them; the phases, their cos and sin and the
+complex rows only on the support window W of the sources (below).  The
+work is points * (N+1) real entries, plus points * |W| complex ones for
+a state (|rows C_W|^2) and points * |W|^2 for a density matrix (one
+matrix product rows rho_WW, then a real row-wise dot with the rows).  A
+list of sources that share one N shares each block: it is built once,
+contracted with every source in turn and freed before the next build.
+The live memory is one block plus one n_theta x n_phi result per source.
+
+The support window W is the smallest range of k outside which each
+source's weight w_k is at most eps * max_k w_k: w_k = |C_k| for a state,
+w_k = sqrt(rho_kk) for a density matrix, and a list takes the smallest
+range holding every source's window.  eps = u / (3 (N+1)^2), with
+u = 2^-53 the unit roundoff, so dropping the k outside W moves any Q by
+at most u / (4 pi).  A state is rho = C C^dagger, so one derivation
+covers both: Q = (N+1)/(4 pi) sum_{k,k'} r_k rho_kk' r*_k' for the
+unit-norm row r, and the dropped terms are those with k or k' outside W.
+For rho >= 0 of trace 1, |rho_kk'| <= w_k w_k', every w_k <= 1 and
+|r_k| <= 1.  With a = sum_{k in W} |r_k| w_k <= 1 (Cauchy-Schwarz:
+sum |r_k|^2 = sum w_k^2 = 1) and b = sum_{k not in W} |r_k| w_k
+<= (N+1) eps <= 1, the dropped terms sum to at most
+(a + b)^2 - a^2 = 2ab + b^2 <= 3 (N+1) eps, and Q moves by at most
+3 (N+1)^2 eps / (4 pi) = u / (4 pi).  The row norm still runs over every
+k: on a full window exactly as np.linalg.norm of the rows, otherwise as
+sqrt(sum_{k in W} |row_k|^2 + sum_{k not in W} m_k^2).
 """
 
 from __future__ import annotations
@@ -36,8 +56,11 @@ from .spin_core import AtomState, _log_coherent_amplitudes
 
 MIN_GRID = 16
 
-# Overlap entries per theta block of q_grid: 2^18 complex, 4 MB.
+# Overlap entries per theta block of q_grid: 2^18 k-entries, 4 MB as complex.
 _BLOCK_ENTRIES = 1 << 18
+
+# Unit roundoff of float64, the u of the support window's eps.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass
@@ -76,13 +99,55 @@ def _fejer_weights(thetas: np.ndarray) -> np.ndarray:
     return (2.0 / n) * (1.0 - 2.0 * terms.sum(axis=1))
 
 
-def _overlap_matrix(n_atoms: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """<theta_i, phi_j | k> stacked as (n_theta, n_phi, N+1), rows unit norm."""
+def _overlap_matrix(
+    n_atoms: int, thetas: np.ndarray, phis: np.ndarray, window: slice = slice(None)
+) -> np.ndarray:
+    """<theta_i, phi_j | k> for the k of window, stacked as (n_theta, n_phi, |W|).
+
+    Each row is normalized over all k = 0..N (see the module docstring),
+    so a partial window holds its part of a unit-norm row.  The entries
+    equal those of a full-window build up to the rounding of the norm.
+    """
     eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
-    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
-    rows = np.exp(log_mag) * np.exp(-1j * phase)
-    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, window)
+    mag = np.exp(log_mag, out=log_mag)
+    inside = mag[..., window]
+    # m cos(phase) - i m sin(phase) is m exp(-i phase) bit for bit
+    rows = np.empty(phase.shape, dtype=complex)
+    np.multiply(inside, np.cos(phase), out=rows.real)
+    np.multiply(inside, np.sin(phase, out=phase), out=rows.imag)
+    np.negative(rows.imag, out=rows.imag)
+    if rows.shape[-1] == n_atoms + 1:
+        rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+        return rows
+    # the squared norm: m_k^2 off the window, |row_k|^2 on it
+    squares = np.square(mag, out=mag)
+    np.square(rows.real, out=inside)
+    inside += np.square(rows.imag)
+    rows /= np.sqrt(squares.sum(axis=2, keepdims=True))
     return rows
+
+
+def _support_window(sources: list, n_atoms: int) -> slice:
+    """The support window W of the sources (see the module docstring).
+
+    w_k <= eps max w is compared as w_k^2 <= eps^2 max w^2, on |C_k|^2 or
+    rho_kk, so a density matrix needs no square root; a diagonal entry
+    that rounded below zero is outside, and a nan keeps every k.  A
+    source with no entry above the cut leaves W to the others (all k if
+    none has one).
+    """
+    eps = _UNIT_ROUNDOFF / (3.0 * (n_atoms + 1) ** 2)
+    lo, hi = n_atoms + 1, 0
+    for source in sources:
+        if isinstance(source, AtomState):
+            weights = source.pmf()
+        else:
+            weights = np.diagonal(np.asarray(source)).real
+        inside = np.flatnonzero(~(weights <= eps * eps * weights.max()))
+        if inside.size:
+            lo, hi = min(lo, int(inside[0])), max(hi, int(inside[-1]) + 1)
+    return slice(lo, hi) if lo < hi else slice(0, n_atoms + 1)
 
 
 def check_grid(n_theta: int, n_phi: int):
@@ -91,20 +156,20 @@ def check_grid(n_theta: int, n_phi: int):
         raise ValueError(f"grid sizes must be >= {MIN_GRID}")
 
 
-def _contraction(source):
-    """N and the block contraction rows -> |<theta, phi|source>|^2 of one source."""
+def _contraction(source, window: slice):
+    """The block contraction rows over window -> |<theta, phi|source>|^2."""
     if isinstance(source, AtomState):
-        return source.n_atoms, lambda rows: np.abs(rows @ source.amplitudes) ** 2
-    rho = np.asarray(source, dtype=complex)
-    n_atoms = rho.shape[0] - 1
+        amplitudes = source.amplitudes[window]
+        return lambda rows: np.abs(rows @ amplitudes) ** 2
+    rho = np.asarray(source, dtype=complex)[window, window]
 
     def contract(rows):
         # Re sum_l (row rho)_l conj(row_l) is the dot of the two as float pairs
-        flat = rows.reshape(-1, n_atoms + 1)
+        flat = rows.reshape(-1, rows.shape[-1])
         dots = np.einsum("ij,ij->i", (flat @ rho).view(float), flat.view(float))
         return dots.reshape(rows.shape[:2])
 
-    return n_atoms, contract
+    return contract
 
 
 def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
@@ -112,27 +177,31 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
 
     source is either an AtomState or a trace-1 density matrix, and gives
     one QGrid.  A list of sources that share one N gives a list of QGrid,
-    in order: each theta block of overlap rows is built once and
-    contracted with every source.  A list that mixes N is refused
+    in order: each theta block of overlap rows is built once, on the
+    smallest window holding every source's, and contracted with every
+    source.  Where a source's own window is that window its values are
+    those of a call on it alone, bit for bit; otherwise they agree to the
+    window's bound and rounding.  A list that mixes N is refused
     (ValueError) before any work.
     """
     check_grid(n_theta, n_phi)
     sources = source if isinstance(source, list) else [source]
-    contractions = [_contraction(s) for s in sources]
-    sizes = {n for n, _ in contractions}
+    sizes = {s.n_atoms if isinstance(s, AtomState) else len(s) - 1 for s in sources}
     if len(sizes) > 1:
         raise ValueError(f"q_grid sources mix atom numbers {sorted(sizes)}")
     if not sources:
         return []
     (n_atoms,) = sizes
+    window = _support_window(sources, n_atoms)
+    contractions = [_contraction(s, window) for s in sources]
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     height = max(1, _BLOCK_ENTRIES // (n_phi * (n_atoms + 1)))
     values = [np.empty((n_theta, n_phi)) for _ in sources]
     for start in range(0, n_theta, height):
         block = slice(start, start + height)
-        rows = _overlap_matrix(n_atoms, thetas[block], phis)
-        for out, (_, contract) in zip(values, contractions):
+        rows = _overlap_matrix(n_atoms, thetas[block], phis, window)
+        for out, contract in zip(values, contractions):
             out[block] = contract(rows)
         del rows  # free this block before the next one is built
     weights = np.outer(_fejer_weights(thetas), np.full(n_phi, 2.0 * np.pi / n_phi))

@@ -165,11 +165,13 @@ def _xlogy(n, x):
         return np.where(n == 0, 0.0, n * np.log(x))
 
 
-def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int):
+def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int, window: slice = slice(None)):
     """Log magnitude and phase of binom(N,k)^(1/2) eta_l^k eta_r^(N-k).
 
     eta_l and eta_r are scalars or arrays of one shape; k = 0..N runs
-    along a new last axis.
+    along a new last axis.  The log magnitude covers every k, the phase
+    only the k of window (all of them by default); each entry is the
+    same whatever the window.
     """
     k = np.arange(n_atoms + 1)
     lf = log_factorials(n_atoms)
@@ -177,6 +179,7 @@ def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int):
     eta_l = np.asarray(eta_l)[..., None]
     eta_r = np.asarray(eta_r)[..., None]
     log_mag = log_binom + _xlogy(k, np.abs(eta_l)) + _xlogy(n_atoms - k, np.abs(eta_r))
+    k = k[window]
     phase = k * np.angle(eta_l) + (n_atoms - k) * np.angle(eta_r)
     return log_mag, phase
 

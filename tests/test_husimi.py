@@ -20,6 +20,7 @@ from dwsqueeze.spin_core import (
     AtomState,
     BlochAngles,
     GroundExcitedAmplitudes,
+    _log_coherent_amplitudes,
     bloch_to_ge,
     build_spin_coherent,
 )
@@ -176,21 +177,30 @@ def test_q_grid_squeezed_marginal_narrower():
     assert my_cond > my_coh
 
 
-def whole_tensor_q(source, n_theta, n_phi):
-    """Q from one (n_theta, n_phi, N+1) overlap tensor, contracted whole.
+def whole_tensor_q(source, n_theta, n_phi, window=slice(None)):
+    """Q from one (n_theta, n_phi, |W|) overlap tensor, contracted whole.
 
-    The oracle for q_grid's blocked contraction: same rows, same nodes.
+    On q_grid's support window it is the oracle for q_grid's blocked
+    contraction (same rows, same nodes); on the default full window it is
+    the full-row evaluation that the window is checked against.
     """
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     if isinstance(source, AtomState):
         n_atoms = source.n_atoms
-        rows = _overlap_matrix(n_atoms, thetas, phis)
-        return (n_atoms + 1) / (4.0 * np.pi) * np.abs(rows @ source.amplitudes) ** 2
+        rows = _overlap_matrix(n_atoms, thetas, phis, window)
+        amplitudes = source.amplitudes[window]
+        return (n_atoms + 1) / (4.0 * np.pi) * np.abs(rows @ amplitudes) ** 2
     n_atoms = source.shape[0] - 1
-    rows = _overlap_matrix(n_atoms, thetas, phis)
-    values = np.real(np.einsum("ijk,kl,ijl->ij", rows, source, rows.conj()))
+    rows = _overlap_matrix(n_atoms, thetas, phis, window)
+    rho = source[window, window]
+    values = np.real(np.einsum("ijk,kl,ijl->ij", rows, rho, rows.conj(), optimize=True))
     return np.maximum(values * (n_atoms + 1) / (4.0 * np.pi), 0.0)
+
+
+def q_window(source):
+    n_atoms = source.n_atoms if isinstance(source, AtomState) else source.shape[0] - 1
+    return husimi._support_window([source], n_atoms)
 
 
 def random_density(n_atoms, seed):
@@ -217,18 +227,21 @@ def test_q_grid_blocks_match_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi, 
     expected_blocks = [min(height, n_theta - s) for s in range(0, n_theta, height)]
     blocks = []
 
-    def spy(n, thetas, phis):
+    def spy(n, thetas, phis, window):
         blocks.append(thetas.size)
-        return _overlap_matrix(n, thetas, phis)
+        return _overlap_matrix(n, thetas, phis, window)
 
     monkeypatch.setattr(husimi, "_overlap_matrix", spy)
+    # at N = 200 this state's window is k = 0..141, so blocks of a partial
+    # window are checked too
     state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms)
     assert np.array_equal(
-        q_grid(state, n_theta, n_phi).values, whole_tensor_q(state, n_theta, n_phi)
+        q_grid(state, n_theta, n_phi).values,
+        whole_tensor_q(state, n_theta, n_phi, q_window(state)),
     )
     rho = random_density(n_atoms, seed=n_atoms)
     q_rho = q_grid(rho, n_theta, n_phi).values
-    assert np.max(np.abs(q_rho - whole_tensor_q(rho, n_theta, n_phi))) <= 1e-14
+    assert np.max(np.abs(q_rho - whole_tensor_q(rho, n_theta, n_phi, q_window(rho)))) <= 1e-14
     assert blocks == 2 * expected_blocks
 
 
@@ -253,12 +266,15 @@ def test_q_grid_list_matches_each_source(monkeypatch, budget_rows):
     rhos = [random_density(n_atoms, seed) for seed in (1, 2, 3)]
     builds = []
 
-    def spy(n, thetas, phis):
+    def spy(n, thetas, phis, window):
         builds.append(thetas.size)
-        return _overlap_matrix(n, thetas, phis)
+        return _overlap_matrix(n, thetas, phis, window)
 
     monkeypatch.setattr(husimi, "_overlap_matrix", spy)
+    # at N = 30 every source's window is the full range, so a list builds
+    # the rows of each single call
     for sources in (states, rhos, states[:1] + rhos[:1]):
+        assert all(q_window(s) == slice(0, n_atoms + 1) for s in sources)
         singles = [q_grid(s, n_theta, n_phi) for s in sources]
         builds.clear()
         grids = q_grid(sources, n_theta, n_phi)
@@ -308,3 +324,119 @@ def test_q_grid_memory_stays_blocked():
     assert one < 32e6
     assert three - one <= 2 * result + 8192
     assert three - build <= 3 * result + 16384
+
+
+# The support window: the overlap rows of q_grid cover only the k range W
+# outside which every source's weight is below eps = u / (3 (N+1)^2) of
+# its maximum, which moves any Q by at most u / (4 pi).
+U = 2.0**-53
+
+
+def fock_state(n_atoms, k):
+    amplitudes = np.zeros(n_atoms + 1, dtype=complex)
+    amplitudes[k] = 1.0
+    return AtomState(n_atoms, amplitudes)
+
+
+# (light amplitude, gt, outcome) of a squeezed conditional state: at N = 200
+# the point of test_q_grid_squeezed_marginal_narrower, at N = 2000 one like
+# the pure_wide benchmark's
+CONDITIONING = {200: (math.sqrt(20), 6.0 / 200, 20), 2000: (10.0, 5e-4, 100)}
+
+
+def conditional(n_atoms):
+    alpha, gt, count = CONDITIONING[n_atoms]
+    state = build_spin_coherent(GroundExcitedAmplitudes(0.0, 1.0), n_atoms)
+    return conditional_state(
+        state, LightPair(alpha, alpha), InteractionSetting(1.0, gt), DetectionOutcome(count, count)
+    )
+
+
+def window_sources(case, n_atoms):
+    """The sources of one case and the window bounds it must reach."""
+    if case == "conditional":
+        return [conditional(n_atoms)], ()
+    if case == "touches_0":
+        # eta_l is small near (pi/2, pi): the weight piles up at k = 0
+        angles = BlochAngles(*grid_node(16, 7, 7))
+        return [build_spin_coherent(bloch_to_ge(angles), n_atoms)], ("start",)
+    if case == "touches_N":
+        angles = BlochAngles(*grid_node(16, 7, 0))
+        return [build_spin_coherent(bloch_to_ge(angles), n_atoms)], ("stop",)
+    if case == "rho":
+        # an equal mixture of the conditional state and a copy shifted by N/20
+        c = conditional(n_atoms).amplitudes
+        v = np.stack([c, np.roll(c, n_atoms // 20)], axis=1) / math.sqrt(2.0)
+        return [v @ v.conj().T], ()
+    # a list whose two sources have disjoint one-point supports
+    return [fock_state(n_atoms, n_atoms // 5), fock_state(n_atoms, 4 * n_atoms // 5)], ()
+
+
+@pytest.mark.parametrize("case", ["conditional", "touches_0", "touches_N", "rho", "disjoint_list"])
+@pytest.mark.parametrize("n_atoms", [200, 2000])
+def test_windowed_q_matches_full_rows(case, n_atoms):
+    sources, ends = window_sources(case, n_atoms)
+    window = husimi._support_window(sources, n_atoms)
+    # the window is partial, and reaches the ends it must
+    assert window.stop - window.start < n_atoms + 1
+    assert (window.start == 0) == ("start" in ends)
+    assert (window.stop == n_atoms + 1) == ("stop" in ends)
+    if case == "disjoint_list":
+        assert window == slice(n_atoms // 5, 4 * n_atoms // 5 + 1)
+    grids = q_grid(sources, 16, 16)
+    for source, grid in zip(sources, grids):
+        full = whole_tensor_q(source, 16, 16)
+        # the dropped part moves Q by at most u / (4 pi); the shorter sums
+        # round in another order, a few ulp of the largest Q
+        tol = U / (4.0 * math.pi) + 16 * np.spacing(full.max())
+        assert np.max(np.abs(grid.values - full)) <= tol
+
+
+def test_support_window_is_smallest_range():
+    n_atoms = 50
+    eps = U / (3.0 * (n_atoms + 1) ** 2)
+    c = np.full(n_atoms + 1, 0.5 * eps)
+    c[20:31] = 1.0
+    c[10] = c[40] = 2.0 * eps
+    c[5] = 0.0
+    state = AtomState(n_atoms, c / np.linalg.norm(c))
+    assert husimi._support_window([state], n_atoms) == slice(10, 41)
+    # a density matrix reads its diagonal rho_kk = w_k^2; an entry that
+    # rounded below zero is outside, and a nan keeps every k
+    rho = np.diag(np.abs(state.amplitudes) ** 2).astype(complex)
+    rho[0, 0] = -1e-300
+    assert husimi._support_window([rho], n_atoms) == slice(10, 41)
+    rho[3, 3] = np.nan
+    assert husimi._support_window([rho], n_atoms) == slice(0, n_atoms + 1)
+    # a list takes the smallest range holding every window
+    edge = fock_state(n_atoms, n_atoms)
+    assert husimi._support_window([state, edge], n_atoms) == slice(10, n_atoms + 1)
+    assert husimi._support_window([edge], n_atoms) == slice(n_atoms, n_atoms + 1)
+
+
+def test_window_keeps_log_magnitudes_and_phases():
+    # the window only skips entries: the log magnitudes and the phases it
+    # keeps are those of the full range bit for bit, and the rows differ
+    # only in the rounding of their norm
+    n_atoms, window = 300, slice(40, 170)
+    thetas, phis = grid_node(16, np.arange(16), np.arange(16))
+    eta_l, eta_r = husimi._eta_pair(thetas[:, None], phis[None, :])
+    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
+    log_mag_w, phase_w = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, window)
+    assert log_mag_w.tobytes() == log_mag.tobytes()
+    assert phase_w.tobytes() == phase[..., window].tobytes()
+    full = _overlap_matrix(n_atoms, thetas, phis)
+    part = _overlap_matrix(n_atoms, thetas, phis, window)
+    assert np.max(np.abs(part - full[..., window])) <= 8 * U
+
+
+def test_full_window_rows_are_the_complex_exp_rows():
+    # on the full range the rows, built from cos and sin, equal
+    # m exp(-i phase) / norm, the whole-row build, entry for entry
+    n_atoms = 30
+    thetas, phis = grid_node(16, np.arange(16), np.arange(16))
+    eta_l, eta_r = husimi._eta_pair(thetas[:, None], phis[None, :])
+    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
+    rows = np.exp(log_mag) * np.exp(-1j * phase)
+    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    assert np.array_equal(_overlap_matrix(n_atoms, thetas, phis), rows)
