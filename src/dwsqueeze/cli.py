@@ -271,7 +271,7 @@ def write_csv(path: Path, header_lines: list[str], columns: dict):
         f.write(f"# columns: {','.join(columns)}\n")
         for start in range(0, max(map(len, arrays)), _BLOCK_ROWS):
             cells = [_format_cells(a[start:start + _BLOCK_ROWS]) for a in arrays]
-            f.write("".join(",".join(r) + "\n" for r in zip(*cells, strict=True)))
+            f.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
 def _warn_asymptotics(cfg: ExperimentConfig, outcome: DetectionOutcome, gt: float):

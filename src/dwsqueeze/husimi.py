@@ -27,6 +27,13 @@ matrix product rows rho_WW, then a real row-wise dot with the rows).  A
 list of sources that share one N shares each block: it is built once,
 contracted with every source in turn and freed before the next build.
 The live memory is one block plus one n_theta x n_phi result per source.
+A block's arrays are formed in place, through out= buffers, so a build
+holds at most four real arrays of the block's size at once (the log
+magnitudes, the second term of their sum and the phases; then the
+magnitudes, the phases and the complex rows as two), besides what
+np.linalg.norm takes to normalize a full window.  The block budget keeps
+each of them cache-sized.  Every block contracts whole theta rows in the
+same shapes, so the budget moves no bit of Q.
 
 The support window W is the smallest range of k outside which each
 source's weight w_k is at most eps * max_k w_k: w_k = |C_k| for a state,
@@ -56,8 +63,12 @@ from .spin_core import AtomState, _log_coherent_amplitudes
 
 MIN_GRID = 16
 
-# Overlap entries per theta block of q_grid: 2^18 k-entries, 4 MB as complex.
-_BLOCK_ENTRIES = 1 << 18
+# Overlap entries per theta block of q_grid: 2^15 k-entries, 256 kB per real
+# array, so a block's few arrays fit a core's 2 MB L2 cache.  In a sweep
+# of 2^13..2^18 (BENCH_25.json) 2^15 was the fastest or tied at N = 30;
+# the peak grows with the budget, and below 2^15 the per-block call
+# overhead starts to show.
+_BLOCK_ENTRIES = 1 << 15
 
 # Unit roundoff of float64, the u of the support window's eps.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -109,21 +120,24 @@ def _overlap_matrix(
     equal those of a full-window build up to the rounding of the norm.
     """
     eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
-    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, window)
-    mag = np.exp(log_mag, out=log_mag)
+    mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, window)
+    np.exp(mag, out=mag)
     inside = mag[..., window]
-    # m cos(phase) - i m sin(phase) is m exp(-i phase) bit for bit
+    # m cos(phase) - i m sin(phase) is m exp(-i phase) bit for bit; cos and
+    # sin are formed in the part of the row they scale, with no temporary
     rows = np.empty(phase.shape, dtype=complex)
-    np.multiply(inside, np.cos(phase), out=rows.real)
-    np.multiply(inside, np.sin(phase, out=phase), out=rows.imag)
-    np.negative(rows.imag, out=rows.imag)
+    re, im = rows.real, rows.imag
+    np.multiply(np.cos(phase, out=re), inside, out=re)
+    np.multiply(np.sin(phase, out=im), inside, out=im)
+    np.negative(im, out=im)
     if rows.shape[-1] == n_atoms + 1:
+        del mag, inside, phase  # freed before the norm's own temporaries
         rows /= np.linalg.norm(rows, axis=2, keepdims=True)
         return rows
     # the squared norm: m_k^2 off the window, |row_k|^2 on it
     squares = np.square(mag, out=mag)
-    np.square(rows.real, out=inside)
-    inside += np.square(rows.imag)
+    np.square(re, out=inside)
+    inside += np.square(im, out=phase)
     rows /= np.sqrt(squares.sum(axis=2, keepdims=True))
     return rows
 

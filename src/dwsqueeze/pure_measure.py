@@ -196,10 +196,12 @@ def outcome_cutoff(light: LightPair) -> int:
 
 def _poisson_rows(lam: np.ndarray, n_max: int) -> np.ndarray:
     """Poisson pmf rows e^{-lam_k} lam_k^n / n!, n = 0..n_max, one row per k."""
-    n = np.arange(n_max + 1)
+    n = np.arange(n_max + 1, dtype=float)
     # a dark port (lam = 0) gives exp(0) = 1 at n = 0 and exp(-inf) = 0 beyond
-    log_p = _xlogy(n[None, :], lam[:, None]) - lam[:, None] - log_factorials(n_max)[None, :]
-    return np.exp(log_p)
+    rows = _xlogy(n, lam[:, None], out=np.empty((len(lam), n_max + 1)))
+    rows -= lam[:, None]
+    rows -= log_factorials(n_max)
+    return np.exp(rows, out=rows)
 
 
 def detection_pmf_grid(
@@ -219,7 +221,8 @@ def detection_pmf_grid(
     alpha_c, alpha_d = _port_amplitudes(light, setting, state.n_atoms)
     pc = _poisson_rows(np.abs(alpha_c) ** 2 / 2.0, n_max)
     pd = _poisson_rows(np.abs(alpha_d) ** 2 / 2.0, n_max)
-    return (pc * state.pmf()[:, None]).T @ pd
+    pc *= state.pmf()[:, None]
+    return pc.T @ pd
 
 
 def _window_geometry(light: LightPair, outcome: DetectionOutcome):

@@ -159,10 +159,21 @@ def bloch_to_ge(angles: BlochAngles) -> GroundExcitedAmplitudes:
     )
 
 
-def _xlogy(n, x):
-    """n * log x elementwise, with 0 * log 0 = 0 and n * log 0 = -inf for n > 0."""
+def _xlogy(n, x, out=None):
+    """n * log x elementwise, with 0 * log 0 = 0 and n * log 0 = -inf for n > 0.
+
+    n log x is one multiply, into out when given (of the broadcast shape).
+    Then only the entries where n == 0 are set to 0, where the product
+    reads nan (x = 0) or -0.0 (x < 1); the mask has n's own shape, so no
+    full-size mask or select pass is made.  Scalar n and x give a scalar.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(n == 0, 0.0, n * np.log(x))
+        out = np.multiply(n, np.log(x), out=out)
+    zero = np.asarray(n) == 0
+    if np.ndim(out) == 0:
+        return 0.0 if zero else out
+    np.copyto(out, 0.0, where=zero)
+    return out
 
 
 def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int, window: slice = slice(None)):
@@ -173,14 +184,20 @@ def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int, window: slice = slice(N
     only the k of window (all of them by default); each entry is the
     same whatever the window.
     """
-    k = np.arange(n_atoms + 1)
+    k = np.arange(n_atoms + 1, dtype=float)  # exact, and no int-to-float cast buffers
     lf = log_factorials(n_atoms)
     log_binom = 0.5 * (lf[n_atoms] - lf - lf[::-1])
     eta_l = np.asarray(eta_l)[..., None]
     eta_r = np.asarray(eta_r)[..., None]
-    log_mag = log_binom + _xlogy(k, np.abs(eta_l)) + _xlogy(n_atoms - k, np.abs(eta_r))
+    shape = np.broadcast_shapes(eta_l.shape, k.shape)
+    # (k log|eta_l| + log_binom) + (N-k) log|eta_r|, summed in place
+    log_mag = _xlogy(k, np.abs(eta_l), out=np.empty(shape))
+    log_mag += log_binom
+    term = _xlogy(n_atoms - k, np.abs(eta_r), out=np.empty(shape))
+    log_mag += term
     k = k[window]
-    phase = k * np.angle(eta_l) + (n_atoms - k) * np.angle(eta_r)
+    phase = np.multiply(k, np.angle(eta_l), out=np.empty(shape[:-1] + k.shape))
+    phase += np.multiply(n_atoms - k, np.angle(eta_r), out=term[..., window])
     return log_mag, phase
 
 

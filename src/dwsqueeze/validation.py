@@ -291,8 +291,9 @@ def normalization_sweep(
     operating point.  Completeness is checked at gt = g * t_max.  The
     start is passed to integrate as a density matrix, so every entry
     deliberately runs the rho-RK4 path, also at gamma = 0, and its trace
-    and Hermiticity drifts are the ones reported; the drift maxima
-    propagate nan.  An IntegrationError or ValueError on the way (integrate
+    and Hermiticity drifts are the ones reported; the drift maxima are
+    folded as the samples arrive, propagate nan, and only the last sample
+    is held.  An IntegrationError or ValueError on the way (integrate
     refusing an unstable dt, conditioning refusing an unreachable
     outcome, q_grid refusing its result) fails every report of the entry
     not yet made, with the error text in its context.
@@ -315,12 +316,18 @@ def normalization_sweep(
 
         rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
         made = len(reports)
+        # the drift maxima (np.maximum propagates nan) and the last sample
+        drifts, kept = [-math.inf, -math.inf], [None]
+
+        def fold(s):
+            drifts[:] = np.maximum(drifts[0], s.trace_err), np.maximum(drifts[1], s.herm_err)
+            kept[0] = s
+
         try:
-            samples = integrate(params, rho0, grid)
-            drifts = ([s.trace_err for s in samples], [s.herm_err for s in samples])
+            integrate(params, rho0, grid, fold)
             for (name, tol), d in zip(_TRAJECTORY_CHECKS, drifts):
-                reports.append(OracleReport.make(f"{name}[{tag}]", np.max(d), tol, dt=grid.dt))
-            last = samples[-1]
+                reports.append(OracleReport.make(f"{name}[{tag}]", d, tol, dt=grid.dt))
+            last = kept[0]
             cond = conditional_density(
                 params, last.state, last.t, most_probable_outcome(params.light)
             )

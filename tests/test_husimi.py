@@ -211,9 +211,10 @@ def random_density(n_atoms, seed):
 
 
 # (n_theta, n_phi, block budget in theta rows, or None for the default).
-# At N = 200 the default holds 20 of the 64-wide rows, so 50 rows end in
-# a ragged block; 2.5 rows gives blocks of 2 and a ragged last block; at
-# 0.5 rows a single theta row exceeds the budget, so every block is one row
+# At N = 200 the default holds 8 of the 20-wide rows, so 17 rows end in a
+# ragged block, and 2 of the 64-wide ones; 2.5 rows gives blocks of 2 and
+# a ragged last block; at 0.5 rows a single theta row exceeds the budget,
+# so every block is one row
 BLOCKINGS = [(17, 20, None), (50, 64, None), (17, 20, 2.5), (17, 20, 0.5)]
 
 
@@ -223,7 +224,7 @@ def test_q_grid_blocks_match_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi, 
     row_entries = n_phi * (n_atoms + 1)
     if budget_rows is not None:
         monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", int(budget_rows * row_entries))
-    height = max(1, husimi._BLOCK_ENTRIES // row_entries)
+    height = block_height(n_atoms, n_phi)
     expected_blocks = [min(height, n_theta - s) for s in range(0, n_theta, height)]
     blocks = []
 
@@ -284,6 +285,30 @@ def test_q_grid_list_matches_each_source(monkeypatch, budget_rows):
         assert builds == ([n_theta] if budget_rows is None else [3, 3, 3, 3, 3, 2])
 
 
+@pytest.mark.parametrize("n_atoms", [30, 200])
+def test_q_grid_values_do_not_depend_on_budget(monkeypatch, n_atoms):
+    # each block contracts whole theta rows in the same shapes, so the
+    # budget moves no bit of Q: for a state, a rho and a list of both (at
+    # N = 200 the conditional state's window is partial).  The default
+    # splits the grid into blocks of 16 rows (N = 30) or 2 (N = 200), and
+    # is checked against one row per block and one block for all rows.
+    n_theta, n_phi = 23, 64
+    state = conditional(200) if n_atoms == 200 else build_spin_coherent(
+        bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms
+    )
+    sources = [state, random_density(n_atoms, seed=4), [state, random_density(n_atoms, seed=5)]]
+
+    def values(source):
+        grid = q_grid(source, n_theta, n_phi)
+        return np.stack([g.values for g in grid]) if isinstance(grid, list) else grid.values
+
+    default = [values(s) for s in sources]
+    assert 1 < block_height(n_atoms, n_phi) < n_theta
+    for budget in (1, n_theta * n_phi * (n_atoms + 1)):
+        monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", budget)
+        assert all(np.array_equal(values(s), d) for s, d in zip(sources, default))
+
+
 def test_q_grid_list_refuses_mixed_atom_numbers(monkeypatch):
     def no_build(*args):
         raise AssertionError("rows built for a refused list")
@@ -295,35 +320,72 @@ def test_q_grid_list_refuses_mixed_atom_numbers(monkeypatch):
     assert q_grid([], 16, 16) == []
 
 
+def traced_peak(run, *args):
+    """tracemalloc's peak of numpy and Python allocations during run(*args)."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def block_height(n_atoms, n_phi):
+    """Theta rows per q_grid block at the current budget."""
+    return max(1, husimi._BLOCK_ENTRIES // (n_phi * (n_atoms + 1)))
+
+
 def test_q_grid_memory_stays_blocked():
     # the whole (64, 64, 2001) overlap tensor alone is 131 MB; q_grid holds
-    # one block of 2 theta rows (4 MB) and its build's temporaries.  On top
-    # of that build's own peak it may add only the 64 x 64 results, 32 kB
-    # each, and 16 kB for one block's contraction and small Python objects;
-    # a row block held into the next build would add 4 MB.  Three sources
-    # may add to one source's peak only their two extra results (and 8 kB,
-    # as the small objects' share moves by about 2 kB with what ran before)
+    # one block of theta rows and its build's temporaries.  On top of one
+    # build's own peak, on the window of all three sources, it may add only
+    # the 64 x 64 results, 32 kB each, and 16 kB for one block's
+    # contraction and small Python objects; a row block held into the next
+    # build would add its complex rows.
     states = [
         build_spin_coherent(bloch_to_ge(BlochAngles(theta, 1.0)), 2000)
         for theta in (0.6, 1.1, 2.0)
     ]
-    thetas, phis = grid_node(64, np.arange(2), np.arange(64))
+    height = block_height(2000, 64)
+    thetas, phis = grid_node(64, np.arange(height), np.arange(64))
     result = 64 * 64 * 8
+    one_window = husimi._support_window(states[:1], 2000)
+    window = husimi._support_window(states, 2000)
+    wider = (window.stop - window.start) - (one_window.stop - one_window.start)
+    assert wider > 0
 
-    def peak(run, *args):
-        tracemalloc.start()
-        try:
-            run(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    build = peak(_overlap_matrix, 2000, thetas, phis)
-    one = peak(q_grid, states[0], 64, 64)
-    three = peak(q_grid, states, 64, 64)
+    build = traced_peak(_overlap_matrix, 2000, thetas, phis, window)
+    one = traced_peak(q_grid, states[0], 64, 64)
+    three = traced_peak(q_grid, states, 64, 64)
     assert one < 32e6
-    assert three - one <= 2 * result + 8192
+    # Three sources may add to one source's peak their two extra results
+    # and what their wider window adds to the block: each stage of a build
+    # holds at most three arrays of |W| entries per point (the phases and
+    # the complex rows as two; the others span all k), so 3 * 8 bytes per
+    # extra k and point; and 8 kB, as the small objects' share moves by
+    # about 2 kB with what ran before.
+    assert three - one <= 2 * result + 3 * 8 * height * 64 * wider + 8192
     assert three - build <= 3 * result + 16384
+
+
+def test_q_grid_memory_fits_the_cache_at_fig6_size(monkeypatch):
+    # the Fig-6 point of a master run: three N = 30 snapshots on 128 x 128.
+    # Besides the three 128 kB results, a block and its build's
+    # temporaries must stay within 2 MB, one core's L2 cache on the 2-vCPU
+    # VM the benchmark runs on.  A budget of 2^18 entries (66 theta rows a
+    # block) peaks at about 9 MB here, which this must refuse.
+    states = [
+        build_spin_coherent(bloch_to_ge(BlochAngles(theta, phi)), 30)
+        for theta, phi in [(0.1, 0.4), (0.9, 2.3), (2.6, 5.0)]
+    ]
+    result = 128 * 128 * 8
+
+    def within_cache():
+        return traced_peak(q_grid, states, 128, 128) <= 3 * result + 2**21
+
+    assert within_cache()
+    monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", 1 << 18)
+    assert not within_cache()
 
 
 # The support window: the overlap rows of q_grid cover only the k range W

@@ -312,3 +312,20 @@ def test_xlogy_zero_log_zero():
     assert out[0, 0] == 0.0 and np.all(out[0, 1:] == -np.inf)
     assert np.all(out[:, 0] == 0.0)
     assert np.array_equal(out[1:, 1:], n[:, 1:] * np.log(x[1:]))
+    # out=: the result lands in the given buffer, equal to the one formed
+    # without it; the broadcast n = 0 column reads +0.0 whatever x is (the
+    # product there is nan at x = 0 and -0.0 at x < 1), and n log 0 = -inf
+    for n_col, x_col in ((n, x), (n.ravel(), x), (np.arange(4.0), x[:, :, None])):
+        buffer = np.full(np.broadcast_shapes(n_col.shape, x_col.shape), 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            into = _xlogy(n_col, x_col, out=buffer)
+        assert into is buffer
+        assert np.array_equal(into.reshape(3, 4), out)
+        assert not np.signbit(into[..., 0]).any()
+    # a scalar n broadcasts over x: n = 0 zeroes every entry, n > 0 none
+    assert np.array_equal(_xlogy(0, x[:, 0], out=np.empty(3)), np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        twice = _xlogy(2, x[:, 0], out=np.empty(3))
+    assert np.array_equal(twice, [-np.inf, 2 * np.log(0.5), 2 * np.log(2.0)])

@@ -173,19 +173,24 @@ def test_normalization_sweep_fault_injection():
 
 
 def test_normalization_sweep_nan_trajectory_fails(monkeypatch):
-    # an overflowed trajectory ends in a nan sample after finite ones; the
-    # drift maxima must propagate the nan and fail, not report the finite part
-    def overflowed(params, rho0, grid):
-        nan_rho = np.full_like(rho0, np.nan)
-        return [Sample(0.0, rho0, 0.0, 0.0), Sample(grid.t_max, nan_rho, math.nan, math.nan)]
-
-    monkeypatch.setattr(validation, "integrate", overflowed)
+    # an overflowed trajectory ends in a nan sample after finite ones, or a
+    # finite sample follows the nan one; the drift maxima, folded as the
+    # samples arrive, must propagate the nan and fail, not report the finite part
     entries = validation._default_sweep_entries()[:1]  # N = 2
-    reports = {r.name: r for r in normalization_sweep(entries)}
-    for name in ("trace_drift[N=2]", "hermiticity[N=2]"):
-        assert math.isnan(reports[name].max_abs_error)
-        assert not reports[name].passed
-    assert reports["completeness[N=2]"].passed
+    for drifts in ((0.0, math.nan), (0.0, math.nan, 0.0)):
+
+        def overflowed(params, rho0, grid, reduce, drifts=drifts):
+            return [
+                reduce(Sample(grid.t_max * i, rho0 if d == 0.0 else np.full_like(rho0, d), d, d))
+                for i, d in enumerate(drifts)
+            ]
+
+        monkeypatch.setattr(validation, "integrate", overflowed)
+        reports = {r.name: r for r in normalization_sweep(entries)}
+        for name in ("trace_drift[N=2]", "hermiticity[N=2]"):
+            assert math.isnan(reports[name].max_abs_error)
+            assert not reports[name].passed
+        assert reports["completeness[N=2]"].passed
 
 
 def test_normalization_sweep_conditioning_failure(monkeypatch):
