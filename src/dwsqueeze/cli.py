@@ -2,7 +2,8 @@
 
 Subcommands: pure, master, qfunc, sweep, validate.  One table, _PARSERS,
 types every config key, and write_csv writes every output from named
-columns, floats in 17-significant-digit scientific notation.  Every file
+columns, floats in 17-significant-digit scientific notation: the bytes of
+Python's %.16e, encoded in numpy a block of rows at a time.  Every file
 header echoes the fully resolved configuration, so identical configs
 produce byte-identical files.  A config or output path that cannot be
 read or written, or a config value that is out of its range or not
@@ -14,6 +15,7 @@ random number generator.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -235,23 +237,147 @@ def config_echo_lines(cfg: ExperimentConfig, command: str) -> list[str]:
     return lines
 
 
-_CELL_FORMATS = {"f": "%.16e", "i": "%d"}
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 2048
+_K0 = -294  # 10^k for k >= _K0: 16 - E over every double's decimal exponent E, and spare
+_E0 = -330  # the least exponent in the exponent lookup
 
 
-def _format_cells(a: np.ndarray) -> list[str]:
-    """One block of a column as its cells, each distinct number formatted once.
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The cell encoder's lookups, built on first use from integer arithmetic.
 
-    Numbers are told apart by bit pattern, not by value, so -0.0, 0.0 and
-    each nan keep their own bytes.
+    groups[i] is i < 10^4 as four ASCII digits in one '<u4' word, then
+    groups[10^4 + i] the same without leading zeros (i = 0 keeps one) and
+    groups[2 10^4 + i] four NULs.  exponent[E - _E0] is 'e%+03d' % E in two
+    words.  For k = _K0 + j, 10^k = (hi + lo) 2^shift[j] to a relative
+    2^-105, where power[j] is (hi, hh, hl, lo), hi in [0.5, 1) and hh + hl
+    hi in Dekker's halves.
     """
-    fmt = _CELL_FORMATS.get(a.dtype.kind)
-    if fmt is None:
-        return ["%s" % v for v in a.tolist()]
-    # a dict, not np.unique, whose first call maps about 0.45 MB of sort code
-    keys = a.view(f"i{a.itemsize}").tolist()
-    text = {k: fmt % v for k, v in dict(zip(keys, a.tolist())).items()}
-    return [text[k] for k in keys]
+    d = np.arange(10000, dtype=np.int16)[:, None]
+    places = np.array([1000, 100, 10, 1], np.int16)
+    digit = (48 + d // places % 10).astype(np.uint8)
+    pad = digit * (d >= places * (places > 1))
+    groups = np.concatenate((digit, pad, 0 * pad)).view("<u4").ravel()
+    texts = (b"e%+03d" % E for E in range(_E0, 320))
+    exponent = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u4").reshape(-1, 2)
+    power, shift = [], []
+    for k in range(_K0, 343):
+        p = 10 ** abs(k)
+        n = p.bit_length()  # 10^k ~ m 2^b with m of 110 or 111 bits
+        m, b = ((p << 110) >> n, n - 110) if k >= 0 else ((1 << n + 110) // p, -n - 110)
+        hi, ex = math.frexp(float(m))  # m rounded to 53 bits
+        power.append((hi, math.ldexp(m - int(math.ldexp(hi, ex)), -ex)))
+        shift.append(ex + b)
+    hi, lo = np.array(power).T
+    return groups, exponent, np.stack((hi, *_halves(hi), lo), 1), np.array(shift, np.int32)
+
+
+def _halves(a):
+    """a as high + low, each of 26 bits (Veltkamp), for Dekker's exact product."""
+    c = a * 134217729.0  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _floor_frac(m, e, E, power, shift):
+    """floor(y) and y - floor(y) of y = m 2^e 10^(16 - E), m in [0.5, 1).
+
+    y is the unevaluated sum yh + yl of Dekker's exact product m hi and a
+    rounded m lo, within 2^-102 of y relative and so within 2^-45 at
+    y < 1e17, where yh is an integer.  Below 2^53, floor(y) is only known
+    to lie under 10^16.
+    """
+    j = 16 - _K0 - E
+    hi, hh, hl, lo = power.take(j, 0).T
+    p = m * hi
+    mh, ml = _halves(m)
+    s = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * lo
+    yh = p + s
+    scale = e + shift.take(j)
+    yl = np.ldexp(s - (yh - p), scale)
+    floor = np.floor(yl)
+    return np.ldexp(yh, scale).astype(np.int64) + floor.astype(np.int64), yl - floor
+
+
+def _groups(u):
+    """u < 10^16 as four groups of four digits, most significant first."""
+    high = u // 10**8
+    low = u - high * 10**8
+    a = high // 10**4
+    b = low // 10**4
+    return a, high - a * 10**4, b, low - b * 10**4
+
+
+def _fallback(out, undecided, cells, form):
+    """Write each undecided cell as Python's form % cell, NUL padded."""
+    for i in np.flatnonzero(undecided):
+        out[i] = np.frombuffer((form % cells[i]).encode().ljust(4 * out.shape[1], b"\0"), "<u4")
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """%.16e of each cell in 7 '<u4' words a row, NUL padded.
+
+    A cell is the 17 digits D of y = |x| 10^(16 - E) rounded, E from log10.
+    Cells it cannot decide fall back to Python: 0, nan, inf, a y within
+    1e-6 of a half, and a y outside [1e16, 1e17 - 1/2), which only a few
+    ulp next to a power of ten reach.
+    """
+    groups, exponent, *power = _tables()
+    x = x.astype(np.float64, copy=False)
+    ax = np.abs(x)
+    ok = (ax > 0) & (ax < np.inf)  # not 0, nan or inf
+    ax[~ok] = 1.0
+    m, e = np.frexp(ax)
+    E = np.floor(np.log10(ax)).astype(int)
+    floor, frac = _floor_frac(m, e, E, *power)
+    D = floor + (frac > 0.5)
+    ok &= (floor >= 10**16) & (D < 10**17) & (np.abs(frac - 0.5) > 1e-6)
+    lead = D // 10**16
+    out = np.empty((len(x), 7), "<u4")
+    out[:, 0] = (lead << 8) + (x < 0) * 45 + (46 << 16 | 48 << 8)  # '-d.'
+    for col, g in enumerate(_groups(D - lead * 10**16), 1):
+        out[:, col] = groups.take(g)
+    out[:, 5], out[:, 6] = exponent.take(E - _E0, 0).T
+    _fallback(out, ~ok, x, "%.16e")
+    return out
+
+
+def _int_words(v: np.ndarray) -> np.ndarray:
+    """%d of each cell in 6 '<u4' words a row, NUL padded; |v| >= 10^16 falls back."""
+    groups = _tables()[0]
+    v = v.astype(np.int64, copy=False)
+    ok = (v > -(10**16)) & (v < 10**16)
+    u = np.abs(np.where(ok, v, 0))
+    # per group: 0 all digits, 1 no leading zeros, 2 none, as u starts later
+    kind = [2 - (u >= 10**(s - 4)) - (u >= 10**s) for s in (16, 12, 8)] + [1 - (u >= 10**4)]
+    out = np.zeros((len(v), 6), "<u4")
+    out[:, 0] = (v < 0) * 45
+    for col, (g, k) in enumerate(zip(_groups(u), kind), 1):
+        out[:, col] = groups.take(g + 10000 * k)
+    _fallback(out, ~ok, v, "%d")
+    return out
+
+
+_WORDS = {"f": _float_words, "i": _int_words}
+
+
+def _text_words(a: np.ndarray) -> np.ndarray:
+    """%s of each cell in UTF-8, as '<u4' words a row that end in a NUL."""
+    cells = [("%s" % v).encode() for v in a.tolist()]
+    width = 4 * (max(map(len, cells)) // 4 + 1)
+    return np.array(cells, f"S{width}").view("<u4").reshape(len(cells), -1)
+
+
+def _block_text(block: list[np.ndarray]) -> bytes:
+    """One block of rows as CSV text.
+
+    Each cell's words, its ',' or '\\n' in the top byte of its last word,
+    go into one (rows, words) matrix, whose NUL pad bytes one pass drops.
+    """
+    parts = [_WORDS.get(a.dtype.kind, _text_words)(a) for a in block]
+    for words, sep in zip(parts, [44] * (len(parts) - 1) + [10]):
+        words[:, -1] |= sep << 24
+    return np.concatenate(parts, 1).tobytes().translate(None, b"\0")
 
 
 def write_csv(path: Path, header_lines: list[str], columns: dict):
@@ -259,19 +385,22 @@ def write_csv(path: Path, header_lines: list[str], columns: dict):
 
     columns maps each name to a sequence, all of one length.  Float columns
     print as %.16e, the bytes of fmt (nan, inf and -0.0 included), integer
-    columns as %d and anything else as given.  Rows are formatted a block
-    at a time, so the text in memory stays O(block), not O(file); within a
-    block a value that repeats, like a grid node, is formatted once.
+    columns as %d and anything else as %s, which must hold no NUL.  Rows
+    are encoded a block at a time in numpy, so memory stays O(block), not
+    O(file).  A float cell is the 17 digits of a double-double within 2^-45
+    of y = |x| 10^(16 - E).  Zero, nan and inf, a y within 1e-6 of a
+    rounding tie and the rare y that log10's E puts outside [1e16, 1e17)
+    are Python's own %, so every byte is as %.16e, ties half to even.
     """
     arrays = [np.asarray(c) for c in columns.values()]
+    if len({len(a) for a in arrays}) != 1:
+        raise ValueError(f"columns of unequal lengths {[len(a) for a in arrays]}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        f.write(f"# columns: {','.join(columns)}\n")
-        for start in range(0, max(map(len, arrays)), _BLOCK_ROWS):
-            cells = [_format_cells(a[start:start + _BLOCK_ROWS]) for a in arrays]
-            f.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+    with open(path, "wb") as f:
+        lines = [*header_lines, f"columns: {','.join(columns)}"]
+        f.write("".join(f"# {line}\n" for line in lines).encode())
+        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
+            f.write(_block_text([a[start:start + _BLOCK_ROWS] for a in arrays]))
 
 
 def _warn_asymptotics(cfg: ExperimentConfig, outcome: DetectionOutcome, gt: float):

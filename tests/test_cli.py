@@ -148,12 +148,17 @@ def test_write_csv_streams_blocks(tmp_path, monkeypatch):
 
 
 def test_write_csv_matches_per_row_formatting(tmp_path, monkeypatch):
-    # a product grid whose repeats span the 7-row blocks; -0.0 and 0.0 (and
-    # the two nan bit patterns) are equal or unordered as values but must
-    # keep their own bytes
+    # 7-row blocks; the float nodes alternate between cells the numpy encoder
+    # writes and cells it hands to Python's % (zeros, nans, infs, an exact
+    # tie, a power of ten whose log10 estimate is off), so with the row-wise
+    # y column Python cells sit between encoded ones inside a block, and the
+    # runs of the x column cross block edges; -0.0 and 0.0, and the two nan
+    # bit patterns, are equal or unordered as values but keep their own bytes
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
-    nodes = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, math.pi, -2.5e-300])
-    counts = np.array([3, 3, -7, 0, 3])
+    tie = 1 + 2.0**-17  # 1.00000762939453125, 18 digits ending in 5
+    nodes = np.array([math.pi, -0.0, -2.5e-300, np.nan, 1e23, 0.0, tie, -np.nan,
+                      5e-324, np.inf, -1e-5, -np.inf])
+    counts = np.array([3, 10**16, -7, 0, -(2**63), 9999])
     x, k = (g.ravel() for g in np.meshgrid(nodes, counts, indexing="ij"))
     columns = {
         "x": x,
@@ -168,6 +173,49 @@ def test_write_csv_matches_per_row_formatting(tmp_path, monkeypatch):
         row % r for r in zip(*(a.tolist() for a in arrays))
     )
     assert (tmp_path / "t.csv").read_bytes() == naive.encode()
+
+
+def _written_cells(tmp_path, column: np.ndarray) -> list[bytes]:
+    write_csv(tmp_path / "c.csv", [], {"c": column})
+    return (tmp_path / "c.csv").read_bytes().split(b"\n")[1:-1]
+
+
+def test_float_cells_are_percent_e_bytes(tmp_path):
+    # the numpy encoder against Python's %.16e, cell for cell
+    rng = np.random.default_rng(20240601)
+    patterns = rng.integers(0, 2**64, size=120_000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 2**52, size=10_000, dtype=np.uint64)
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    # j / 2^17 for odd j in [2^17, 10 2^17) has 18 digits ending in 5: an
+    # exact tie at 17 digits, which %.16e rounds half to even; o / 2^t for
+    # odd o with o 5^t of 18 digits is one too, at every exponent that has
+    # ties (-8 to 15), including -7 and -8, where 10^(16 - E) is no double
+    ties = [rng.choice(np.arange(2**17 + 1, 10 * 2**17, 2), size=10_000, replace=False) / 2.0**17]
+    for t in range(2, 26):
+        odd = rng.integers(-(-(10**17) // 5**t), (10**18 - 1) // 5**t, size=200) | 1
+        ties.append(np.ldexp(odd[odd < 2**53].astype(float), -t))
+    ties = np.concatenate(ties)
+    assert all(("%.17e" % t).split("e")[0].endswith("5") for t in ties)
+    edges = np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    signed = np.concatenate([patterns.view(np.float64), subnormal.view(np.float64),
+                             neighbours, ties, edges])
+    specials = np.array([0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                         0x7FF0000000000000, 0xFFF0000000000000], np.uint64).view(np.float64)
+    x = np.concatenate([signed, -signed, specials])
+    assert _written_cells(tmp_path, x) == [b"%.16e" % v for v in x.tolist()]
+
+
+def test_int_cells_are_percent_d_bytes(tmp_path):
+    rng = np.random.default_rng(20240602)
+    edges = [0, -1, 1, 9, 10, 9999, 10000, -9999, -10000, 99999999, 10**8, 10**16 - 1,
+             10**16, -(10**16) + 1, -(10**16), 2**63 - 1, -(2**63 - 1), -(2**63)]
+    v = np.concatenate([np.array(edges, np.int64),
+                        rng.integers(-(2**63), 2**63 - 1, size=20_000),
+                        rng.integers(-(10**6), 10**6, size=20_000)])
+    assert _written_cells(tmp_path, v) == [b"%d" % k for k in v.tolist()]
+    small = np.array([-128, -5, 0, 7, 127], np.int8)
+    assert _written_cells(tmp_path, small) == [b"%d" % k for k in small.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -537,13 +585,20 @@ def test_cli_import_leaves_scipy_out():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    heavy = ("scipy", "numpy.random", "numpy.fft", "numpy.polynomial")
+    # write_csv's encoder builds its lookups from ints on first use, so
+    # importing the CLI loads neither fractions nor decimal and builds none
+    heavy = ("scipy", "numpy.random", "numpy.fft", "numpy.polynomial", "fractions", "decimal")
     for module, absent in (("dwsqueeze.cli", heavy), ("dwsqueeze", ("numpy",))):
         probe = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "[]", module
+    probe = "import dwsqueeze.cli as c; print(c._tables.cache_info().currsize)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize(
