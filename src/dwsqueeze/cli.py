@@ -7,9 +7,14 @@ Python's %.16e, encoded in numpy a block of rows at a time.  Every file
 header echoes the fully resolved configuration, so identical configs
 produce byte-identical files.  A config or output path that cannot be
 read or written, or a config value that is out of its range or not
-finite, exits 2 before any work.  validate selects suites from
-validation.SUITES and only writes their reports.  Nothing here uses a
-random number generator.
+finite, exits 2 before any work.  master and sweep buffer each point's
+gated samples and read them out a chunk at a time, with one
+conditional_density and one moments_from_density call per chunk, so the
+per-sample numpy call overhead is paid per chunk; a row's bits and the
+error a run raises do not depend on the chunk.  validate selects suites
+from validation.SUITES and only writes their reports; validation is
+imported by validate alone.  Nothing here uses a random number
+generator.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ from .spin_core import (
     build_spin_coherent,
     moments_from_density,
 )
-from .validation import SUITES, normalization_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -479,14 +483,78 @@ def _write_q_csv(path: Path, echo: list[str], qg: QGrid):
     )
 
 
-def _moments_row(params: ModelParams, outcome: DetectionOutcome, s) -> tuple:
-    """One sample reduced to (t, conditional moments, trace_err, herm_err)."""
-    m = moments_from_density(conditional_density(params, s.state, s.t, outcome))
-    return s.t, m, s.trace_err, s.herm_err
+# The readout's chunk bound: each point's gated samples are buffered until
+# they hold this many state entries (N+1 per state, (N+1)^2 per density
+# matrix; one sample at least), then conditioned and reduced as one chunk.
+# 2^13 holds a Fig-6 block of 192 states at N = 30 (5952 entries), 9 rho at
+# N = 30 and one rho from N = 90 up.  Over the same run one sample at a time,
+# the tracemalloc heap peak rose by 0.10 MB on fig6_master and 0.60 MB on
+# dephasing_sweep (three points, each buffering a chunk); 2^14 took it to
+# +1.4 MB there, and the chunk's stacks cost a few times its buffer.
+_CHUNK_ENTRIES = 1 << 13
+
+
+def _moments_series(points, states, grid, outcome, watch=None) -> list:
+    """(t, conditional moments, trace_err, herm_err) per sample, in time order.
+
+    One integrate call runs the points, given as to integrate: one point
+    gives its list of rows, a list of points a list of them.  watch, when
+    given, sees every gated sample first.  Each point's samples are
+    buffered and read out a chunk at a time, by one conditional_density
+    and one moments_from_density call, once the buffer holds
+    _CHUNK_ENTRIES state entries and when the run ends.  A row's bits do
+    not depend on the chunk.  The error raised is that of a
+    sample-by-sample readout: when a chunk fails, every buffered sample is
+    read out again alone in (time, point) order, and the first failure is
+    raised, an IntegrationError tagged with its t and point as integrate
+    tags its own; an integrate failure is raised only once the buffered
+    samples, all made before it, have read out cleanly.
+    """
+    single = isinstance(points, ModelParams)
+    batch = [points] if single else list(points)
+    pending = [[] for _ in batch]
+    rows = [[] for _ in batch]
+
+    def read_out(i, samples):
+        conds = conditional_density(batch[i], [s.state for s in samples],
+                                    [s.t for s in samples], outcome)
+        moments = moments_from_density(conds)
+        return [(s.t, m, s.trace_err, s.herm_err) for s, m in zip(samples, moments)]
+
+    def flush(which):
+        try:
+            for i in which:
+                if pending[i]:
+                    rows[i] += read_out(i, pending[i])
+                    pending[i] = []
+        except (ValueError, AssertionError, IntegrationError):  # a sample's refusal
+            held = [(s.t, i, s) for i, buf in enumerate(pending) for s in buf]
+            for t, i, s in sorted(held, key=lambda h: h[:2]):
+                try:
+                    read_out(i, [s])
+                except IntegrationError as exc:
+                    exc.t, exc.point = t, i
+                    raise
+            raise
+
+    def add(i, s):
+        if watch is not None:
+            watch(s)
+        pending[i].append(s)
+        entries = s.state.amplitudes.size if isinstance(s.state, AtomState) else s.state.size
+        if len(pending[i]) * entries >= _CHUNK_ENTRIES:
+            flush([i])
+
+    reduces = [functools.partial(add, i) for i in range(len(batch))]
+    try:
+        integrate(points, states, grid, reduces[0] if single else reduces)
+    finally:
+        flush(range(len(batch)))
+    return rows[0] if single else rows
 
 
 def _timeseries_columns(params: ModelParams, rows) -> dict[str, np.ndarray]:
-    """The columns of _moments_row's rows, one column entry per sample."""
+    """The columns of one point's _moments_series rows, one column entry per sample."""
     t, moments, trace_err, herm_err = zip(*rows)
     t = np.array(t)
     norm = 4.0 / params.n_atoms
@@ -517,9 +585,10 @@ def _model(cfg: ExperimentConfig) -> tuple[ModelParams, AtomState, TimeGrid]:
 def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Hybrid-equation time series of conditional moments, optional Q snapshots.
 
-    Each sample is reduced to its moments row as it is made, and each
-    q_omega_t target keeps the nearest sample so far, the first of a tie,
-    so the run holds rows and one sample per target, not a trajectory.
+    The samples are read out a chunk at a time (_moments_series), and
+    each q_omega_t target keeps the nearest sample so far, the first of a
+    tie, so the run holds rows, a bounded chunk and one sample per
+    target, not a trajectory.
     """
     outcome = cfg.resolve_outcome()
     params, state, grid = _model(cfg)
@@ -528,14 +597,13 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
     # per target: (|omega t - target|, sample) of the nearest sample so far
     nearest = [(math.inf, None)] * len(cfg.q_omega_t)
 
-    def reduce(s):
+    def watch(s):
         for idx, (target, (best, _)) in enumerate(zip(cfg.q_omega_t, nearest)):
             distance = abs(params.omega * s.t - target)
             if distance < best:
                 nearest[idx] = distance, s
-        return _moments_row(params, outcome, s)
 
-    rows = integrate(params, state, grid, reduce)
+    rows = _moments_series(params, state, grid, outcome, watch)
     echo = config_echo_lines(cfg, "master")
     write_csv(
         out_dir / "master_timeseries.csv",
@@ -546,7 +614,8 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.q_omega_t:
         return EXIT_OK
     snapshots = [s for _, s in nearest]
-    conds = [conditional_density(params, s.state, s.t, outcome) for s in snapshots]
+    conds = conditional_density(params, [s.state for s in snapshots],
+                                [s.t for s in snapshots], outcome)
     grids = q_grid(conds, cfg.n_theta, cfg.n_phi)
     for idx, (target, best, qg) in enumerate(zip(cfg.q_omega_t, snapshots, grids)):
         _write_q_csv(
@@ -593,11 +662,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Repeat the master run over one parameter, summarizing squeezing per point.
 
     All points run in one batched integrate call: its gamma > 0 points
-    step together as one rho stack, and each sample is reduced to its
-    moments row as it is made, so no trajectory is held.  A failed point
-    exits 1 with its error prefixed by the swept parameter and value; when
-    several fail, the one reported is at the earliest failing sample time
-    and, at that time, the first in sweep order.
+    step together as one rho stack, and each point's samples are read out
+    a chunk at a time (_moments_series), so no trajectory is held.  A
+    failed point exits 1 with its error prefixed by the swept parameter
+    and value; when several fail, the one reported is at the earliest
+    failing sample time and, at that time, the first in sweep order.
     """
     if cfg.sweep_param not in ("g", "gamma", "omega"):
         raise ConfigError("sweep_param must be one of g, gamma, omega")
@@ -612,13 +681,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         step_plan(params, grid)
     echo = config_echo_lines(cfg, "sweep")
     points, states, grids = zip(*models)
-
-    def moments_rows(params):
-        return lambda s: _moments_row(params, outcome, s)
-
     try:
-        series = integrate(points, states, grids[0], [moments_rows(p) for p in points])
-    except IntegrationError as exc:  # integrate tags it with the failing point
+        series = _moments_series(points, states, grids[0], outcome)
+    except IntegrationError as exc:  # tagged with the failing point
         value = cfg.sweep_values[exc.point]
         raise IntegrationError(f"sweep {cfg.sweep_param} = {value}: {exc}") from exc
     rows = []
@@ -642,6 +707,8 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
     example an unstable dt).  A FAIL line ends with its report's error
     text, when it has one.
     """
+    from .validation import SUITES, normalization_sweep  # only validate loads the suites
+
     names = cfg.suites if cfg else "all"
     selected = (
         set(SUITES) if names == "all" else {s.strip() for s in names.split(",") if s.strip()}

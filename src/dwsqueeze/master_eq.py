@@ -14,7 +14,11 @@ coherent state coherent (Arecchi, Courtens, Gilmore & Thomas 1972).
 integrate then evolves the one-atom state xi(t), the same equation at
 n_atoms = 1, with a fourth-order Magnus step and an exact 2x2
 exponential, and lifts each sample to the N-atom coherent state: O(N)
-per sample and no (N+1)^2 matrix.  A density-matrix input, a
+per sample and no (N+1)^2 matrix.  A block's sampled one-atom states
+are lifted together, a bounded group of rows per _coherent_amplitudes
+call, each row scaled by its own maximum and norm, so the lift costs a
+few numpy calls per block rather than per sample and every row is bit
+for bit the lift of its state alone.  A density-matrix input, a
 non-coherent start and every gamma > 0 run are integrated as rho by
 fixed-step RK4, which also serves as the reference for the rotation.
 RK4 steps the Hermitian part of its input, and the generator forms
@@ -38,7 +42,9 @@ the stack, and each sample time gates every point in batch order, so the
 first failure is at the earliest failing time and, at that time, of the
 first failing point, and it ends the run.  Each sample is handed to a caller's
 reduction as soon as it is gated, so a caller that keeps only a row per
-sample, or only the last sample, never holds a trajectory.
+sample, or only the last sample, never holds a trajectory.  A reduction
+may buffer samples and read them out later; an IntegrationError it
+raises with t already set names an earlier sample and keeps its tags.
 
 Detection enters at readout time through the detection factor A(k) of
 pure_measure: its beamsplitter brackets are u_c(k) = (a_{k,l} + i a_{k,r})/sqrt2
@@ -49,7 +55,10 @@ yields P = sum_k rho_kk |A(k)|^2 and its reachability check; only the
 trace normalization is done here.  An AtomState is conditioned by the
 pure model's conditional_state itself.  Moments of either result come
 from spin_core.moments_from_density, the one moment routine of the
-package.
+package.  conditional_density, like conditional_state and
+moments_from_density, also takes a list of sources, with a list of
+times: the list is conditioned as one stack, along a leading sample
+axis of A(k), and each entry is bit for bit that of its own call.
 """
 
 from __future__ import annotations
@@ -85,6 +94,9 @@ _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 # steps whose rotation propagators or RK4 light overlaps are formed in one
 # vectorized call; bounds the memory of long runs
 _BLOCK = 4096
+# amplitude entries of the sampled one-atom states lifted in one call: a
+# Fig-6 block (192 states at N = 30) in one, and memory bounded at any N
+_LIFT_ENTRIES = 1 << 14
 
 
 class IntegrationError(RuntimeError):
@@ -385,18 +397,33 @@ def _rotation_states(xi: tuple[complex, complex], p: np.ndarray, q: np.ndarray, 
     return kept, (x0, x1)
 
 
-def _lift_sample(t: float, xi: tuple[complex, complex], n_atoms: int) -> Sample:
-    """The one-atom state xi at t lifted to n_atoms as a Sample, gated on its norm drift.
+def _lifts(states: list, n_atoms: int):
+    """The one-atom states lifted to n_atoms, one amplitude row each, in order.
 
-    The drift | |xi|^2 - 1 | is gated before the lift, `not <=` so that a
-    nan (overflowed) state fails too, rather than reach AtomState as nan
-    amplitudes.
+    A group of at most _LIFT_ENTRIES entries (one row at least) is lifted
+    per _coherent_amplitudes call, so a block's lifts cost a few numpy
+    calls, not a few per sample, while memory stays bounded at any N.
+    Each row is bit for bit the lift of its state alone.  A nan or
+    overflowed state lifts to a row that its sample's gate refuses.
+    """
+    size = max(1, _LIFT_ENTRIES // (n_atoms + 1))
+    for start in range(0, len(states), size):
+        xi = np.array(states[start:start + size])
+        yield from _coherent_amplitudes(xi[:, 1], xi[:, 0], n_atoms)
+
+
+def _lift_sample(t: float, xi: tuple[complex, complex], lift: np.ndarray) -> Sample:
+    """The lift of the one-atom state xi at t as a Sample, gated on xi's norm drift.
+
+    The drift | |xi|^2 - 1 | is gated before the lift becomes an
+    AtomState, `not <=` so that a nan (overflowed) state fails too, rather
+    than reach AtomState as nan amplitudes.
     """
     x0, x1 = xi
     drift = abs(abs(x0) ** 2 + abs(x1) ** 2 - 1.0)
     if not drift <= TRACE_TOL:
         raise IntegrationError(f"trace drift at t={t}: {drift:.3e}")
-    return Sample(t, AtomState(n_atoms, _coherent_amplitudes(x1, x0, n_atoms)), drift, 0.0)
+    return Sample(t, AtomState(len(lift) - 1, lift), drift, 0.0)
 
 
 def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
@@ -421,10 +448,10 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
     each point's own coefficients, damping and overlaps: each point's
     samples are bit-identical to those of its own call.  All points run
     in one time loop: each block of steps forms the rotations'
-    propagators and their one-atom states at the block's sample times,
-    and the stack's RK4 node overlaps; the stack then steps through the
-    block, and each sample time gates and reduces every point in batch
-    order.
+    propagators, their one-atom states at the block's sample times and
+    those states' lifts, and the stack's RK4 node overlaps; the stack then
+    steps through the block, and each sample time gates and reduces every
+    point in batch order.
 
     Each invariant is gated once, where it can break, and each sample
     records the drifts its gate measured: before the first step the step
@@ -436,8 +463,9 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
     nan fails every gate.  The first failure ends the run, so the error
     raised is that of the earliest failing sample time and, at that
     time, of the first failing point, and no sample after it is made; an
-    IntegrationError of reduce counts as a failure of its sample.  The
-    error carries the time as t and the point's index as point.
+    IntegrationError of reduce counts as a failure of its sample, unless
+    reduce set its t (the failure of a sample it held back).  The error
+    carries the time as t and the point's index as point.
     """
     if isinstance(params, ModelParams):
         return integrate([params], [initial], grid, None if reduce is None else [reduce])[0]
@@ -467,20 +495,25 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
         raise ValueError(f"rho-RK4 points of a batch mix atom numbers {sorted(sizes)}")
     values = [[] for _ in points]
 
-    def sample(t, xis, rhos, herm_tol=None):
-        """Gate and reduce every point's state at t, in batch order."""
-        for i, (p, r) in enumerate(zip(points, reduces)):
+    def sample(t, lifts, rhos, herm_tol=None):
+        """Gate and reduce every point's state at t, in batch order.
+
+        lifts maps a rotated point to its one-atom state and that state's lift.
+        """
+        for i, r in enumerate(reduces):
             try:
-                if i in xis:
-                    s = _lift_sample(t, xis[i], p.n_atoms)
+                if i in lifts:
+                    s = _lift_sample(t, *lifts[i])
                 else:
                     s = _rho_sample(t, rhos[i].copy(), herm_tol)
                 values[i].append(s if r is None else r(s))
             except IntegrationError as exc:
-                exc.t, exc.point = t, i
+                if exc.t is None:  # a reduction may report an earlier sample's failure
+                    exc.t, exc.point = t, i
                 raise
 
-    sample(0.0, xis, rhos, HERM_TOL)
+    sample(0.0, {i: (xi, next(_lifts([xi], points[i].n_atoms))) for i, xi in xis.items()},
+           rhos, HERM_TOL)
     if stacked:
         # the generator takes the Hermitian part; the gate bounds the rest by HERM_TOL
         rho = _Stack(np.stack([0.5 * (r + r.conj().T) for r in rhos.values()], axis=1))
@@ -506,19 +539,21 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
                 times = np.stack((t, t + 0.5 * dt, t + dt), axis=1)
                 # (steps, 3, B): each stacked point's overlap at each RK4 node
                 nodes = np.stack([coherent_overlaps(p, times) for p in stacked], axis=-1)
+            lifts = {
+                i: _lifts(list(kept.values()), points[i].n_atoms)
+                for i, (kept, _) in turns.items()
+            }
             for j, ov in enumerate(nodes):
                 if ov is not None:
                     _rk4_step(gen, rho, ov, dt)
                 if j in sampled:
-                    at_j = {i: kept[j] for i, (kept, _) in turns.items()}
+                    at_j = {i: (kept[j], next(lifts[i])) for i, (kept, _) in turns.items()}
                     sample((first + j + 1) * dt, at_j, rhos)
             xis = {i: last for i, (_, last) in turns.items()}
     return values
 
 
-def conditional_density(
-    params: ModelParams, state, t: float, outcome: DetectionOutcome
-) -> np.ndarray | AtomState:
+def conditional_density(params: ModelParams, state, t, outcome: DetectionOutcome):
     """Atomic state at time t conditioned on the photon-count pair.
 
     state is an AtomState or a density matrix, as for husimi.q_grid.  An
@@ -527,15 +562,29 @@ def conditional_density(
     rho_{kk'} -> rho_{kk'} A(k) A(k')^* / P with A(k) rescaled by its
     maximum, so deep-tail outcomes stay finite; P and the reachability
     check come from rho_kk through the same kernel as the pure model.
+
+    state may also be a nonempty list of sources of one kind and one N,
+    with t a list of their times: they are conditioned as one stack, and
+    the result is a list, each entry bit for bit that of its own call.  A
+    refusal is that of the first source that fails.
     """
-    setting = InteractionSetting(params.g, t)
-    if isinstance(state, AtomState):
-        return conditional_state(state, params.light, setting, outcome)
-    rho = np.asarray(state, dtype=complex)
-    mag, rot, _ = _reachable_factor(params.light, setting, outcome, np.diag(rho).real)
+    if not isinstance(state, list):
+        return conditional_density(params, [state], [t], outcome)[0]
+    settings = [InteractionSetting(params.g, ti) for ti in t]
+    if isinstance(state[0], AtomState):
+        return conditional_state(state, params.light, settings, outcome)
+    rho = np.stack([np.asarray(s, dtype=complex) for s in state])
+    pk = np.diagonal(rho, 0, 1, 2).real
+    mag, rot, _ = _reachable_factor(params.light, settings, outcome, pk)
     b = mag * rot
-    cond = rho * np.outer(b, b.conj())
-    tr = np.trace(cond)
-    if abs(tr.imag) > 1e-10 * max(abs(tr.real), 1.0):
-        raise IntegrationError(f"detection probability has imaginary residue {tr.imag}")
-    return cond / tr.real
+    # in place, so every product is rho_kk' (b_k b*_k') in that order at any
+    # size: numpy reuses a large temporary right operand of * as the output
+    # and swaps the factors, and a complex product is not commutative in
+    # its last bit (FMA)
+    rho *= b[:, :, None] * b.conj()[:, None, :]
+    tr = np.trace(rho, axis1=1, axis2=2)
+    for re, im in zip(tr.real.tolist(), tr.imag.tolist()):
+        if abs(im) > 1e-10 * max(abs(re), 1.0):
+            raise IntegrationError(f"detection probability has imaginary residue {im}")
+    rho /= tr.real[:, None, None]
+    return list(rho)

@@ -24,6 +24,7 @@ import numpy as np
 from .spin_core import (
     AtomState,
     GroundExcitedAmplitudes,
+    _unit_rows,
     _xlogy,
     ge_to_lr_amplitudes,
     log_factorials,
@@ -97,15 +98,18 @@ class InteractionSetting:
         return self.g * self.t
 
 
-def _port_amplitudes(light: LightPair, setting: InteractionSetting, n_atoms: int):
+def _port_amplitudes(light: LightPair, setting, n_atoms: int):
     """Detector-port amplitudes (alpha_c(k), alpha_d(k)), k = 0..N.
 
     alpha_c(k) = (a_l + i a_r) cos[gt(k - N/2)] - (i a_l + a_r) sin[gt(k - N/2)]
     alpha_d(k) = (i a_l + a_r) cos[gt(k - N/2)] + (a_l + i a_r) sin[gt(k - N/2)]
 
-    |alpha_c|^2 + |alpha_d|^2 is conserved.
+    |alpha_c|^2 + |alpha_d|^2 is conserved.  setting is an
+    InteractionSetting, or a list of them for one row of k per setting
+    along a leading axis; every entry is that of its setting alone.
     """
-    phase = setting.gt * (np.arange(n_atoms + 1) - n_atoms / 2.0)
+    gt = np.array([s.gt for s in setting])[:, None] if isinstance(setting, list) else setting.gt
+    phase = gt * (np.arange(n_atoms + 1) - n_atoms / 2.0)
     c, s = np.cos(phase), np.sin(phase)
     al, ar = light.alpha_l, light.alpha_r
     alpha_c = (al + 1j * ar) * c - (1j * al + ar) * s
@@ -113,17 +117,13 @@ def _port_amplitudes(light: LightPair, setting: InteractionSetting, n_atoms: int
     return alpha_c, alpha_d
 
 
-def _log_detection_amplitudes(
-    light: LightPair,
-    setting: InteractionSetting,
-    outcome: DetectionOutcome,
-    n_atoms: int,
-):
+def _log_detection_amplitudes(light: LightPair, setting, outcome: DetectionOutcome, n_atoms: int):
     """log|A(k)| and arg A(k) over the whole k range, vectorized.
 
     A(k) = e^{-(|a_l|^2+|a_r|^2)/2} u_c^{n_c} u_d^{n_d} / sqrt(n_c! n_d!) with
     u_{c,d} = alpha_{c,d}(k)/sqrt2.  The factor is the same with or without
     tunneling, so the master-equation readout conditions through it too.
+    A list of settings gives one row per setting, as for _port_amplitudes.
     """
     nc, nd = outcome.n_c, outcome.n_d
     alpha_c, alpha_d = _port_amplitudes(light, setting, n_atoms)
@@ -135,50 +135,48 @@ def _log_detection_amplitudes(
     return log_mag, phase
 
 
-def _reachable_factor(
-    light: LightPair,
-    setting: InteractionSetting,
-    outcome: DetectionOutcome,
-    pk: np.ndarray,
-):
+def _reachable_factor(light: LightPair, setting, outcome: DetectionOutcome, pk: np.ndarray):
     """(|A(k)| / max_k |A(k)|, A(k)/|A(k)|, P) for a distribution p_k, k = 0..N.
 
     P = sum_k p_k |A(k)|^2 is summed in the rescaled form, and an outcome
     with P below PROB_FLOOR is refused.  Both models condition through
     this one evaluation of A(k): p_k is |C_k|^2 for a state and the real
-    diagonal rho_kk for a density matrix.
+    diagonal rho_kk for a density matrix.  A list of settings with one
+    row of pk each gives one row of each factor and one P per row, every
+    row as for its setting alone; a refusal names the first failing row.
     """
-    log_mag, phase = _log_detection_amplitudes(light, setting, outcome, len(pk) - 1)
+    log_mag, phase = _log_detection_amplitudes(light, setting, outcome, pk.shape[-1] - 1)
     # P <= max_k |A(k)|^2, so flooring the shift only touches outcomes below
     # PROB_FLOOR; it keeps the rescaled magnitude finite where A(k) = 0 for all k
-    shift = max(log_mag.max(), 0.5 * math.log(PROB_FLOOR))
+    shift = np.maximum(log_mag.max(axis=-1, keepdims=True), 0.5 * math.log(PROB_FLOOR))
     mag = np.exp(log_mag - shift)
-    p = float(np.sum(pk * mag**2)) * math.exp(2.0 * shift)
-    if p > 1.0 + 1e-10:
-        raise AssertionError(f"detection probability {p} exceeds 1")
-    if not p >= PROB_FLOOR:  # a nan P is refused too
-        raise ImpossibleOutcomeError(
-            f"impossible outcome (n_c={outcome.n_c}, n_d={outcome.n_d}): "
-            f"probability {p:.3e}"
-        )
-    return mag, np.exp(1j * phase), min(p, 1.0)
+    p = np.sum(pk * mag**2, axis=-1) * np.exp(2.0 * shift[..., 0])
+    for q in np.reshape(p, -1).tolist():  # row by row, as each row alone
+        if q > 1.0 + 1e-10:
+            raise AssertionError(f"detection probability {q} exceeds 1")
+        if not q >= PROB_FLOOR:  # a nan P is refused too
+            raise ImpossibleOutcomeError(
+                f"impossible outcome (n_c={outcome.n_c}, n_d={outcome.n_d}): "
+                f"probability {q:.3e}"
+            )
+    return mag, np.exp(1j * phase), np.minimum(p, 1.0)
 
 
-def conditional_state(
-    state: AtomState,
-    light: LightPair,
-    setting: InteractionSetting,
-    outcome: DetectionOutcome,
-) -> AtomState:
+def conditional_state(state, light: LightPair, setting, outcome: DetectionOutcome):
     """Post-measurement state with amplitudes C_k A(k), renormalized.
 
     The phases of A(k) are kept; they carry the k-dependent rotation that
-    shows up in the transverse spin moments.
+    shows up in the transverse spin moments.  A list of states with a
+    list of settings, one each, is conditioned as one stack of rows and
+    gives a list of states, each bit for bit that of its own call.
     """
-    mag, rot, _ = _reachable_factor(light, setting, outcome, state.pmf())
-    amp = state.amplitudes * mag * rot
-    amp /= np.linalg.norm(amp)
-    return AtomState(n_atoms=state.n_atoms, amplitudes=amp)
+    states = state if isinstance(state, list) else [state]
+    amp = np.stack([s.amplitudes for s in states])
+    mag, rot, _ = _reachable_factor(light, setting, outcome, np.abs(amp) ** 2)
+    amp *= mag
+    amp *= rot
+    conds = [AtomState(s.n_atoms, row) for s, row in zip(states, _unit_rows(amp))]
+    return conds if isinstance(state, list) else conds[0]
 
 
 def most_probable_outcome(light: LightPair) -> DetectionOutcome:

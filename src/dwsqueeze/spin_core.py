@@ -215,11 +215,24 @@ def _coherent_amplitudes(eta_l, eta_r, n_atoms: int) -> np.ndarray:
     """binom(N,k)^(1/2) eta_l^k eta_r^(N-k), k = 0..N, normalized to 1.
 
     This is the N-fold symmetric lift of the one-atom state (eta_r, eta_l),
-    whose k = 0 entry is the atom in the right well.
+    whose k = 0 entry is the atom in the right well.  Arrays of one-atom
+    amplitudes give one row per state along a last axis, each scaled by
+    its own maximum and norm, so a row is that of its state alone.
     """
     log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
-    amp = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
-    amp /= np.linalg.norm(amp)
+    amp = np.exp(log_mag - log_mag.max(axis=-1, keepdims=True)) * np.exp(1j * phase)
+    _unit_rows(amp)
+    return amp
+
+
+def _unit_rows(amp: np.ndarray) -> np.ndarray:
+    """Divide each row of amp (its last axis) by its np.linalg.norm, in place.
+
+    A vector's norm is a sum of BLAS dots, whose bits no row-wise sum
+    reproduces, so every row is normalized as a one-vector call would.
+    """
+    for row in amp.reshape(-1, amp.shape[-1]):
+        row /= np.linalg.norm(row)
     return amp
 
 
@@ -229,16 +242,12 @@ def _ladder_factors(n_atoms: int) -> np.ndarray:
     return np.sqrt((k + 1.0) * (n_atoms - k)) / 2.0
 
 
-def _clamp_variance(var: float) -> float:
-    if var < _VAR_FLAG:
-        raise ValueError(f"variance {var} below roundoff tolerance {_VAR_FLAG}")
-    return max(var, 0.0)
-
-
-def moments_from_density(source) -> SpinMoments:
+def moments_from_density(source):
     """Means and variances of J_x, J_y, J_z in O(N).
 
-    source is a density matrix or an AtomState, as for husimi.q_grid.
+    source is a density matrix or an AtomState, as for husimi.q_grid, or a
+    nonempty list of either kind, all of one N, which gives a list of
+    SpinMoments in one pass; each entry is that of its source alone.
     J_x is diagonal and J_y, J_z are tridiagonal, so the means read the
     main and first diagonals of rho and the second moments at most the
     second one; a state C_k stands for rho = C C^dagger, whose diagonals
@@ -248,40 +257,57 @@ def moments_from_density(source) -> SpinMoments:
     <J_y> = 2 sum s_k Im rho_{k,k+1}, <J_z> = -2 sum s_k Re rho_{k,k+1},
     <J_y^2>, <J_z^2> = sum (s_{k-1}^2 + s_k^2) rho_kk
                        -/+ 2 sum s_k s_{k+1} Re rho_{k,k+2}.
+    A density matrix must be square, of trace 1 and Hermitian within
+    1e-8 (ValueError, for the first source that is not).
     """
-    if isinstance(source, AtomState):
-        c = source.amplitudes
-        return _banded_moments(np.abs(c) ** 2, c[:-1] * c[1:].conj(), c[:-2] * c[2:].conj())
-    rho = np.asarray(source, dtype=complex)
-    n_atoms = rho.shape[0] - 1
-    if rho.shape != (n_atoms + 1, n_atoms + 1):
-        raise ValueError("density matrix must be square")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"trace {tr!r} deviates from 1")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    return _banded_moments(np.diagonal(rho).real, np.diagonal(rho, 1), np.diagonal(rho, 2))
+    sources = source if isinstance(source, list) else [source]
+    if isinstance(sources[0], AtomState):
+        c = np.stack([s.amplitudes for s in sources])
+        # np.multiply, not *: numpy may reuse a large temporary operand as the
+        # output and swap the factors, and a complex product (formed with FMA)
+        # is not commutative to the last bit, so the bits would follow the size
+        bands = (np.abs(c) ** 2, np.multiply(c[:, :-1], c[:, 1:].conj()),
+                 np.multiply(c[:, :-2], c[:, 2:].conj()))
+    else:
+        rho = np.stack([np.asarray(s, dtype=complex) for s in sources])
+        if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
+            raise ValueError("density matrix must be square")
+        tr = np.trace(rho, axis1=1, axis2=2)
+        skew = rho.conj().swapaxes(1, 2)
+        skew = np.abs(np.subtract(rho, skew, out=skew)).max(axis=(1, 2))
+        for i in np.flatnonzero((np.abs(tr - 1.0) > 1e-8) | (skew > 1e-8))[:1]:
+            if abs(tr[i] - 1.0) > 1e-8:
+                raise ValueError(f"trace {tr[i]!r} deviates from 1")
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        bands = (np.diagonal(rho, 0, 1, 2).real, np.diagonal(rho, 1, 1, 2),
+                 np.diagonal(rho, 2, 1, 2))
+    moments = _banded_moments(*bands)
+    return moments if isinstance(source, list) else moments[0]
 
 
-def _banded_moments(p: np.ndarray, first: np.ndarray, second: np.ndarray) -> SpinMoments:
-    """Moments from the main (real), first and second diagonals of rho."""
-    n_atoms = len(p) - 1
+def _banded_moments(p: np.ndarray, first: np.ndarray, second: np.ndarray) -> list[SpinMoments]:
+    """Moments from rows of the main (real), first and second diagonals of rho.
+
+    Each reduction is an elementwise product summed along a row, so a
+    row's moments do not depend on the other rows.  A variance below
+    -1e-8 is refused (ValueError, the first in row and column order); one
+    between that and 0 is clamped to 0.
+    """
+    n_atoms = p.shape[-1] - 1
     s = _ladder_factors(n_atoms)
     x = np.arange(n_atoms + 1, dtype=float) - n_atoms / 2.0
     # (J_y^2)_kk = (J_z^2)_kk = s_{k-1}^2 + s_k^2, with s_{-1} = s_N = 0
     s2 = np.concatenate(([0.0], s**2, [0.0]))
-    band0 = float(p @ (s2[:-1] + s2[1:]))
-    band2 = 2.0 * float((s[:-1] * s[1:]) @ second.real)
-    mx = float(x @ p)
-    my = 2.0 * float(s @ first.imag)
-    mz = -2.0 * float(s @ first.real)
-    return SpinMoments(
-        mx,
-        my,
-        mz,
-        _clamp_variance(float(x**2 @ p) - mx**2),
-        _clamp_variance(band0 - band2 - my**2),
-        _clamp_variance(band0 + band2 - mz**2),
+    band0 = np.sum(p * (s2[:-1] + s2[1:]), axis=-1)
+    band2 = 2.0 * np.sum((s[:-1] * s[1:]) * second.real, axis=-1)
+    mx = np.sum(x * p, axis=-1)
+    my = 2.0 * np.sum(s * first.imag, axis=-1)
+    mz = -2.0 * np.sum(s * first.real, axis=-1)
+    var = np.stack(
+        (np.sum(x**2 * p, axis=-1) - mx**2, band0 - band2 - my**2, band0 + band2 - mz**2), axis=1
     )
-
+    low = var[var < _VAR_FLAG]
+    if low.size:
+        raise ValueError(f"variance {low[0]} below roundoff tolerance {_VAR_FLAG}")
+    var = np.where(var < 0.0, 0.0, var)
+    return [SpinMoments(*row) for row in np.column_stack((mx, my, mz, var)).tolist()]

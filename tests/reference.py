@@ -2,9 +2,13 @@
 
 The dense spin operators and the closed-form precession of a spin
 coherent state are independent of the package's banded moments and of
-its integrators; rhs evaluates the production generator once, so the
-tests can check it against closed forms and a rebuilt oracle.
+its integrators, and the dense conditioning, A(k) from its definition
+in plain complex arithmetic, is independent of the log-domain readout;
+rhs evaluates the production generator once, so the tests can check it
+against closed forms and a rebuilt oracle.
 """
+
+import math
 
 import numpy as np
 
@@ -70,3 +74,26 @@ def analytic_precession(
         jy_var=n / 4.0 * (1.0 - 4.0 * ab**2 * np.sin(ph) ** 2),
         jz_var=n * ab**2,
     )
+
+
+def detection_factor(light, gt: float, n_c: int, n_d: int, n_atoms: int) -> np.ndarray:
+    """A(k) = e^{-(|a_l|^2+|a_r|^2)/2} u_c^{n_c} u_d^{n_d} / sqrt(n_c! n_d!), k = 0..N.
+
+    u_c, u_d are the detector-port brackets of the recombining
+    beamsplitter with arm phases -/+ gt (k - N/2), formed by complex
+    powers; fine for the small counts the tests use.
+    """
+    x = gt * (np.arange(n_atoms + 1) - n_atoms / 2.0)
+    a_l = light.alpha_l * np.exp(-1j * x)
+    a_r = light.alpha_r * np.exp(1j * x)
+    u_c = (a_l + 1j * a_r) / math.sqrt(2.0)
+    u_d = (1j * a_l + a_r) / math.sqrt(2.0)
+    norm = math.exp(-(abs(light.alpha_l) ** 2 + abs(light.alpha_r) ** 2) / 2.0)
+    return norm * u_c**n_c * u_d**n_d / math.sqrt(math.factorial(n_c) * math.factorial(n_d))
+
+
+def dense_conditioning(rho: np.ndarray, light, gt: float, n_c: int, n_d: int) -> np.ndarray:
+    """D rho D^dagger / tr(D rho D^dagger), D = diag A(k): the conditioned density matrix."""
+    d = np.diag(detection_factor(light, gt, n_c, n_d, len(rho) - 1))
+    cond = d @ rho @ d.conj().T
+    return cond / np.trace(cond).real

@@ -586,8 +586,12 @@ def test_cli_import_leaves_scipy_out():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     # write_csv's encoder builds its lookups from ints on first use, so
-    # importing the CLI loads neither fractions nor decimal and builds none
-    heavy = ("scipy", "numpy.random", "numpy.fft", "numpy.polynomial", "fractions", "decimal")
+    # importing the CLI loads neither fractions nor decimal and builds none;
+    # only validate imports the oracle suites
+    heavy = (
+        "scipy", "numpy.random", "numpy.fft", "numpy.polynomial", "fractions", "decimal",
+        "dwsqueeze.validation",
+    )
     for module, absent in (("dwsqueeze.cli", heavy), ("dwsqueeze", ("numpy",))):
         probe = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
         result = subprocess.run(
@@ -899,3 +903,156 @@ def test_missing_config_file(tmp_path, capsys, monkeypatch, case):
         assert calls == []
     if case in ("out_is_file", "out_under_file"):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "out"]
+
+
+
+
+@pytest.mark.parametrize(
+    "command, overrides, entries",
+    [
+        ("master", {"q_omega_t": "9"}, 31),
+        ("master", {"gamma": "1e-3", "q_omega_t": "9"}, 31 * 31),
+        ("sweep", {"sweep_param": "gamma", "sweep_values": "0,1e-3,2e-3"}, 31 * 31),
+    ],
+    ids=["rotation", "rho", "sweep"],
+)
+def test_readout_bytes_do_not_depend_on_the_chunk(
+    tmp_path, monkeypatch, command, overrides, entries
+):
+    # the chunk bound at one sample, at 7 samples and at its default: the
+    # readout takes chunks of those sizes, and every CSV keeps its bytes
+    cfg = write(tmp_path / "c.cfg", base_config(**overrides))
+    real, outputs, sizes = cli.conditional_density, [], []
+    for bound in (1, 7 * entries, cli._CHUNK_ENTRIES):
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", bound)
+        chunks = []
+
+        def recording(params, state, t, outcome):
+            chunks.append(len(state))
+            return real(params, state, t, outcome)
+
+        monkeypatch.setattr(cli, "conditional_density", recording)
+        out = tmp_path / f"out{bound}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        # the last call of a master run conditions its one Q snapshot
+        sizes.append(chunks[:-1] if command == "master" else chunks)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert set(sizes[0]) == {1}
+    assert 7 in sizes[1] and max(sizes[1]) <= 7 * entries // 31
+    assert max(sizes[2]) > 7
+    assert sum(sizes[0]) == sum(sizes[1]) == sum(sizes[2])
+
+
+_RK4_STEP = master_eq._rk4_step
+
+
+def poisoned_steps(monkeypatch, first_steps):
+    """Make each stacked point nan from its given RK4 step of the next run on."""
+    taken = []
+
+    def step(gen, rho, ov, dt):
+        _RK4_STEP(gen, rho, ov, dt)
+        taken.append(None)
+        for point, first in first_steps.items():
+            if len(taken) >= first:
+                rho.array[:, point] = np.nan
+
+    monkeypatch.setattr(master_eq, "_rk4_step", step)
+
+
+@pytest.mark.parametrize("bound", [1, None])
+def test_readout_failure_beats_later_integrate_failure(tmp_path, capsys, monkeypatch, bound):
+    # with PROB_FLOOR pinned between two samples' P, the outcome becomes
+    # unreachable at a sample that the chunk still holds when a later
+    # sample fails its drift gate: the earlier readout failure is raised
+    import dwsqueeze.pure_measure as pure_measure
+
+    params = ModelParams(5, FIG6_OMEGA, 0.02, 1e-3, LightPair(2.0, 2.0))
+    state = build_spin_coherent(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 5)
+    grid = TimeGrid(20.0, 0.02, 50)
+    outcome = DetectionOutcome(4, 4)
+    samples = integrate(params, state, grid)
+    p = [
+        pure_measure._reachable_factor(
+            params.light, pure_measure.InteractionSetting(params.g, s.t), outcome,
+            np.diag(s.state).real,
+        )[2]
+        for s in samples
+    ]
+    floor = 0.5 * (p[0] + min(p))
+    j = next(i for i, v in enumerate(p) if v < floor)
+    assert 0 < j < len(samples) - 2
+    monkeypatch.setattr(pure_measure, "PROB_FLOOR", floor)
+    if bound is not None:
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", bound)
+    poison = {0: (j + 1) * grid.sample_stride + 1}
+    poisoned_steps(monkeypatch, poison)
+    with pytest.raises(master_eq.IntegrationError, match="trace drift") as err:
+        integrate(params, state, grid)
+    assert err.value.t > samples[j].t
+    poisoned_steps(monkeypatch, poison)
+    with pytest.raises(pure_measure.ImpossibleOutcomeError, match=f"probability {p[j]:.3e}"):
+        cli._moments_series(params, state, grid, outcome)
+    poisoned_steps(monkeypatch, poison)
+    cfg = write(tmp_path / "c.cfg", base_config(
+        n_atoms="5", alpha=fmt(math.sqrt(0.3)), beta=fmt(math.sqrt(0.7)), g=fmt(params.g),
+        gamma="1e-3", t_max="20", sample_stride="50",
+    ))
+    assert main(["master", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    assert "unreachable outcome: " in capsys.readouterr().err
+    assert not (tmp_path / "o" / "master_timeseries.csv").exists()
+
+
+def failing_readout(monkeypatch, fail_at):
+    """Refuse, as an IntegrationError, every sample of a point from its given time on."""
+    real = cli.conditional_density
+
+    def conditional_density(params, state, t, outcome):
+        first = fail_at.get(params.gamma, math.inf)
+        late = [u for u in (t if isinstance(t, list) else [t]) if u >= first]
+        if late:
+            raise master_eq.IntegrationError(f"imaginary residue at {late[0]}")
+        return real(params, state, t, outcome)
+
+    monkeypatch.setattr(cli, "conditional_density", conditional_density)
+
+
+@pytest.mark.parametrize("bound", [1, None])
+@pytest.mark.parametrize(
+    "fail_at, poison, named, at",
+    [
+        # two readout failures: the earlier time wins, not the first point
+        ({1e-3: 6.0, 2e-3: 3.0}, {}, "0.002", 3.0),
+        # at one time, the first point in sweep order
+        ({1e-3: 3.0, 2e-3: 3.0}, {}, "0.001", 3.0),
+        # a readout failure at the time of a later point's drift failure
+        ({1e-3: 3.0}, {1: 101}, "0.001", 3.0),
+        # a drift failure before a held-back readout failure
+        ({1e-3: 6.0}, {1: 51}, "0.002", 2.0),
+    ],
+    ids=["earlier_time", "same_time", "readout_before_gate", "gate_first"],
+)
+def test_sweep_readout_failure_names_its_point(
+    tmp_path, capsys, monkeypatch, bound, fail_at, poison, named, at
+):
+    if bound is not None:
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", bound)
+    failing_readout(monkeypatch, fail_at)
+    params = [ModelParams(5, FIG6_OMEGA, 0.02, gm, LightPair(2.0, 2.0)) for gm in (1e-3, 2e-3)]
+    state = build_spin_coherent(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 5)
+    grid = TimeGrid(20.0, 0.02, 50)
+    poisoned_steps(monkeypatch, poison)
+    with pytest.raises(master_eq.IntegrationError) as err:
+        cli._moments_series(params, [state] * 2, grid, DetectionOutcome(4, 4))
+    assert (err.value.point, err.value.t) == ((0.001, 0.002).index(float(named)), at)
+    cfg = write(tmp_path / "c.cfg", base_config(
+        n_atoms="5", alpha=fmt(math.sqrt(0.3)), beta=fmt(math.sqrt(0.7)), g="0.02",
+        t_max="20", sample_stride="50", sweep_param="gamma", sweep_values="0.001,0.002",
+    ))
+    poisoned_steps(monkeypatch, poison)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: sweep gamma = {named}: ")
+    assert (f"at {at}" in errors[0]) != ("trace drift" in errors[0])

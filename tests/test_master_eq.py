@@ -32,7 +32,7 @@ from dwsqueeze.spin_core import (
     build_spin_coherent,
     moments_from_density,
 )
-from reference import analytic_precession, rhs, spin_operator_matrices
+from reference import analytic_precession, dense_conditioning, rhs, spin_operator_matrices
 
 TILTED = GroundExcitedAmplitudes(math.sqrt(0.001), math.sqrt(0.999))
 
@@ -671,10 +671,10 @@ SWEEP_G = 0.1 * SWEEP_OMEGA / 30
     ],
 )
 def test_batched_sweep_matches_per_point_runs(field, values):
-    # a batch, each sample reduced to its moments row as it is made, gives
-    # each point's columns bit for bit as its own integrate call followed
-    # by _moments_row per sample, and each point's states bit for bit
-    from dwsqueeze.cli import _moments_row, _timeseries_columns
+    # a batch, its samples read out a chunk at a time, gives each point's
+    # columns bit for bit as its own integrate call read out one sample at
+    # a time, and each point's states bit for bit
+    from dwsqueeze.cli import _moments_series, _timeseries_columns
 
     base = {"n_atoms": 30, "omega": SWEEP_OMEGA, "g": SWEEP_G, "gamma": 1e-3,
             "light": LightPair(2.0, 2.0)}
@@ -683,14 +683,15 @@ def test_batched_sweep_matches_per_point_runs(field, values):
     grid = TimeGrid(3.0 / SWEEP_OMEGA, 0.005, 20)
     outcome = DetectionOutcome(3, 5)
 
-    def moments_rows(params):
-        return lambda s: _moments_row(params, outcome, s)
+    def alone(params, s):
+        m = moments_from_density(conditional_density(params, s.state, s.t, outcome))
+        return s.t, m, s.trace_err, s.herm_err
 
-    batch = integrate(points, states, grid, [moments_rows(p) for p in points])
+    batch = _moments_series(points, states, grid, outcome)
     raw = integrate(points, states, grid)
     for params, state, rows, samples in zip(points, states, batch, raw, strict=True):
         single = integrate(params, state, grid)
-        ref = _timeseries_columns(params, [_moments_row(params, outcome, s) for s in single])
+        ref = _timeseries_columns(params, [alone(params, s) for s in single])
         got = _timeseries_columns(params, rows)
         assert list(got) == list(ref)
         for name in ref:
@@ -823,3 +824,87 @@ def test_batch_refuses_mixed_atom_numbers():
     got = integrate(mixed, [build_spin_coherent(TILTED, 7), random_density(5)],
                     TimeGrid(1.0, 0.01, 50))
     assert [len(s) for s in got] == [3, 3]
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return AtomState(n, c / np.linalg.norm(c))
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+@pytest.mark.parametrize("kind", ["state", "rho"])
+def test_batched_conditioning_matches_dense_reference(n, kind):
+    # a list of sources at a list of times is conditioned as one stack: each
+    # entry agrees with D rho D^dagger / tr, D = diag A(k) from its definition,
+    # and is bit for bit the conditioning of that source alone
+    params = make_params(n=n, g=0.3 / n, light=LightPair(2.0, 1.5 - 0.5j))
+    outcome = DetectionOutcome(3, 5)
+    times = [0.0, 0.7, 1.9, 4.2, 8.5]
+    if kind == "state":
+        sources = [random_state(n, seed) for seed in range(len(times))]
+    else:
+        sources = [random_density(n, seed) for seed in range(len(times))]
+    batch = conditional_density(params, sources, times, outcome)
+    assert len(batch) == len(sources)
+    for source, t, got in zip(sources, times, batch):
+        alone = conditional_density(params, source, t, outcome)
+        rho = projector(source) if kind == "state" else source
+        ref = dense_conditioning(rho, params.light, params.g * t, 3, 5)
+        if kind == "state":
+            assert isinstance(got, AtomState)
+            assert np.array_equal(bits(got.amplitudes), bits(alone.amplitudes))
+            got = projector(got)
+        else:
+            assert np.array_equal(bits(got), bits(alone))
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_batched_conditioning_refuses_first_failing_source():
+    # an unreachable source in a list is refused as it is alone, and an
+    # imaginary trace residue names the first source that has one
+    params = make_params(n=6, g=0.2, light=LightPair(1.0, 1.0))
+    good = coherent_rho(GroundExcitedAmplitudes(0, 1), 6)
+    bad = good + 1e-3j * np.eye(7)
+    worse = good + 2e-3j * np.eye(7)
+    with pytest.raises(IntegrationError, match="imaginary residue") as err:
+        conditional_density(params, [good, bad, worse], [0.5] * 3, DetectionOutcome(1, 1))
+    with pytest.raises(IntegrationError) as alone:
+        conditional_density(params, bad, 0.5, DetectionOutcome(1, 1))
+    assert str(err.value) == str(alone.value)
+    with pytest.raises(ImpossibleOutcomeError):
+        conditional_density(params, [good, good], [0.0, 0.5], DetectionOutcome(300, 300))
+
+
+@pytest.mark.parametrize("entries", [1, 7 * 31, master_eq._LIFT_ENTRIES])
+def test_block_lifts_match_one_at_a_time(entries, monkeypatch):
+    # integrate lifts a block's sampled one-atom states in groups; every row
+    # is bit for bit the lift of its state alone, whatever the group size
+    rng = np.random.default_rng(3)
+    xi = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    states = [tuple(map(complex, row)) for row in xi]
+    alone = [master_eq._coherent_amplitudes(x1, x0, 30) for x0, x1 in states]
+    monkeypatch.setattr(master_eq, "_LIFT_ENTRIES", entries)
+    rows = list(master_eq._lifts(states, 30))
+    assert len(rows) == len(states)
+    for row, ref in zip(rows, alone):
+        assert np.array_equal(bits(row), bits(ref))
+
+
+def test_integrate_keeps_a_reduction_tagged_error():
+    # a reduction that reports an earlier, held-back sample's failure has
+    # tagged it already, and integrate passes it on as it is
+    params = make_params(n=5, omega=0.5, g=0.02)
+    grid = TimeGrid(1.0, 0.01, 10)
+
+    def reduce(s):
+        if s.t > 0.25:
+            exc = IntegrationError("held back")
+            exc.t, exc.point = 0.1, 0
+            raise exc
+        return s.t
+
+    with pytest.raises(IntegrationError, match="held back") as err:
+        integrate(params, build_spin_coherent(TILTED, 5), grid, reduce)
+    assert (err.value.t, err.value.point) == (0.1, 0)

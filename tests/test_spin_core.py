@@ -329,3 +329,50 @@ def test_xlogy_zero_log_zero():
         warnings.simplefilter("error")
         twice = _xlogy(2, x[:, 0], out=np.empty(3))
     assert np.array_equal(twice, [-np.inf, 2 * np.log(0.5), 2 * np.log(2.0)])
+
+
+def random_sources(kind, n_atoms, count):
+    rng = np.random.default_rng(n_atoms)
+    sources = []
+    for _ in range(count):
+        if kind == "state":
+            c = rng.normal(size=n_atoms + 1) + 1j * rng.normal(size=n_atoms + 1)
+            sources.append(AtomState(n_atoms, c / np.linalg.norm(c)))
+        else:
+            a = rng.normal(size=(n_atoms + 1,) * 2) + 1j * rng.normal(size=(n_atoms + 1,) * 2)
+            rho = a @ a.conj().T
+            sources.append(rho / np.trace(rho).real)
+    return sources
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 30])
+@pytest.mark.parametrize("kind", ["state", "rho"])
+def test_batched_moments_match_dense_operators(kind, n_atoms):
+    # a list of sources is read out in one pass: each entry matches the
+    # traces with the dense operators and is bit for bit its own call
+    sources = random_sources(kind, n_atoms, 6)
+    batch = moments_from_density(sources)
+    assert len(batch) == len(sources)
+    for source, got in zip(sources, batch):
+        assert got == moments_from_density(source)
+        rho = source if kind == "rho" else np.outer(source.amplitudes, source.amplitudes.conj())
+        for axis, op in zip("xyz", spin_operator_matrices(n_atoms)):
+            mean = np.trace(op @ rho).real
+            var = np.trace(op @ op @ rho).real - mean**2
+            assert getattr(got, f"j{axis}_mean") == pytest.approx(mean, rel=1e-12, abs=1e-14)
+            assert getattr(got, f"j{axis}_var") == pytest.approx(var, rel=1e-12, abs=1e-14)
+
+
+def test_batched_moments_refuse_first_failing_source():
+    # the error is that of the first source that fails, as if read alone
+    rho = random_sources("rho", 3, 1)[0]
+    skewed = rho + 1e-6 * np.triu(np.ones((4, 4)), 1)
+    heavy = 2.0 * rho
+    for batch, message in (
+        ([rho, skewed, heavy], "not Hermitian"),
+        ([rho, heavy, skewed], "trace"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            moments_from_density(batch)
+    with pytest.raises(ValueError, match="square"):
+        moments_from_density([np.ones((2, 3)) / 2])
