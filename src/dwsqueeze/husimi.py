@@ -17,23 +17,32 @@ the sphere integral is exact up to roundoff once n_theta, n_phi > N.
 
 Cost: q_grid builds the overlap rows a block of theta rows at a time
 (theta rows * n_phi * (N+1) at most _BLOCK_ENTRIES, but at least one
-theta row) and contracts each block before building the next.  In a
-block the log magnitudes m_k and their real exp are formed for every k,
-as the row norm needs them; the phases, their cos and sin and the
-complex rows only on the support window W of the sources (below).  The
-work is points * (N+1) real entries, plus points * |W| complex ones for
-a state (|rows C_W|^2) and points * |W|^2 for a density matrix (one
+theta row) and contracts each block before building the next.  A block
+holds only the k of the support window W of the sources (below): the
+log magnitudes, the phases, their exp, cos and sin and the complex rows
+are all formed on W alone.  The rows are not normalized; q_grid divides
+each contracted point by their squared norm s^N (below), one number per
+grid point.  The work is points * |W| complex entries, plus points * |W|
+for a state (|rows C_W|^2) and points * |W|^2 for a density matrix (one
 matrix product rows rho_WW, then a real row-wise dot with the rows).  A
 list of sources that share one N shares each block: it is built once,
 contracted with every source in turn and freed before the next build.
 The live memory is one block plus one n_theta x n_phi result per source.
 A block's arrays are formed in place, through out= buffers, so a build
-holds at most four real arrays of the block's size at once (the log
+holds at most four real arrays of |W| entries per point at once (the log
 magnitudes, the second term of their sum and the phases; then the
-magnitudes, the phases and the complex rows as two), besides what
-np.linalg.norm takes to normalize a full window.  The block budget keeps
-each of them cache-sized.  Every block contracts whole theta rows in the
-same shapes, so the budget moves no bit of Q.
+magnitudes, the phases and the complex rows as two).  The block budget
+keeps each of them cache-sized.  Every block contracts whole theta rows
+in the same shapes, so the budget moves no bit of Q.
+
+The row norm.  Row (i, j) holds R_k = binom(N,k)^(1/2) conj(eta_l^k
+eta_r^(N-k)), so by the binomial theorem its squared norm over all k is
+
+    sum_k binom(N,k) |eta_l|^(2k) |eta_r|^(2(N-k)) = s^N,
+    s = |eta_l|^2 + |eta_r|^2,
+
+which is 1 up to the rounding of eta.  q_grid forms it once per grid as
+exp(N log s), so no pass over the k outside W is needed.
 
 The support window W is the smallest range of k outside which each
 source's weight w_k is at most eps * max_k w_k: w_k = |C_k| for a state,
@@ -41,16 +50,39 @@ w_k = sqrt(rho_kk) for a density matrix, and a list takes the smallest
 range holding every source's window.  eps = u / (3 (N+1)^2), with
 u = 2^-53 the unit roundoff, so dropping the k outside W moves any Q by
 at most u / (4 pi).  A state is rho = C C^dagger, so one derivation
-covers both: Q = (N+1)/(4 pi) sum_{k,k'} r_k rho_kk' r*_k' for the
-unit-norm row r, and the dropped terms are those with k or k' outside W.
-For rho >= 0 of trace 1, |rho_kk'| <= w_k w_k', every w_k <= 1 and
-|r_k| <= 1.  With a = sum_{k in W} |r_k| w_k <= 1 (Cauchy-Schwarz:
-sum |r_k|^2 = sum w_k^2 = 1) and b = sum_{k not in W} |r_k| w_k
-<= (N+1) eps <= 1, the dropped terms sum to at most
-(a + b)^2 - a^2 = 2ab + b^2 <= 3 (N+1) eps, and Q moves by at most
-3 (N+1)^2 eps / (4 pi) = u / (4 pi).  The row norm still runs over every
-k: on a full window exactly as np.linalg.norm of the rows, otherwise as
-sqrt(sum_{k in W} |row_k|^2 + sum_{k not in W} m_k^2).
+covers both.  With the unit-norm row r = R s^(-N/2) (sum |r_k|^2 = 1 by
+the norm above), Q = (N+1)/(4 pi) s^-N sum_{k,k'} R_k rho_kk' R*_k'
+= (N+1)/(4 pi) sum_{k,k'} r_k rho_kk' r*_k', and the dropped terms are
+those with k or k' outside W.  For rho >= 0 of trace 1,
+|rho_kk'| <= w_k w_k', every w_k <= 1 and |r_k| <= 1.  With
+a = sum_{k in W} |r_k| w_k <= 1 (Cauchy-Schwarz: sum |r_k|^2 =
+sum w_k^2 = 1) and b = sum_{k not in W} |r_k| w_k <= (N+1) eps <= 1, the
+dropped terms sum to at most (a + b)^2 - a^2 = 2ab + b^2 <= 3 (N+1) eps,
+and Q moves by at most 3 (N+1)^2 eps / (4 pi) = u / (4 pi).
+
+The analytic norm against a numerical one.  A numerical norm sums the
+squares of the computed entries, e^(2 L'_k) with L'_k = L_k + D_k the
+computed log magnitude and L_k the exact one at the rounded eta.  So it
+is s^N sum_k p_k e^(2 D_k), p_k = e^(2 L_k) / s^N the binomial weights,
+and to first order it sits within 2 sum_k p_k |D_k| of s^N, relatively.
+Only the log-binomials' rounding grows faster than N:
+
+- 0.5 (lf_N - lf_k - lf_(N-k)) rounds by at most (e + u) ln N! for
+  every k, as ln k! + ln (N-k)! <= ln N!; e <= 3.5 u bounds the log
+  factorials' relative error (every n <= MAX_ATOMS, against 40-digit
+  values: at most 3.3 u);
+- the eta terms k log|eta_l| + (N-k) log|eta_r| and the two sums round
+  relative to their size, which under p is the entropy bound
+  N (x ln(1/x) + (1-x) ln(1/(1-x))) / 2 <= N ln 2 / 2, x = |eta_l|^2:
+  they add at most 3.6 N u + u ln(N+1) / 2 to sum_k p_k |D_k|;
+- the rounding of s (6 N u in s^N), of exp(N log s) and of a numerical
+  norm's squares and sum ((N + 15) u) add the rest.
+
+So |numerical / s^N - 1| <= (9 ln N! + 16 (N + 2)) u, and Q moves
+relatively by as much.  Measured over 16 to 64 point grids the shift
+sits under 2 u ln N! for 30 <= N <= 4096 (1.4e4 u at N = 2000, against
+2.6e4 u), under 2 (N+1) (ln(N+1) + 1) u, the rounding floor of
+perfbench's gate, and at 4 u for N <= 2.
 """
 
 from __future__ import annotations
@@ -113,32 +145,22 @@ def _fejer_weights(thetas: np.ndarray) -> np.ndarray:
 def _overlap_matrix(
     n_atoms: int, thetas: np.ndarray, phis: np.ndarray, window: slice = slice(None)
 ) -> np.ndarray:
-    """<theta_i, phi_j | k> for the k of window, stacked as (n_theta, n_phi, |W|).
+    """s^(N/2) <theta_i, phi_j | k> for the k of window, as (n_theta, n_phi, |W|).
 
-    Each row is normalized over all k = 0..N (see the module docstring),
-    so a partial window holds its part of a unit-norm row.  The entries
-    equal those of a full-window build up to the rounding of the norm.
+    The rows are not normalized: their squared norm over all k = 0..N is
+    s^N, s = |eta_l|^2 + |eta_r|^2 (see the module docstring), which
+    q_grid divides out.  Each entry is the same whatever the window.
     """
     eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
     mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, window)
     np.exp(mag, out=mag)
-    inside = mag[..., window]
     # m cos(phase) - i m sin(phase) is m exp(-i phase) bit for bit; cos and
     # sin are formed in the part of the row they scale, with no temporary
     rows = np.empty(phase.shape, dtype=complex)
     re, im = rows.real, rows.imag
-    np.multiply(np.cos(phase, out=re), inside, out=re)
-    np.multiply(np.sin(phase, out=im), inside, out=im)
+    np.multiply(np.cos(phase, out=re), mag, out=re)
+    np.multiply(np.sin(phase, out=im), mag, out=im)
     np.negative(im, out=im)
-    if rows.shape[-1] == n_atoms + 1:
-        del mag, inside, phase  # freed before the norm's own temporaries
-        rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-        return rows
-    # the squared norm: m_k^2 off the window, |row_k|^2 on it
-    squares = np.square(mag, out=mag)
-    np.square(re, out=inside)
-    inside += np.square(im, out=phase)
-    rows /= np.sqrt(squares.sum(axis=2, keepdims=True))
     return rows
 
 
@@ -219,8 +241,12 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
             out[block] = contract(rows)
         del rows  # free this block before the next one is built
     weights = np.outer(_fejer_weights(thetas), np.full(n_phi, 2.0 * np.pi / n_phi))
+    eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
+    # the rows' squared norm s^N, as exp(N log s)
+    norm = np.exp(n_atoms * np.log(np.square(np.abs(eta_l)) + np.square(np.abs(eta_r))))
     grids = []
     for v in values:
+        v /= norm
         v *= (n_atoms + 1) / (4.0 * np.pi)
         # only the density-matrix contraction can round below zero
         if v.min() < -1e-10:

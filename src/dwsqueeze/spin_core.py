@@ -179,14 +179,13 @@ def _xlogy(n, x, out=None):
 def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int, window: slice = slice(None)):
     """Log magnitude and phase of binom(N,k)^(1/2) eta_l^k eta_r^(N-k).
 
-    eta_l and eta_r are scalars or arrays of one shape; k = 0..N runs
-    along a new last axis.  The log magnitude covers every k, the phase
-    only the k of window (all of them by default); each entry is the
-    same whatever the window.
+    eta_l and eta_r are scalars or arrays of one shape; the k of window
+    (all of k = 0..N by default) run along a new last axis of both
+    arrays.  Each entry is the same whatever the window.
     """
-    k = np.arange(n_atoms + 1, dtype=float)  # exact, and no int-to-float cast buffers
     lf = log_factorials(n_atoms)
-    log_binom = 0.5 * (lf[n_atoms] - lf - lf[::-1])
+    log_binom = (0.5 * (lf[n_atoms] - lf - lf[::-1]))[window]
+    k = np.arange(n_atoms + 1, dtype=float)[window]  # exact, and no cast buffers
     eta_l = np.asarray(eta_l)[..., None]
     eta_r = np.asarray(eta_r)[..., None]
     shape = np.broadcast_shapes(eta_l.shape, k.shape)
@@ -195,9 +194,8 @@ def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int, window: slice = slice(N
     log_mag += log_binom
     term = _xlogy(n_atoms - k, np.abs(eta_r), out=np.empty(shape))
     log_mag += term
-    k = k[window]
-    phase = np.multiply(k, np.angle(eta_l), out=np.empty(shape[:-1] + k.shape))
-    phase += np.multiply(n_atoms - k, np.angle(eta_r), out=term[..., window])
+    phase = np.multiply(k, np.angle(eta_l), out=np.empty(shape))
+    phase += np.multiply(n_atoms - k, np.angle(eta_r), out=term)
     return log_mag, phase
 
 

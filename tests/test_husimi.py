@@ -26,10 +26,22 @@ from dwsqueeze.spin_core import (
 )
 
 RT2 = math.sqrt(2.0)
+U = 2.0**-53
 
 
 def overlap_row(theta, phi, n):
     return _overlap_matrix(n, np.array([theta]), np.array([phi]))[0, 0]
+
+
+def row_norm(thetas, phis, n_atoms):
+    """s^N, the rows' squared norm, formed as q_grid forms it."""
+    eta_l, eta_r = husimi._eta_pair(thetas, phis)
+    return np.exp(n_atoms * np.log(np.square(np.abs(eta_l)) + np.square(np.abs(eta_r))))
+
+
+def norm_gap(n_atoms):
+    """The husimi docstring's bound on |numerical row norm / s^N - 1|."""
+    return (9 * math.lgamma(n_atoms + 1) + 16 * (n_atoms + 2)) * U
 
 
 def grid_node(n_grid, i, j):
@@ -54,9 +66,11 @@ def test_overlap_row_equator_concentrates():
     phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
     n=st.integers(0, 60),
 )
-def test_overlap_row_unit_norm(theta, phi, n):
+def test_overlap_row_norm_is_s_to_the_n(theta, phi, n):
+    # the rows are not normalized: by the binomial theorem their squared
+    # norm is s^N, which a numerical norm meets to the derived gap
     row = overlap_row(theta, phi, n)
-    assert abs(np.linalg.norm(row) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(row) ** 2 / row_norm(theta, phi, n) - 1.0) <= norm_gap(n)
 
 
 def test_q_pure_self_overlap_peak():
@@ -177,30 +191,57 @@ def test_q_grid_squeezed_marginal_narrower():
     assert my_cond > my_coh
 
 
-def whole_tensor_q(source, n_theta, n_phi, window=slice(None)):
-    """Q from one (n_theta, n_phi, |W|) overlap tensor, contracted whole.
-
-    On q_grid's support window it is the oracle for q_grid's blocked
-    contraction (same rows, same nodes); on the default full window it is
-    the full-row evaluation that the window is checked against.
-    """
+def grid_axes(n_theta, n_phi):
+    """q_grid's cell-centered theta and phi nodes."""
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
-    phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    return thetas, (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+
+
+def source_atoms(source):
+    return source.n_atoms if isinstance(source, AtomState) else source.shape[0] - 1
+
+
+def contract_whole(source, rows, window):
+    """<theta, phi|source|theta, phi> over the k of window, from one tensor."""
     if isinstance(source, AtomState):
-        n_atoms = source.n_atoms
-        rows = _overlap_matrix(n_atoms, thetas, phis, window)
-        amplitudes = source.amplitudes[window]
-        return (n_atoms + 1) / (4.0 * np.pi) * np.abs(rows @ amplitudes) ** 2
-    n_atoms = source.shape[0] - 1
-    rows = _overlap_matrix(n_atoms, thetas, phis, window)
+        return np.abs(rows @ source.amplitudes[window]) ** 2
     rho = source[window, window]
-    values = np.real(np.einsum("ijk,kl,ijl->ij", rows, rho, rows.conj(), optimize=True))
+    return np.real(np.einsum("ijk,kl,ijl->ij", rows, rho, rows.conj(), optimize=True))
+
+
+def window_tensor_q(source, n_theta, n_phi, window=slice(None)):
+    """Q from one (n_theta, n_phi, |W|) tensor of q_grid's rows, contracted whole.
+
+    Each point is divided by s^N and scaled as q_grid does it.  On
+    q_grid's support window it is the oracle for q_grid's blocked
+    contraction (same rows, same nodes, same norm); on the default full
+    window it is the full-row evaluation that the window is checked
+    against.
+    """
+    thetas, phis = grid_axes(n_theta, n_phi)
+    n_atoms = source_atoms(source)
+    values = contract_whole(source, _overlap_matrix(n_atoms, thetas, phis, window), window)
+    values /= row_norm(thetas[:, None], phis[None, :], n_atoms)
+    values *= (n_atoms + 1) / (4.0 * np.pi)
+    return np.maximum(values, 0.0)
+
+
+def whole_tensor_q(source, n_theta, n_phi):
+    """Q from full rows, each normalized by np.linalg.norm, contracted whole.
+
+    This is the numerical-norm definition of Q, which q_grid's analytic
+    s^N is checked against.
+    """
+    thetas, phis = grid_axes(n_theta, n_phi)
+    n_atoms = source_atoms(source)
+    rows = _overlap_matrix(n_atoms, thetas, phis)
+    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    values = contract_whole(source, rows, slice(None))
     return np.maximum(values * (n_atoms + 1) / (4.0 * np.pi), 0.0)
 
 
 def q_window(source):
-    n_atoms = source.n_atoms if isinstance(source, AtomState) else source.shape[0] - 1
-    return husimi._support_window([source], n_atoms)
+    return husimi._support_window([source], source_atoms(source))
 
 
 def random_density(n_atoms, seed):
@@ -238,11 +279,11 @@ def test_q_grid_blocks_match_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi, 
     state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms)
     assert np.array_equal(
         q_grid(state, n_theta, n_phi).values,
-        whole_tensor_q(state, n_theta, n_phi, q_window(state)),
+        window_tensor_q(state, n_theta, n_phi, q_window(state)),
     )
     rho = random_density(n_atoms, seed=n_atoms)
     q_rho = q_grid(rho, n_theta, n_phi).values
-    assert np.max(np.abs(q_rho - whole_tensor_q(rho, n_theta, n_phi, q_window(rho)))) <= 1e-14
+    assert np.max(np.abs(q_rho - window_tensor_q(rho, n_theta, n_phi, q_window(rho)))) <= 1e-14
     assert blocks == 2 * expected_blocks
 
 
@@ -337,11 +378,12 @@ def block_height(n_atoms, n_phi):
 
 def test_q_grid_memory_stays_blocked():
     # the whole (64, 64, 2001) overlap tensor alone is 131 MB; q_grid holds
-    # one block of theta rows and its build's temporaries.  On top of one
-    # build's own peak, on the window of all three sources, it may add only
-    # the 64 x 64 results, 32 kB each, and 16 kB for one block's
-    # contraction and small Python objects; a row block held into the next
-    # build would add its complex rows.
+    # one block of theta rows, on the sources' window, and its build's
+    # temporaries.  On top of one build's own peak, on the window of all
+    # three sources, it may add only the 64 x 64 results, 32 kB each, and
+    # 16 kB for one block's contraction, the norm s^N and small Python
+    # objects; a row block held into the next build would add its complex
+    # rows.
     states = [
         build_spin_coherent(bloch_to_ge(BlochAngles(theta, 1.0)), 2000)
         for theta in (0.6, 1.1, 2.0)
@@ -351,20 +393,25 @@ def test_q_grid_memory_stays_blocked():
     result = 64 * 64 * 8
     one_window = husimi._support_window(states[:1], 2000)
     window = husimi._support_window(states, 2000)
-    wider = (window.stop - window.start) - (one_window.stop - one_window.start)
+    width = window.stop - window.start
+    wider = width - (one_window.stop - one_window.start)
     assert wider > 0
 
     build = traced_peak(_overlap_matrix, 2000, thetas, phis, window)
     one = traced_peak(q_grid, states[0], 64, 64)
     three = traced_peak(q_grid, states, 64, 64)
     assert one < 32e6
+    # Each stage of a build holds at most four real arrays of |W| entries
+    # per point (the log magnitudes, the second term and the phases; then
+    # the magnitudes, the phases and the complex rows as two) and no array
+    # over all k, which would add 8 bytes per point for each k outside W;
+    # 8 kB covers the eta pair and small objects.
+    assert build <= 4 * 8 * height * 64 * width + 8192
     # Three sources may add to one source's peak their two extra results
-    # and what their wider window adds to the block: each stage of a build
-    # holds at most three arrays of |W| entries per point (the phases and
-    # the complex rows as two; the others span all k), so 3 * 8 bytes per
-    # extra k and point; and 8 kB, as the small objects' share moves by
-    # about 2 kB with what ran before.
-    assert three - one <= 2 * result + 3 * 8 * height * 64 * wider + 8192
+    # and 4 * 8 bytes per extra k of their wider window and point; and
+    # 8 kB, as the small objects' share moves by about 2 kB with what ran
+    # before.
+    assert three - one <= 2 * result + 4 * 8 * height * 64 * wider + 8192
     assert three - build <= 3 * result + 16384
 
 
@@ -391,7 +438,6 @@ def test_q_grid_memory_fits_the_cache_at_fig6_size(monkeypatch):
 # The support window: the overlap rows of q_grid cover only the k range W
 # outside which every source's weight is below eps = u / (3 (N+1)^2) of
 # its maximum, which moves any Q by at most u / (4 pi).
-U = 2.0**-53
 
 
 def fock_state(n_atoms, k):
@@ -447,7 +493,8 @@ def test_windowed_q_matches_full_rows(case, n_atoms):
         assert window == slice(n_atoms // 5, 4 * n_atoms // 5 + 1)
     grids = q_grid(sources, 16, 16)
     for source, grid in zip(sources, grids):
-        full = whole_tensor_q(source, 16, 16)
+        # the same rows over all k, divided by the same s^N
+        full = window_tensor_q(source, 16, 16)
         # the dropped part moves Q by at most u / (4 pi); the shorter sums
         # round in another order, a few ulp of the largest Q
         tol = U / (4.0 * math.pi) + 16 * np.spacing(full.max())
@@ -477,28 +524,60 @@ def test_support_window_is_smallest_range():
 
 
 def test_window_keeps_log_magnitudes_and_phases():
-    # the window only skips entries: the log magnitudes and the phases it
-    # keeps are those of the full range bit for bit, and the rows differ
-    # only in the rounding of their norm
+    # the window only skips entries: the log magnitudes, the phases and the
+    # rows it keeps are those of the full range bit for bit.  The 17-point
+    # grid has a node at (pi/2, pi), where eta_l rounds to about 1e-16, so
+    # the log magnitudes fall by about 37 per k and the rows underflow to 0
+    # there long before the window starts.
     n_atoms, window = 300, slice(40, 170)
-    thetas, phis = grid_node(16, np.arange(16), np.arange(16))
-    eta_l, eta_r = husimi._eta_pair(thetas[:, None], phis[None, :])
-    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
-    log_mag_w, phase_w = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, window)
-    assert log_mag_w.tobytes() == log_mag.tobytes()
-    assert phase_w.tobytes() == phase[..., window].tobytes()
-    full = _overlap_matrix(n_atoms, thetas, phis)
-    part = _overlap_matrix(n_atoms, thetas, phis, window)
-    assert np.max(np.abs(part - full[..., window])) <= 8 * U
+    for n_grid in (16, 17):
+        thetas, phis = grid_node(n_grid, np.arange(n_grid), np.arange(n_grid))
+        eta_l, eta_r = husimi._eta_pair(thetas[:, None], phis[None, :])
+        log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
+        log_mag_w, phase_w = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, window)
+        assert log_mag_w.tobytes() == log_mag[..., window].tobytes()
+        assert phase_w.tobytes() == phase[..., window].tobytes()
+        full = _overlap_matrix(n_atoms, thetas, phis)
+        part = _overlap_matrix(n_atoms, thetas, phis, window)
+        assert part.tobytes() == full[..., window].tobytes()
+    # the 17-point grid's (pi/2, pi) node
+    assert not full[8, 8, 40:].any() and full[8, 8, 0] != 0
 
 
 def test_full_window_rows_are_the_complex_exp_rows():
     # on the full range the rows, built from cos and sin, equal
-    # m exp(-i phase) / norm, the whole-row build, entry for entry
+    # m exp(-i phase), the whole-row build, entry for entry
     n_atoms = 30
     thetas, phis = grid_node(16, np.arange(16), np.arange(16))
     eta_l, eta_r = husimi._eta_pair(thetas[:, None], phis[None, :])
     log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
     rows = np.exp(log_mag) * np.exp(-1j * phase)
-    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
     assert np.array_equal(_overlap_matrix(n_atoms, thetas, phis), rows)
+
+
+# (N, grid size): the odd grids put a node at (pi/2, pi), where eta_l
+# rounds to about 1e-16; at N = 2000 the whole-tensor rho contraction costs
+# (N+1)^2 per point, so only the 17 point grid runs
+NORM_CASES = [(n, g) for n in (1, 2, 30, 200) for g in (16, 17, 33)] + [(2000, 17)]
+
+
+@pytest.mark.parametrize("n_atoms,n_grid", NORM_CASES)
+def test_analytic_norm_matches_numerical_norm(n_atoms, n_grid):
+    # q_grid divides by s^N; normalizing every full row by np.linalg.norm
+    # instead moves Q relatively by at most the derived norm gap.  Each
+    # side's contraction rounds by at most 2 (N+1) u of the cap (N+1)/(4 pi),
+    # and its scaling, squares and divisions by a few u more; a partial
+    # window adds its u / (4 pi).
+    if n_grid % 2:
+        eta_l, _ = husimi._eta_pair(*grid_node(n_grid, n_grid // 2, n_grid // 2))
+        assert abs(eta_l) < 2e-16
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms)
+    if n_atoms == 2000:
+        rho = window_sources("rho", n_atoms)[0][0]
+    else:
+        rho = random_density(n_atoms, seed=n_atoms)
+    cap = (n_atoms + 1) / (4.0 * math.pi)
+    tol = U / (4.0 * math.pi) + cap * (norm_gap(n_atoms) + 4 * (n_atoms + 4) * U)
+    for source in (state, rho):
+        got = q_grid(source, n_grid, n_grid).values
+        assert np.max(np.abs(got - whole_tensor_q(source, n_grid, n_grid))) <= tol

@@ -282,6 +282,20 @@ def test_log_factorials_accurate():
     assert np.all(np.abs(lf - exact) <= 4 * ulp)
 
 
+def test_log_factorials_relative_error():
+    # the bound on Q's row norm (husimi module docstring) takes every entry
+    # up to MAX_ATOMS within 3.5 u of ln n!, relatively
+    mpmath = pytest.importorskip("mpmath")
+    lf = log_factorials(MAX_ATOMS)
+    assert lf[0] == lf[1] == 0.0
+    with mpmath.workdps(40):
+        worst = max(
+            abs(mpmath.mpf(float(lf[n])) / mpmath.loggamma(n + 1) - 1)
+            for n in range(2, MAX_ATOMS + 1)
+        )
+    assert worst <= 3.5 * 2.0**-53
+
+
 def test_log_factorials_match_gammaln_whole_range():
     special = pytest.importorskip("scipy.special")
     n = np.arange(10**6 + 2)
