@@ -33,7 +33,9 @@ and of the change and compare them with `diff -r`.
 BLAS thread count.  --compare A B compares two gate sets file by file:
 for each CSV present in both it prints the number of data cells that
 differ and the largest absolute difference relative to the largest
-magnitude in that cell's column of A; any other file is reported as
+magnitude in that cell's column of A, and how many of those cells read
+exactly 0 in B, with their largest magnitude in A (so a cut of cells to
+0 can be checked against its bound); any other file is reported as
 identical or differing.  It exits 0 when every file is byte-identical
 and 1 otherwise.
 """
@@ -148,8 +150,8 @@ def compare_csv(a: Path, b: Path) -> str:
     header_b, _, columns_b = _csv_table(b)
     if header_a != header_b or [len(c) for c in columns_a] != [len(c) for c in columns_b]:
         return "headers or table shapes differ"
-    cells = differ = 0
-    worst, worst_column = 0.0, ""
+    cells = differ = zeroed = 0
+    worst, worst_column, zeroed_max = 0.0, "", 0.0
     for name, column_a, column_b in zip(names, columns_a, columns_b):
         cells += len(column_a)
         pairs = [(x, y) for x, y in zip(column_a, column_b) if x != y]
@@ -158,6 +160,9 @@ def compare_csv(a: Path, b: Path) -> str:
         differ += len(pairs)
         scale = max((abs(v) for v in map(_number, column_a) if math.isfinite(v)), default=0.0)
         for x, y in pairs:
+            if _number(y) == 0.0:
+                zeroed += 1
+                zeroed_max = max(zeroed_max, abs(_number(x)))
             diff = abs(_number(x) - _number(y))
             # a non-numeric or non-finite cell, or an all-zero column, counts as inf
             rel = diff / scale if math.isfinite(diff) and scale > 0.0 else math.inf
@@ -165,9 +170,11 @@ def compare_csv(a: Path, b: Path) -> str:
                 worst, worst_column = rel, name
     if not differ:
         return "identical"
+    became_zero = f", {zeroed} became 0 (largest former |value| {zeroed_max:.3g})"
     return (
         f"{differ} of {cells} cells differ, "
         f"largest |diff| / column max {worst:.3g} ({worst_column})"
+        + (became_zero if zeroed else "")
     )
 
 

@@ -20,11 +20,15 @@ Cost: q_grid builds the overlap rows a block of theta rows at a time
 theta row) and contracts each block before building the next.  A block
 holds only the k of the support window W of the sources (below): the
 log magnitudes, the phases, their exp, cos and sin and the complex rows
-are all formed on W alone.  The rows are not normalized; q_grid divides
-each contracted point by their squared norm s^N (below), one number per
-grid point.  The work is points * |W| complex entries, plus points * |W|
-for a state (|rows C_W|^2) and points * |W|^2 for a density matrix (one
-matrix product rows rho_WW, then a real row-wise dot with the rows).  A
+are all formed on W alone.  When W is partial, a block also builds only
+the phi columns that hold a live point of one of its theta rows: a point
+no source can reach (the point cut, below) reads 0 and costs no row.  The
+rows are not normalized; q_grid divides each contracted point by their
+squared norm s^N (below), one number per grid point.  The work is
+built points * |W| complex entries, plus as many for a state (|rows C_W|^2)
+and built points * |W|^2 for a density matrix (one matrix product
+rows rho_WW, then a real row-wise dot with the rows); the cut itself
+takes three log-binomials per grid point.  A
 list of sources that share one N shares each block: it is built once,
 contracted with every source in turn and freed before the next build.
 The live memory is one block plus one n_theta x n_phi result per source.
@@ -60,6 +64,28 @@ sum w_k^2 = 1) and b = sum_{k not in W} |r_k| w_k <= (N+1) eps <= 1, the
 dropped terms sum to at most (a + b)^2 - a^2 = 2ab + b^2 <= 3 (N+1) eps,
 and Q moves by at most 3 (N+1)^2 eps / (4 pi) = u / (4 pi).
 
+The point cut.  On W, the same Cauchy-Schwarz step bounds the Q that
+q_grid computes: a^2 <= sum_{k in W} |r_k|^2 sum_{k in W} w_k^2, and
+|r_k|^2 = binom(N,k) x^k (1-x)^(N-k) = b_k(x) is the binomial pmf at
+x = |eta_l|^2 / s, so
+
+    Q_W <= (N+1)/(4 pi) |W| max_{k in W} b_k(x).
+
+A point whose (N+1) |W| max_W b_k is at most u / 2 reads exactly 0,
+which moves its Q by at most u / (8 pi); half of u leaves room for the
+rounding of the bound, which is formed in logs (a few ulp of ln N!, a
+relative 1e-11 at N = MAX_ATOMS).  b_k is log-concave in k with its mode
+at floor((N+1) x), or one below, so the maximum over W sits at the mode
+clamped to W, and the bound takes three log-binomials per point.  A full
+window holds the mode, where b_k >= 1/(N+1) (the N+1 values sum to 1), so
+no point is cut and no bound is formed: every full-window call builds
+the rows it built before the cut.  The cut keeps every live point's
+bits: each entry of a row is the same whatever the columns built, and
+each point contracts its own row.  A live point is one whose bound is
+not at most u / 2, so a nan bound keeps its point.  On the pure_wide
+conditional states of seeds 0, 3, 7 and 41 (N = 2000, 64 x 64, |W| about
+610) 37 % of the points are cut, and each was at most 8e-63 before.
+
 The analytic norm against a numerical one.  A numerical norm sums the
 squares of the computed entries, e^(2 L'_k) with L'_k = L_k + D_k the
 computed log magnitude and L_k the exact one at the rounded eta.  So it
@@ -87,11 +113,19 @@ perfbench's gate, and at 4 u for N <= 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import AtomState, _log_coherent_amplitudes
+from .spin_core import (
+    _UNIT_ROUNDOFF,
+    AtomState,
+    _log_coherent_amplitudes,
+    _support_window,
+    _xlogy,
+    log_factorials,
+)
 
 MIN_GRID = 16
 
@@ -102,8 +136,8 @@ MIN_GRID = 16
 # overhead starts to show.
 _BLOCK_ENTRIES = 1 << 15
 
-# Unit roundoff of float64, the u of the support window's eps.
-_UNIT_ROUNDOFF = 2.0**-53
+# log of the point cut's threshold u / 2 (see the module docstring)
+_LOG_CUT = math.log(_UNIT_ROUNDOFF / 2.0)
 
 
 @dataclass
@@ -164,26 +198,36 @@ def _overlap_matrix(
     return rows
 
 
-def _support_window(sources: list, n_atoms: int) -> slice:
-    """The support window W of the sources (see the module docstring).
+def _live_points(n_atoms: int, window: slice, thetas: np.ndarray, phis: np.ndarray):
+    """Mask of the live grid points, whose (N+1) |W| max_W b_k exceeds u / 2.
 
-    w_k <= eps max w is compared as w_k^2 <= eps^2 max w^2, on |C_k|^2 or
-    rho_kk, so a density matrix needs no square root; a diagonal entry
-    that rounded below zero is outside, and a nan keeps every k.  A
-    source with no entry above the cut leaves W to the others (all k if
-    none has one).
+    thetas and phis are the grid's nodes, and window the sources' support
+    window; the mask has the grid's (n_theta, n_phi) shape.
+
+    The bound is (N+1) |W| max_{k in W} b_k(x), with b_k the binomial pmf
+    at x = |eta_l|^2 / s.  b_k is log-concave in k and peaks at
+    floor((N+1) x) or one below it, so its maximum over W is at that mode
+    clamped to W; the mode and its two neighbours are tried, which covers
+    a mode moved by the rounding of x.  1 - x is formed as |eta_r|^2 / s,
+    and x = 0 or 1 gives log b_k = -inf away from the matching end.
     """
-    eps = _UNIT_ROUNDOFF / (3.0 * (n_atoms + 1) ** 2)
-    lo, hi = n_atoms + 1, 0
-    for source in sources:
-        if isinstance(source, AtomState):
-            weights = source.pmf()
-        else:
-            weights = np.diagonal(np.asarray(source)).real
-        inside = np.flatnonzero(~(weights <= eps * eps * weights.max()))
-        if inside.size:
-            lo, hi = min(lo, int(inside[0])), max(hi, int(inside[-1]) + 1)
-    return slice(lo, hi) if lo < hi else slice(0, n_atoms + 1)
+    eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
+    x_l, x_r = np.square(np.abs(eta_l)), np.square(np.abs(eta_r))
+    s = x_l + x_r
+    x_l /= s
+    x_r /= s
+    lf = log_factorials(n_atoms)
+    mode = np.floor((n_atoms + 1) * x_l)
+    best = np.full(x_l.shape, -np.inf)
+    for shift in (-1.0, 0.0, 1.0):
+        k = np.clip(mode + shift, window.start, window.stop - 1)
+        index = k.astype(int)
+        log_b = lf[n_atoms] - lf[index] - lf[n_atoms - index]
+        log_b += _xlogy(k, x_l)
+        log_b += _xlogy(n_atoms - k, x_r)
+        np.maximum(best, log_b, out=best)
+    # written as `not <=`, so that a nan bound keeps its point
+    return ~(best + math.log((n_atoms + 1) * (window.stop - window.start)) <= _LOG_CUT)
 
 
 def check_grid(n_theta: int, n_phi: int):
@@ -217,8 +261,10 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     smallest window holding every source's, and contracted with every
     source.  Where a source's own window is that window its values are
     those of a call on it alone, bit for bit; otherwise they agree to the
-    window's bound and rounding.  A list that mixes N is refused
-    (ValueError) before any work.
+    window's bound and rounding.  On a partial window, the points that no
+    source can reach read exactly 0 (the point cut, in the module
+    docstring).  A list that mixes N is refused (ValueError) before any
+    work.
     """
     check_grid(n_theta, n_phi)
     sources = source if isinstance(source, list) else [source]
@@ -232,13 +278,23 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     contractions = [_contraction(s, window) for s in sources]
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    # a full window holds the mode of every b_k, whose maximum is then at
+    # least 1/(N+1), so no point can be cut and no bound is formed
+    full = window.stop - window.start == n_atoms + 1
+    live = None if full else _live_points(n_atoms, window, thetas, phis)
     height = max(1, _BLOCK_ENTRIES // (n_phi * (n_atoms + 1)))
     values = [np.empty((n_theta, n_phi)) for _ in sources]
     for start in range(0, n_theta, height):
         block = slice(start, start + height)
-        rows = _overlap_matrix(n_atoms, thetas[block], phis, window)
+        cols = slice(None)
+        if live is not None:
+            # only the phi columns with a live point in the block are built
+            cols = np.flatnonzero(live[block].any(axis=0))
+            if not cols.size:
+                continue
+        rows = _overlap_matrix(n_atoms, thetas[block], phis[cols], window)
         for out, contract in zip(values, contractions):
-            out[block] = contract(rows)
+            out[block, cols] = contract(rows)
         del rows  # free this block before the next one is built
     weights = np.outer(_fejer_weights(thetas), np.full(n_phi, 2.0 * np.pi / n_phi))
     eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
@@ -246,6 +302,8 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     norm = np.exp(n_atoms * np.log(np.square(np.abs(eta_l)) + np.square(np.abs(eta_r))))
     grids = []
     for v in values:
+        if live is not None:
+            v[~live] = 0.0  # a cut point reads 0, whether its column was built or not
         v /= norm
         v *= (n_atoms + 1) / (4.0 * np.pi)
         # only the density-matrix contraction can round below zero

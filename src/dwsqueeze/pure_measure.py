@@ -24,6 +24,7 @@ import numpy as np
 from .spin_core import (
     AtomState,
     GroundExcitedAmplitudes,
+    _support_window,
     _unit_rows,
     _xlogy,
     ge_to_lr_amplitudes,
@@ -213,13 +214,21 @@ def detection_pmf_grid(
     Per k the two ports are independent Poissonians with means
     |alpha_c|^2/2 and |alpha_d|^2/2, so the table is a pmf mixture,
     sum_k p_k P_c(n|k) P_d(m|k), formed as one matrix product.
+
+    The Poisson tables and the product run only over the k of the prior's
+    support window W (spin_core._support_window).  Every Poisson entry is
+    at most 1, so each cell moves by at most the mass outside W,
+    sum_{k not in W} p_k <= (N+1) eps^2 max_k p_k with eps = u / (3 (N+1)^2),
+    about 1e-44 at N = 2000.  The entries on W are those of a build over
+    all k, bit for bit, and a full window makes exactly that build.
     """
     if n_max is None:
         n_max = outcome_cutoff(light)
+    window = _support_window([state], state.n_atoms)
     alpha_c, alpha_d = _port_amplitudes(light, setting, state.n_atoms)
-    pc = _poisson_rows(np.abs(alpha_c) ** 2 / 2.0, n_max)
-    pd = _poisson_rows(np.abs(alpha_d) ** 2 / 2.0, n_max)
-    pc *= state.pmf()[:, None]
+    pc = _poisson_rows(np.abs(alpha_c[window]) ** 2 / 2.0, n_max)
+    pd = _poisson_rows(np.abs(alpha_d[window]) ** 2 / 2.0, n_max)
+    pc *= state.pmf()[window, None]
     return pc.T @ pd
 
 

@@ -34,6 +34,9 @@ MAX_ATOMS = 4096
 _NORM_TOL = 1e-10
 _VAR_FLAG = -1e-8
 
+# Unit roundoff of float64, the u of the support window's eps.
+_UNIT_ROUNDOFF = 2.0**-53
+
 # cephes lgam for x >= 13: log sqrt(2 pi) and the coefficients, highest
 # power first, of its Stirling series in 1/x^2; x >= 1000 uses the short one
 _LS2PI = 0.91893853320467274178
@@ -199,6 +202,38 @@ def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int, window: slice = slice(N
     return log_mag, phase
 
 
+def _support_window(sources: list, n_atoms: int) -> slice:
+    """The support window W of the sources: the smallest k range outside
+    which each source's weight w_k is at most eps * max_k w_k.
+
+    w_k = |C_k| for a state and sqrt(rho_kk) for a density matrix, and a
+    list takes the smallest range holding every source's window.
+    eps = u / (3 (N+1)^2), with u = 2^-53 the unit roundoff.  Outside W
+    every p_k = w_k^2 is at most eps^2 max p, so the k outside W carry a
+    mass of at most (N+1) eps^2 max p; the husimi module docstring derives
+    that dropping them moves any Q by at most u / (4 pi), and
+    pure_measure.detection_pmf_grid that they move each P(n_c, n_d) by at
+    most that mass.
+
+    w_k <= eps max w is compared as w_k^2 <= eps^2 max w^2, on |C_k|^2 or
+    rho_kk, so a density matrix needs no square root; a diagonal entry
+    that rounded below zero is outside, and a nan keeps every k.  A
+    source with no entry above the cut leaves W to the others (all k if
+    none has one).
+    """
+    eps = _UNIT_ROUNDOFF / (3.0 * (n_atoms + 1) ** 2)
+    lo, hi = n_atoms + 1, 0
+    for source in sources:
+        if isinstance(source, AtomState):
+            weights = source.pmf()
+        else:
+            weights = np.diagonal(np.asarray(source)).real
+        inside = np.flatnonzero(~(weights <= eps * eps * weights.max()))
+        if inside.size:
+            lo, hi = min(lo, int(inside[0])), max(hi, int(inside[-1]) + 1)
+    return slice(lo, hi) if lo < hi else slice(0, n_atoms + 1)
+
+
 def build_spin_coherent(ge: GroundExcitedAmplitudes, n_atoms: int) -> AtomState:
     """Spin coherent state C_k = binom(N,k)^(1/2) eta_l^k eta_r^(N-k), normalized."""
     if n_atoms < 0:
@@ -251,7 +286,7 @@ def moments_from_density(source):
     second one; a state C_k stands for rho = C C^dagger, whose diagonals
     |C_k|^2, C_k C*_{k+1} and C_k C*_{k+2} are formed without the matrix.
     With s_k the ladder factors and x_k = k - N/2:
-    <J_x> = sum x_k rho_kk, <J_x^2> = sum x_k^2 rho_kk,
+    <J_x> = sum x_k rho_kk, Var J_x = sum (x_k - <J_x>)^2 rho_kk,
     <J_y> = 2 sum s_k Im rho_{k,k+1}, <J_z> = -2 sum s_k Re rho_{k,k+1},
     <J_y^2>, <J_z^2> = sum (s_{k-1}^2 + s_k^2) rho_kk
                        -/+ 2 sum s_k s_{k+1} Re rho_{k,k+2}.
@@ -301,9 +336,10 @@ def _banded_moments(p: np.ndarray, first: np.ndarray, second: np.ndarray) -> lis
     mx = np.sum(x * p, axis=-1)
     my = 2.0 * np.sum(s * first.imag, axis=-1)
     mz = -2.0 * np.sum(s * first.real, axis=-1)
-    var = np.stack(
-        (np.sum(x**2 * p, axis=-1) - mx**2, band0 - band2 - my**2, band0 + band2 - mz**2), axis=1
-    )
+    # J_x is diagonal, so its variance is summed centred, free of the
+    # cancellation of <J_x^2> - <J_x>^2 when |<J_x>| is near N/2
+    var_x = np.sum(np.square(x - mx[:, None]) * p, axis=-1)
+    var = np.stack((var_x, band0 - band2 - my**2, band0 + band2 - mz**2), axis=1)
     low = var[var < _VAR_FLAG]
     if low.size:
         raise ValueError(f"variance {low[0]} below roundoff tolerance {_VAR_FLAG}")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,45 @@ def random_density(n_atoms, seed):
     return rho / np.trace(rho).real
 
 
+def brute_live(n_atoms, window, n_theta, n_phi):
+    """The point cut's mask from its definition, the bound's maximum over every k of W.
+
+    log b_k(x) = 2 log|R_k| - N log s, from the log magnitudes of the rows
+    over all of W; a full window keeps every point.
+    """
+    if window.stop - window.start == n_atoms + 1:
+        return np.ones((n_theta, n_phi), dtype=bool)
+    thetas, phis = grid_axes(n_theta, n_phi)
+    eta_l, eta_r = husimi._eta_pair(thetas[:, None], phis[None, :])
+    log_mag, _ = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, window)
+    log_s = np.log(np.square(np.abs(eta_l)) + np.square(np.abs(eta_r)))
+    log_b = (2.0 * log_mag).max(axis=-1) - n_atoms * log_s
+    bound = math.log((n_atoms + 1) * (window.stop - window.start)) + log_b
+    return ~(bound <= math.log(U / 2.0))
+
+
+def expected_builds(live, height):
+    """(theta rows, phi columns) of each row build: a block's live columns, if any."""
+    builds = []
+    for start in range(0, live.shape[0], height):
+        cols = int(live[start : start + height].any(axis=0).sum())
+        if cols:
+            builds.append((min(height, live.shape[0] - start), cols))
+    return builds
+
+
+def spy_builds(monkeypatch):
+    """Record (theta rows, phi columns, |W|) of every _overlap_matrix call of q_grid."""
+    builds = []
+
+    def spy(n, thetas, phis, window):
+        builds.append((thetas.size, phis.size, window.stop - window.start))
+        return _overlap_matrix(n, thetas, phis, window)
+
+    monkeypatch.setattr(husimi, "_overlap_matrix", spy)
+    return builds
+
+
 # (n_theta, n_phi, block budget in theta rows, or None for the default).
 # At N = 200 the default holds 8 of the 20-wide rows, so 17 rows end in a
 # ragged block, and 2 of the 64-wide ones; 2.5 rows gives blocks of 2 and
@@ -266,25 +306,25 @@ def test_q_grid_blocks_match_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi, 
     if budget_rows is not None:
         monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", int(budget_rows * row_entries))
     height = block_height(n_atoms, n_phi)
-    expected_blocks = [min(height, n_theta - s) for s in range(0, n_theta, height)]
-    blocks = []
-
-    def spy(n, thetas, phis, window):
-        blocks.append(thetas.size)
-        return _overlap_matrix(n, thetas, phis, window)
-
-    monkeypatch.setattr(husimi, "_overlap_matrix", spy)
+    builds = spy_builds(monkeypatch)
     # at N = 200 this state's window is k = 0..141, so blocks of a partial
-    # window are checked too
+    # window, and of only their live columns, are checked too
     state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms)
-    assert np.array_equal(
-        q_grid(state, n_theta, n_phi).values,
-        window_tensor_q(state, n_theta, n_phi, q_window(state)),
-    )
+    live = brute_live(n_atoms, q_window(state), n_theta, n_phi)
+    assert live.all() == (n_atoms < 200)
+    got = q_grid(state, n_theta, n_phi).values
+    oracle = window_tensor_q(state, n_theta, n_phi, q_window(state))
+    assert np.array_equal(got[live], oracle[live])
+    # a cut point reads 0, and its Q on the window was at most u / (8 pi)
+    assert not got[~live].any()
+    assert np.all(oracle[~live] <= U / (8.0 * math.pi))
     rho = random_density(n_atoms, seed=n_atoms)
     q_rho = q_grid(rho, n_theta, n_phi).values
     assert np.max(np.abs(q_rho - window_tensor_q(rho, n_theta, n_phi, q_window(rho)))) <= 1e-14
-    assert blocks == 2 * expected_blocks
+    # the random rho has a full window: whole theta rows, every column
+    assert [b[:2] for b in builds] == (
+        expected_builds(live, height) + expected_builds(np.ones_like(live), height)
+    )
 
 
 def same_grid(a, b):
@@ -306,15 +346,9 @@ def test_q_grid_list_matches_each_source(monkeypatch, budget_rows):
         for theta, phi in [(0.9, 2.3), (0.1, 0.4), (2.6, 5.0)]
     ]
     rhos = [random_density(n_atoms, seed) for seed in (1, 2, 3)]
-    builds = []
-
-    def spy(n, thetas, phis, window):
-        builds.append(thetas.size)
-        return _overlap_matrix(n, thetas, phis, window)
-
-    monkeypatch.setattr(husimi, "_overlap_matrix", spy)
+    builds = spy_builds(monkeypatch)
     # at N = 30 every source's window is the full range, so a list builds
-    # the rows of each single call
+    # the rows of each single call, on every column
     for sources in (states, rhos, states[:1] + rhos[:1]):
         assert all(q_window(s) == slice(0, n_atoms + 1) for s in sources)
         singles = [q_grid(s, n_theta, n_phi) for s in sources]
@@ -323,7 +357,8 @@ def test_q_grid_list_matches_each_source(monkeypatch, budget_rows):
         assert len(grids) == len(sources)
         assert all(same_grid(g, s) for g, s in zip(grids, singles))
         # one row build per theta block, shared by every source
-        assert builds == ([n_theta] if budget_rows is None else [3, 3, 3, 3, 3, 2])
+        heights = [n_theta] if budget_rows is None else [3, 3, 3, 3, 3, 2]
+        assert builds == [(h, n_phi, n_atoms + 1) for h in heights]
 
 
 @pytest.mark.parametrize("n_atoms", [30, 200])
@@ -376,42 +411,47 @@ def block_height(n_atoms, n_phi):
     return max(1, husimi._BLOCK_ENTRIES // (n_phi * (n_atoms + 1)))
 
 
-def test_q_grid_memory_stays_blocked():
+def test_q_grid_memory_stays_blocked(monkeypatch):
     # the whole (64, 64, 2001) overlap tensor alone is 131 MB; q_grid holds
-    # one block of theta rows, on the sources' window, and its build's
-    # temporaries.  On top of one build's own peak, on the window of all
-    # three sources, it may add only the 64 x 64 results, 32 kB each, and
-    # 16 kB for one block's contraction, the norm s^N and small Python
-    # objects; a row block held into the next build would add its complex
-    # rows.
+    # one block of theta rows, on the sources' window and the block's live
+    # columns, and its build's temporaries.  On top of the peak of its
+    # largest build, for three sources, it may add only the 64 x 64
+    # results, 32 kB each, and 16 kB for one block's contraction, the norm
+    # s^N, the point cut's mask and small Python objects; a row block held
+    # into the next build would add its complex rows.
     states = [
         build_spin_coherent(bloch_to_ge(BlochAngles(theta, 1.0)), 2000)
         for theta in (0.6, 1.1, 2.0)
     ]
-    height = block_height(2000, 64)
-    thetas, phis = grid_node(64, np.arange(height), np.arange(64))
     result = 64 * 64 * 8
-    one_window = husimi._support_window(states[:1], 2000)
     window = husimi._support_window(states, 2000)
-    width = window.stop - window.start
-    wider = width - (one_window.stop - one_window.start)
-    assert wider > 0
+    builds = spy_builds(monkeypatch)
 
-    build = traced_peak(_overlap_matrix, 2000, thetas, phis, window)
+    def largest():
+        """(theta rows, phi columns, |W|) of the largest build made, and its entries."""
+        rows, cols, width = max(builds, key=math.prod)
+        builds.clear()
+        return rows, cols, width, rows * cols * width
+
     one = traced_peak(q_grid, states[0], 64, 64)
+    *_, one_entries = largest()
     three = traced_peak(q_grid, states, 64, 64)
+    rows, cols, width, three_entries = largest()
+    assert width == window.stop - window.start and three_entries > one_entries
+    thetas, phis = grid_node(64, np.arange(rows), np.arange(cols))
+    build = traced_peak(_overlap_matrix, 2000, thetas, phis, window)
     assert one < 32e6
     # Each stage of a build holds at most four real arrays of |W| entries
-    # per point (the log magnitudes, the second term and the phases; then
-    # the magnitudes, the phases and the complex rows as two) and no array
-    # over all k, which would add 8 bytes per point for each k outside W;
-    # 8 kB covers the eta pair and small objects.
-    assert build <= 4 * 8 * height * 64 * width + 8192
+    # per built point (the log magnitudes, the second term and the phases;
+    # then the magnitudes, the phases and the complex rows as two) and no
+    # array over all k or all columns, which would add 8 bytes per point
+    # for each k outside W; 8 kB covers the eta pair and small objects.
+    assert build <= 4 * 8 * three_entries + 8192
     # Three sources may add to one source's peak their two extra results
-    # and 4 * 8 bytes per extra k of their wider window and point; and
-    # 8 kB, as the small objects' share moves by about 2 kB with what ran
-    # before.
-    assert three - one <= 2 * result + 4 * 8 * height * 64 * wider + 8192
+    # and 4 * 8 bytes per extra entry of their largest build, over a wider
+    # window and more live columns; and 8 kB, as the small objects' share
+    # moves by about 2 kB with what ran before.
+    assert three - one <= 2 * result + 4 * 8 * (three_entries - one_entries) + 8192
     assert three - build <= 3 * result + 16384
 
 
@@ -581,3 +621,68 @@ def test_analytic_norm_matches_numerical_norm(n_atoms, n_grid):
     for source in (state, rho):
         got = q_grid(source, n_grid, n_grid).values
         assert np.max(np.abs(got - whole_tensor_q(source, n_grid, n_grid))) <= tol
+
+
+# The point cut: on a partial window, a point whose bound
+# (N+1)/(4 pi) |W| max_{k in W} b_k(x) is at most u / (8 pi) reads 0 and
+# costs no row.
+
+
+@pytest.mark.parametrize("case,n_atoms,n_grid", [("conditional", 2000, 17), ("rho", 200, 33)])
+def test_point_cut_keeps_live_cells(monkeypatch, case, n_atoms, n_grid):
+    # a state at N = 2000 like pure_wide's, and a rho at an N where points
+    # are cut; the build with nothing cut is the one before the cut
+    (source,), _ = window_sources(case, n_atoms)
+    window = q_window(source)
+    live = husimi._live_points(n_atoms, window, *grid_axes(n_grid, n_grid))
+    assert np.array_equal(live, brute_live(n_atoms, window, n_grid, n_grid))
+    assert 0 < live.sum() < live.size
+    got = q_grid(source, n_grid, n_grid).values
+    monkeypatch.setattr(husimi, "_live_points", lambda *args: None)
+    uncut = q_grid(source, n_grid, n_grid).values
+    # live cells keep their bits; a cut cell reads 0, and moved by at most
+    # u / (8 pi) against its windowed value and u / (4 pi) against full rows
+    assert np.array_equal(got[live], uncut[live])
+    assert not got[~live].any()
+    assert np.all(uncut[~live] <= U / (8.0 * math.pi))
+    assert np.all(whole_tensor_q(source, n_grid, n_grid)[~live] <= U / (4.0 * math.pi))
+
+
+def test_full_window_computes_no_bound(monkeypatch):
+    # a full window holds every b_k's mode, so no point can be cut: no
+    # bound is formed and the rows are built whole-row, as before the cut.
+    # A nan source keeps every k, hence every point.
+    def no_bound(*args):
+        raise AssertionError("point cut formed on a full window")
+
+    monkeypatch.setattr(husimi, "_live_points", no_bound)
+    builds = spy_builds(monkeypatch)
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), 30)
+    for source in (state, random_density(30, seed=6), [state, random_density(30, seed=7)]):
+        q_grid(source, 17, 20)
+        assert builds == [(17, 20, 31)]
+        builds.clear()
+    rho = random_density(200, seed=8)
+    rho[3, 3] = np.nan
+    assert np.isnan(q_grid(rho, 17, 20).values).all()
+    assert builds == [(8, 20, 201), (8, 20, 201), (1, 20, 201)]
+
+
+@pytest.mark.parametrize("case", ["touches_0", "touches_N"])
+def test_point_cut_at_extreme_nodes(case):
+    # windows that touch k = 0 or k = N, on the 17-point grid with its node
+    # at (pi/2, pi), |eta_l| about 1e-16, and at (pi/2, 0) and (pi/2, pi)
+    # themselves, x = 1 and x = 0 up to rounding: no nan and no warning
+    n_atoms = 2000
+    (state,), _ = window_sources(case, n_atoms)
+    window = q_window(state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        live = husimi._live_points(n_atoms, window, *grid_axes(17, 17))
+        ends = husimi._live_points(n_atoms, window, np.array([np.pi / 2]), np.array([0.0, np.pi]))
+        values = q_grid(state, 17, 17).values
+    assert np.array_equal(live, brute_live(n_atoms, window, 17, 17))
+    assert 0 < live.sum() < live.size
+    # x = 1 puts the mode at k = N, x = 0 at k = 0: only the matching end is live
+    assert ends.tolist() == ([[False, True]] if case == "touches_0" else [[True, False]])
+    assert not np.isnan(values).any() and not values[~live].any()

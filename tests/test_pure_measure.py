@@ -31,7 +31,9 @@ from dwsqueeze.spin_core import (
     bloch_to_ge,
     build_spin_coherent,
     ge_to_lr_amplitudes,
+    _support_window,
 )
+from dwsqueeze.validation import fock_oracle_report
 
 RT20 = math.sqrt(20.0)
 GROUND = GroundExcitedAmplitudes(0.0, 1.0)
@@ -219,6 +221,92 @@ def test_completeness(gt, n_atoms):
     light = LightPair(RT20, RT20)
     grid = detection_pmf_grid(state, light, InteractionSetting(1.0, gt))
     assert abs(grid.sum() - 1.0) < 1e-6
+
+
+def full_k_pmf_grid(state, light, setting, n_max):
+    """P(n_c, n_d) built over every k, as detection_pmf_grid did before its window."""
+    alpha_c, alpha_d = _port_amplitudes(light, setting, state.n_atoms)
+    pc = _poisson_rows(np.abs(alpha_c) ** 2 / 2.0, n_max)
+    pd = _poisson_rows(np.abs(alpha_d) ** 2 / 2.0, n_max)
+    pc *= state.pmf()[:, None]
+    return pc.T @ pd
+
+
+def grid_window_bound(state, full):
+    """Per-cell bound on |windowed - full-k grid|, and the window.
+
+    The k outside the window carry at most (N+1) eps^2 max p of mass, and
+    every Poisson entry is at most 1; each side's sum of N+1 or fewer
+    nonnegative products rounds by at most (N+2) u of the full sum.
+    """
+    n_atoms = state.n_atoms
+    window = _support_window([state], n_atoms)
+    p = state.pmf()
+    eps = 2.0**-53 / (3.0 * (n_atoms + 1) ** 2)
+    outside = np.ones(n_atoms + 1, dtype=bool)
+    outside[window] = False
+    assert p[outside].sum() <= (n_atoms + 1) * eps**2 * p.max()
+    mass = (n_atoms + 1) * eps**2 * p.max()
+    return mass + 2.0 * (n_atoms + 3) * 2.0**-53 * full, window
+
+
+# (N, light amplitude, gt, Bloch angles): a pure_wide-like near-pole
+# prior at N = 2000, and at N = 200 one near the x pole
+GRID_WINDOWS = [(200, RT20, 0.03, (math.pi / 2, 0.3)), (2000, 10.0, 5e-4, (0.05, 3.9))]
+
+
+@pytest.mark.parametrize("n_atoms,alpha,gt,angles", GRID_WINDOWS)
+def test_detection_grid_window_matches_full_k(n_atoms, alpha, gt, angles):
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(*angles)), n_atoms)
+    light, setting = LightPair(alpha, alpha), InteractionSetting(1.0, gt)
+    grid = detection_pmf_grid(state, light, setting)
+    full = full_k_pmf_grid(state, light, setting, grid.shape[0] - 1)
+    bound, window = grid_window_bound(state, full)
+    assert window.stop - window.start < n_atoms / 2
+    assert np.all(np.abs(grid - full) <= bound)
+
+
+def test_detection_grid_full_window_keeps_bits():
+    # at N = 30 every k is in the window, so the grid is the full-k build
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(1.1, 0.4)), 30)
+    assert _support_window([state], 30) == slice(0, 31)
+    light, setting = LightPair(RT20, RT20 * np.exp(0.3j)), InteractionSetting(1.0, 0.02)
+    grid = detection_pmf_grid(state, light, setting)
+    assert grid.tobytes() == full_k_pmf_grid(state, light, setting, grid.shape[0] - 1).tobytes()
+
+
+def test_detection_grid_window_dark_arms_and_vacuum():
+    n_atoms = 2000
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.05, 3.9)), n_atoms)
+    setting = InteractionSetting(1.0, 5e-4)
+    # dark arms: every Poisson mean is 0, so only the vacuum cell holds the
+    # prior's mass, the mass of the window
+    grid = detection_pmf_grid(state, LightPair(0.0, 0.0), setting)
+    full = full_k_pmf_grid(state, LightPair(0.0, 0.0), setting, grid.shape[0] - 1)
+    bound, window = grid_window_bound(state, full)
+    assert window.stop - window.start < n_atoms + 1
+    assert grid.shape == (21, 21) and not grid.ravel()[1:].any()
+    assert abs(grid[0, 0] - full[0, 0]) <= bound[0, 0]
+    assert grid[0, 0] == pytest.approx(1.0, abs=1e-12)
+    # the vacuum outcome with light: lambda_c(k) + lambda_d(k) is the total
+    # intensity S for every k, so P(0, 0) = e^-S
+    light = LightPair(10.0, 10.0)
+    grid = detection_pmf_grid(state, light, setting)
+    full = full_k_pmf_grid(state, light, setting, grid.shape[0] - 1)
+    bound, _ = grid_window_bound(state, full)
+    assert abs(grid[0, 0] - full[0, 0]) <= bound[0, 0]
+    assert grid[0, 0] == pytest.approx(math.exp(-light.total_intensity), rel=1e-12)
+
+
+def test_detection_grid_window_keeps_fock_oracle():
+    # the Fock oracle on a prior whose window is partial (N = 40, near the
+    # x pole); test_completeness covers partial windows at N = 200, and
+    # test_validation the normalization sweep's completeness reports
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(math.pi / 2, 0.3)), 40)
+    window = _support_window([state], 40)
+    assert window.stop - window.start < 41
+    report = fock_oracle_report(state, LightPair(1.0, 1.0), InteractionSetting(1.0, 0.2), 10)
+    assert report.passed
 
 
 def test_outcome_cutoff_floor():

@@ -234,6 +234,19 @@ def test_coherent_state_moments_match_analytic(theta, phi, n):
         assert getattr(ms, field) == pytest.approx(getattr(ma, field), abs=1e-9)
 
 
+@pytest.mark.parametrize("tilt", [0.01, 0.001])
+@pytest.mark.parametrize("towards", ["y", "z"])
+def test_jx_variance_near_the_x_pole(tilt, towards):
+    # a coherent state tilted from +x (theta = pi/2, phi = 0) has
+    # Var J_x = N/4 sin^2(tilt); with <J_x> near N/2, <J_x^2> - <J_x>^2
+    # cancels to 3e-8 relative at tilt 0.001, and the centred sum does not
+    n = 2000
+    theta, phi = (math.pi / 2, tilt) if towards == "y" else (math.pi / 2 - tilt, 0.0)
+    angles = BlochAngles(theta, phi)
+    var = moments_from_density(build_spin_coherent(bloch_to_ge(angles), n)).jx_var
+    assert abs(var / (n / 4 * math.sin(tilt) ** 2) - 1.0) <= 1e-10
+
+
 def test_bloch_round_trip_up_to_global_phase():
     for theta, phi in [(0.3, 0.2), (1.4, 3.9), (2.8, 5.5)]:
         ge = bloch_to_ge(BlochAngles(theta, phi))
