@@ -10,11 +10,12 @@ read or written, or a config value that is out of its range or not
 finite, exits 2 before any work.  master and sweep buffer each point's
 gated samples and read them out a chunk at a time, with one
 conditional_density and one moments_from_density call per chunk, so the
-per-sample numpy call overhead is paid per chunk; a row's bits and the
-error a run raises do not depend on the chunk.  validate selects suites
-from validation.SUITES and only writes their reports; validation is
-imported by validate alone.  Nothing here uses a random number
-generator.
+per-sample numpy call overhead is paid per chunk and each sample is
+conditioned once (master's Q snapshots keep their conditioned states);
+a row's bits and the error a run raises do not depend on the chunk.
+validate selects suites from validation.SUITES and only writes their
+reports; validation is imported by validate alone.  Nothing here uses a
+random number generator.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, master_eq
 from .husimi import QGrid, check_grid, q_grid
 from .master_eq import (
     IntegrationError,
@@ -483,26 +484,17 @@ def _write_q_csv(path: Path, echo: list[str], qg: QGrid):
     )
 
 
-# The readout's chunk bound: each point's gated samples are buffered until
-# they hold this many state entries (N+1 per state, (N+1)^2 per density
-# matrix; one sample at least), then conditioned and reduced as one chunk.
-# 2^13 holds a Fig-6 block of 192 states at N = 30 (5952 entries), 9 rho at
-# N = 30 and one rho from N = 90 up.  Over the same run one sample at a time,
-# the tracemalloc heap peak rose by 0.10 MB on fig6_master and 0.60 MB on
-# dephasing_sweep (three points, each buffering a chunk); 2^14 took it to
-# +1.4 MB there, and the chunk's stacks cost a few times its buffer.
-_CHUNK_ENTRIES = 1 << 13
-
-
 def _moments_series(points, states, grid, outcome, watch=None) -> list:
     """(t, conditional moments, trace_err, herm_err) per sample, in time order.
 
     One integrate call runs the points, given as to integrate: one point
-    gives its list of rows, a list of points a list of them.  watch, when
-    given, sees every gated sample first.  Each point's samples are
-    buffered and read out a chunk at a time, by one conditional_density
-    and one moments_from_density call, once the buffer holds
-    _CHUNK_ENTRIES state entries and when the run ends.  A row's bits do
+    gives its list of rows, a list of points a list of them.  Each
+    point's samples are buffered and read out a chunk at a time, by one
+    conditional_density and one moments_from_density call, once the
+    buffer holds master_eq._BATCH_ENTRIES state entries and when the run
+    ends, so each sample is conditioned once.  watch, when given, is
+    called as watch(t, conditioned state) for each sample of a chunk, in
+    time order, once that chunk has read out cleanly.  A row's bits do
     not depend on the chunk.  The error raised is that of a
     sample-by-sample readout: when a chunk fails, every buffered sample is
     read out again alone in (time, point) order, and the first failure is
@@ -519,13 +511,17 @@ def _moments_series(points, states, grid, outcome, watch=None) -> list:
         conds = conditional_density(batch[i], [s.state for s in samples],
                                     [s.t for s in samples], outcome)
         moments = moments_from_density(conds)
-        return [(s.t, m, s.trace_err, s.herm_err) for s, m in zip(samples, moments)]
+        return conds, [(s.t, m, s.trace_err, s.herm_err) for s, m in zip(samples, moments)]
 
     def flush(which):
         try:
             for i in which:
                 if pending[i]:
-                    rows[i] += read_out(i, pending[i])
+                    conds, read = read_out(i, pending[i])
+                    rows[i] += read
+                    if watch is not None:
+                        for s, cond in zip(pending[i], conds):
+                            watch(s.t, cond)
                     pending[i] = []
         except (ValueError, AssertionError, IntegrationError):  # a sample's refusal
             held = [(s.t, i, s) for i, buf in enumerate(pending) for s in buf]
@@ -538,11 +534,9 @@ def _moments_series(points, states, grid, outcome, watch=None) -> list:
             raise
 
     def add(i, s):
-        if watch is not None:
-            watch(s)
         pending[i].append(s)
         entries = s.state.amplitudes.size if isinstance(s.state, AtomState) else s.state.size
-        if len(pending[i]) * entries >= _CHUNK_ENTRIES:
+        if len(pending[i]) * entries >= master_eq._BATCH_ENTRIES:
             flush([i])
 
     reduces = [functools.partial(add, i) for i in range(len(batch))]
@@ -586,22 +580,23 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Hybrid-equation time series of conditional moments, optional Q snapshots.
 
     The samples are read out a chunk at a time (_moments_series), and
-    each q_omega_t target keeps the nearest sample so far, the first of a
-    tie, so the run holds rows, a bounded chunk and one sample per
-    target, not a trajectory.
+    each q_omega_t target keeps the conditioned state of the nearest
+    sample so far, the first of a tie, so the run holds rows, a bounded
+    chunk and one state per target, not a trajectory, and conditions
+    each sample once, the snapshots included.
     """
     outcome = cfg.resolve_outcome()
     params, state, grid = _model(cfg)
     if cfg.q_omega_t:
         _check_q_grid(cfg)
-    # per target: (|omega t - target|, sample) of the nearest sample so far
-    nearest = [(math.inf, None)] * len(cfg.q_omega_t)
+    # per target: (|omega t - target|, t, conditioned state) of its nearest sample
+    nearest = [(math.inf, None, None)] * len(cfg.q_omega_t)
 
-    def watch(s):
-        for idx, (target, (best, _)) in enumerate(zip(cfg.q_omega_t, nearest)):
-            distance = abs(params.omega * s.t - target)
+    def watch(t, cond):
+        for idx, (target, (best, _, _)) in enumerate(zip(cfg.q_omega_t, nearest)):
+            distance = abs(params.omega * t - target)
             if distance < best:
-                nearest[idx] = distance, s
+                nearest[idx] = distance, t, cond
 
     rows = _moments_series(params, state, grid, outcome, watch)
     echo = config_echo_lines(cfg, "master")
@@ -613,15 +608,12 @@ def run_master(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     if not cfg.q_omega_t:
         return EXIT_OK
-    snapshots = [s for _, s in nearest]
-    conds = conditional_density(params, [s.state for s in snapshots],
-                                [s.t for s in snapshots], outcome)
-    grids = q_grid(conds, cfg.n_theta, cfg.n_phi)
-    for idx, (target, best, qg) in enumerate(zip(cfg.q_omega_t, snapshots, grids)):
+    grids = q_grid([cond for _, _, cond in nearest], cfg.n_theta, cfg.n_phi)
+    for idx, (target, (_, t, _), qg) in enumerate(zip(cfg.q_omega_t, nearest, grids)):
         _write_q_csv(
             out_dir / f"master_q_{idx:02d}.csv",
             echo + [f"omega_t_requested = {fmt(target)}",
-                    f"omega_t_actual = {fmt(params.omega * best.t)}"],
+                    f"omega_t_actual = {fmt(params.omega * t)}"],
             qg,
         )
     return EXIT_OK

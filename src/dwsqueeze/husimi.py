@@ -28,8 +28,8 @@ squared norm s^N (below), one number per grid point.  The work is
 built points * |W| complex entries, plus as many for a state (|rows C_W|^2)
 and built points * |W|^2 for a density matrix (one matrix product
 rows rho_WW, then a real row-wise dot with the rows); the cut itself
-takes three log-binomials per grid point.  A
-list of sources that share one N shares each block: it is built once,
+takes the rows' log magnitudes at three k per grid point.  A list of
+sources that share one N shares each block: it is built once,
 contracted with every source in turn and freed before the next build.
 The live memory is one block plus one n_theta x n_phi result per source.
 A block's arrays are formed in place, through out= buffers, so a build
@@ -66,20 +66,23 @@ and Q moves by at most 3 (N+1)^2 eps / (4 pi) = u / (4 pi).
 
 The point cut.  On W, the same Cauchy-Schwarz step bounds the Q that
 q_grid computes: a^2 <= sum_{k in W} |r_k|^2 sum_{k in W} w_k^2, and
-|r_k|^2 = binom(N,k) x^k (1-x)^(N-k) = b_k(x) is the binomial pmf at
-x = |eta_l|^2 / s, so
+|r_k|^2 = |R_k|^2 / s^N = binom(N,k) x^k (1-x)^(N-k) = b_k(x) is the
+binomial pmf at x = |eta_l|^2 / s, so
 
-    Q_W <= (N+1)/(4 pi) |W| max_{k in W} b_k(x).
+    Q_W <= (N+1)/(4 pi) |W| max_{k in W} b_k(x)
+         = (N+1)/(4 pi) |W| exp(2 max_{k in W} log|R_k| - N log s).
 
 A point whose (N+1) |W| max_W b_k is at most u / 2 reads exactly 0,
 which moves its Q by at most u / (8 pi); half of u leaves room for the
 rounding of the bound, which is formed in logs (a few ulp of ln N!, a
 relative 1e-11 at N = MAX_ATOMS).  b_k is log-concave in k with its mode
 at floor((N+1) x), or one below, so the maximum over W sits at the mode
-clamped to W, and the bound takes three log-binomials per point.  A full
-window holds the mode, where b_k >= 1/(N+1) (the N+1 values sum to 1), so
-no point is cut and no bound is formed: every full-window call builds
-the rows it built before the cut.  The cut keeps every live point's
+clamped to W, and the bound reads the rows' own log magnitudes log|R_k|
+(spin_core._log_coherent_amplitudes, the one log-domain coherent
+amplitude) at three k per point.  A full window holds the mode, where
+b_k >= 1/(N+1) (the N+1 values sum to 1), so no point is cut and no
+bound is formed: every full-window call builds the rows it built before
+the cut.  The cut keeps every live point's
 bits: each entry of a row is the same whatever the columns built, and
 each point contracts its own row.  A live point is one whose bound is
 not at most u / 2, so a nan bound keeps its point.  On the pure_wide
@@ -123,8 +126,6 @@ from .spin_core import (
     AtomState,
     _log_coherent_amplitudes,
     _support_window,
-    _xlogy,
-    log_factorials,
 )
 
 MIN_GRID = 16
@@ -204,28 +205,22 @@ def _live_points(n_atoms: int, window: slice, thetas: np.ndarray, phis: np.ndarr
     thetas and phis are the grid's nodes, and window the sources' support
     window; the mask has the grid's (n_theta, n_phi) shape.
 
-    The bound is (N+1) |W| max_{k in W} b_k(x), with b_k the binomial pmf
-    at x = |eta_l|^2 / s.  b_k is log-concave in k and peaks at
-    floor((N+1) x) or one below it, so its maximum over W is at that mode
-    clamped to W; the mode and its two neighbours are tried, which covers
-    a mode moved by the rounding of x.  1 - x is formed as |eta_r|^2 / s,
-    and x = 0 or 1 gives log b_k = -inf away from the matching end.
+    b_k = |R_k|^2 / s^N is the binomial pmf at x = |eta_l|^2 / s, read off
+    the rows' own log magnitudes log|R_k| from _log_coherent_amplitudes,
+    so the bound is (N+1) |W| exp(2 max_W log|R_k| - N log s).  b_k is
+    log-concave in k and peaks at floor((N+1) x) or one below it, so its
+    maximum over W is at that mode clamped to W; the mode and its two
+    neighbours are passed as an index array in the window slot, which
+    covers a mode moved by the rounding of x.  x = 0 or 1 gives
+    log|R_k| = -inf away from the matching end.
     """
     eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
-    x_l, x_r = np.square(np.abs(eta_l)), np.square(np.abs(eta_r))
-    s = x_l + x_r
-    x_l /= s
-    x_r /= s
-    lf = log_factorials(n_atoms)
-    mode = np.floor((n_atoms + 1) * x_l)
-    best = np.full(x_l.shape, -np.inf)
-    for shift in (-1.0, 0.0, 1.0):
-        k = np.clip(mode + shift, window.start, window.stop - 1)
-        index = k.astype(int)
-        log_b = lf[n_atoms] - lf[index] - lf[n_atoms - index]
-        log_b += _xlogy(k, x_l)
-        log_b += _xlogy(n_atoms - k, x_r)
-        np.maximum(best, log_b, out=best)
+    x_l = np.square(np.abs(eta_l))
+    s = x_l + np.square(np.abs(eta_r))
+    mode = np.floor((n_atoms + 1) * (x_l / s)).astype(int)[..., None]
+    k = np.clip(mode + np.arange(-1, 2), window.start, window.stop - 1)
+    log_mag, _ = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, k)
+    best = 2.0 * log_mag.max(axis=-1) - n_atoms * np.log(s)
     # written as `not <=`, so that a nan bound keeps its point
     return ~(best + math.log((n_atoms + 1) * (window.stop - window.start)) <= _LOG_CUT)
 

@@ -94,9 +94,17 @@ _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 # steps whose rotation propagators or RK4 light overlaps are formed in one
 # vectorized call; bounds the memory of long runs
 _BLOCK = 4096
-# amplitude entries of the sampled one-atom states lifted in one call: a
-# Fig-6 block (192 states at N = 30) in one, and memory bounded at any N
-_LIFT_ENTRIES = 1 << 14
+# The batch budget of the sample stream, in state entries (N+1 per state,
+# (N+1)^2 per density matrix; one sample at least): integrate lifts a
+# group of sampled one-atom states this large in one call, and cli's
+# readout conditions and reduces a chunk of gated samples this large in
+# one.  2^13 holds a Fig-6 block of 192 states at N = 30 (5952 entries),
+# 9 rho at N = 30 and one rho from N = 90 up.  Over the same run one
+# sample at a time, the readout's tracemalloc heap peak rose by 0.10 MB on
+# fig6_master and 0.60 MB on dephasing_sweep (three points, each buffering
+# a chunk); 2^14 took it to +1.4 MB there, and a chunk's stacks cost a few
+# times its buffer.
+_BATCH_ENTRIES = 1 << 13
 
 
 class IntegrationError(RuntimeError):
@@ -400,13 +408,13 @@ def _rotation_states(xi: tuple[complex, complex], p: np.ndarray, q: np.ndarray, 
 def _lifts(states: list, n_atoms: int):
     """The one-atom states lifted to n_atoms, one amplitude row each, in order.
 
-    A group of at most _LIFT_ENTRIES entries (one row at least) is lifted
+    A group of at most _BATCH_ENTRIES entries (one row at least) is lifted
     per _coherent_amplitudes call, so a block's lifts cost a few numpy
     calls, not a few per sample, while memory stays bounded at any N.
     Each row is bit for bit the lift of its state alone.  A nan or
     overflowed state lifts to a row that its sample's gate refuses.
     """
-    size = max(1, _LIFT_ENTRIES // (n_atoms + 1))
+    size = max(1, _BATCH_ENTRIES // (n_atoms + 1))
     for start in range(0, len(states), size):
         xi = np.array(states[start:start + size])
         yield from _coherent_amplitudes(xi[:, 1], xi[:, 0], n_atoms)

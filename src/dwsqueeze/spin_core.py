@@ -184,7 +184,10 @@ def _log_coherent_amplitudes(eta_l, eta_r, n_atoms: int, window: slice = slice(N
 
     eta_l and eta_r are scalars or arrays of one shape; the k of window
     (all of k = 0..N by default) run along a new last axis of both
-    arrays.  Each entry is the same whatever the window.
+    arrays.  window may also be an integer index array, whose last axis
+    then holds the k and whose other axes broadcast against eta's, so
+    each point takes its own k.  Each entry is the same whatever the
+    window.
     """
     lf = log_factorials(n_atoms)
     log_binom = (0.5 * (lf[n_atoms] - lf - lf[::-1]))[window]

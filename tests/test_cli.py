@@ -922,9 +922,13 @@ def test_readout_bytes_do_not_depend_on_the_chunk(
     # the chunk bound at one sample, at 7 samples and at its default: the
     # readout takes chunks of those sizes, and every CSV keeps its bytes
     cfg = write(tmp_path / "c.cfg", base_config(**overrides))
+    # every point samples the same grid, one master_timeseries.csv row per sample
+    assert main(["master", "--config", cfg, "--out", str(tmp_path / "grid")]) == EXIT_OK
+    _, data = read_rows(tmp_path / "grid" / "master_timeseries.csv")
+    samples = len(data) * len(overrides.get("sweep_values", "0").split(","))
     real, outputs, sizes = cli.conditional_density, [], []
-    for bound in (1, 7 * entries, cli._CHUNK_ENTRIES):
-        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", bound)
+    for bound in (1, 7 * entries, master_eq._BATCH_ENTRIES):
+        monkeypatch.setattr(master_eq, "_BATCH_ENTRIES", bound)
         chunks = []
 
         def recording(params, state, t, outcome):
@@ -935,13 +939,13 @@ def test_readout_bytes_do_not_depend_on_the_chunk(
         out = tmp_path / f"out{bound}"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        # the last call of a master run conditions its one Q snapshot
-        sizes.append(chunks[:-1] if command == "master" else chunks)
+        # each sample is conditioned exactly once, a Q snapshot's included
+        assert sum(chunks) == samples
+        sizes.append(chunks)
     assert outputs[0] == outputs[1] == outputs[2]
     assert set(sizes[0]) == {1}
     assert 7 in sizes[1] and max(sizes[1]) <= 7 * entries // 31
     assert max(sizes[2]) > 7
-    assert sum(sizes[0]) == sum(sizes[1]) == sum(sizes[2])
 
 
 _RK4_STEP = master_eq._rk4_step
@@ -985,7 +989,7 @@ def test_readout_failure_beats_later_integrate_failure(tmp_path, capsys, monkeyp
     assert 0 < j < len(samples) - 2
     monkeypatch.setattr(pure_measure, "PROB_FLOOR", floor)
     if bound is not None:
-        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", bound)
+        monkeypatch.setattr(master_eq, "_BATCH_ENTRIES", bound)
     poison = {0: (j + 1) * grid.sample_stride + 1}
     poisoned_steps(monkeypatch, poison)
     with pytest.raises(master_eq.IntegrationError, match="trace drift") as err:
@@ -1037,7 +1041,7 @@ def test_sweep_readout_failure_names_its_point(
     tmp_path, capsys, monkeypatch, bound, fail_at, poison, named, at
 ):
     if bound is not None:
-        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", bound)
+        monkeypatch.setattr(master_eq, "_BATCH_ENTRIES", bound)
     failing_readout(monkeypatch, fail_at)
     params = [ModelParams(5, FIG6_OMEGA, 0.02, gm, LightPair(2.0, 2.0)) for gm in (1e-3, 2e-3)]
     state = build_spin_coherent(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 5)

@@ -584,6 +584,30 @@ def test_window_keeps_log_magnitudes_and_phases():
     assert not full[8, 8, 40:].any() and full[8, 8, 0] != 0
 
 
+@pytest.mark.parametrize("n_atoms", [1, 30, 2000])
+def test_index_window_matches_the_slice(n_atoms):
+    # the point cut passes each point's own k as an index array in the
+    # window slot: every entry is that of the full range at its k, bit for
+    # bit.  The 17-point grid's (pi/2, pi) node has |eta_l| about 1e-16, and
+    # the appended nodes eta_l = 0 exactly, where k = 0 reads 0 log 0 = 0
+    thetas, phis = grid_node(17, np.arange(17), np.arange(17))
+    eta_l, eta_r = husimi._eta_pair(thetas[:, None], phis[None, :])
+    assert abs(eta_l[8, 8]) < 2e-16
+    eta_l = np.append(eta_l.ravel(), [0.0, 0.0])
+    eta_r = np.append(eta_r.ravel(), [1.0, -1j])
+    rng = np.random.default_rng(n_atoms)
+    k = rng.integers(0, n_atoms + 1, size=(eta_l.size, 3))
+    k[:, 0], k[-2:, 1] = 0, n_atoms
+    log_mag, phase = _log_coherent_amplitudes(eta_l, eta_r, n_atoms)
+    log_mag_k, phase_k = _log_coherent_amplitudes(eta_l, eta_r, n_atoms, k)
+    assert log_mag_k.shape == phase_k.shape == k.shape
+    assert log_mag_k.tobytes() == np.take_along_axis(log_mag, k, axis=-1).tobytes()
+    assert phase_k.tobytes() == np.take_along_axis(phase, k, axis=-1).tobytes()
+    # at eta_l = 0 only k = 0 is reached, and there it is log|eta_r|^N = 0
+    assert log_mag_k[-2:, 0].tolist() == [0.0, 0.0]
+    assert np.isneginf(log_mag_k[-2:, 1]).all()
+
+
 def test_full_window_rows_are_the_complex_exp_rows():
     # on the full range the rows, built from cos and sin, equal
     # m exp(-i phase), the whole-row build, entry for entry

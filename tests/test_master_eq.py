@@ -876,7 +876,7 @@ def test_batched_conditioning_refuses_first_failing_source():
         conditional_density(params, [good, good], [0.0, 0.5], DetectionOutcome(300, 300))
 
 
-@pytest.mark.parametrize("entries", [1, 7 * 31, master_eq._LIFT_ENTRIES])
+@pytest.mark.parametrize("entries", [1, 7 * 31, master_eq._BATCH_ENTRIES])
 def test_block_lifts_match_one_at_a_time(entries, monkeypatch):
     # integrate lifts a block's sampled one-atom states in groups; every row
     # is bit for bit the lift of its state alone, whatever the group size
@@ -885,7 +885,7 @@ def test_block_lifts_match_one_at_a_time(entries, monkeypatch):
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     states = [tuple(map(complex, row)) for row in xi]
     alone = [master_eq._coherent_amplitudes(x1, x0, 30) for x0, x1 in states]
-    monkeypatch.setattr(master_eq, "_LIFT_ENTRIES", entries)
+    monkeypatch.setattr(master_eq, "_BATCH_ENTRIES", entries)
     rows = list(master_eq._lifts(states, 30))
     assert len(rows) == len(states)
     for row, ref in zip(rows, alone):
