@@ -19,6 +19,12 @@ Each run gets its own directory OUT_DIR/<name>/ holding the config it read
 - sweeps on the dephasing_sweep seed-0 config over g and over omega,
   each at that config's first gamma, and over gamma with a 0 point
   first, so one batch mixes the rotation with the stepped points;
+- a sweep on the dephasing_sweep seed-0 config whose second gamma is
+  over the step bound, so the sweep exits 1 before any run and writes no
+  CSV;
+- pure at N = 20 with the initial state given as alpha/beta, complex light
+  amplitudes with imaginary parts and an explicit outcome, so every kind
+  of config value is echoed;
 - the default validate;
 - validate's normalization suite on the fig6_master seed-0 config with
   dt = 5.0, over the step bound, so its FAIL lines show.
@@ -94,6 +100,13 @@ def _jobs() -> dict[str, Job | None]:
     jobs["dephasing_sweep-seed0-gamma0"] = Job(
         "sweep", {**sweep, "sweep_values": (0.0, *sweep["sweep_values"])}
     )
+    jobs["dephasing_sweep-seed0-over-bound"] = Job(
+        "sweep", {**sweep, "sweep_values": (sweep["sweep_values"][0], 0.02)}
+    )
+    jobs["pure-alpha-beta-complex-light"] = Job("pure", {
+        "n_atoms": 20, "alpha": "0.6", "beta": "0,0.8", "g": 0.1, "t": 0.05,
+        "alpha_l": "1.5,0.5", "alpha_r": "2,-1", "outcome": "3,5",
+    })
     jobs["validate"] = None
     unstable = {**generate("fig6_master", 0).config, "dt": 5.0, "suites": "normalization"}
     jobs["validate-fault"] = Job("validate", unstable)

@@ -1,21 +1,22 @@
 """Deterministic experiment driver emitting reproducible CSV data.
 
-Subcommands: pure, master, qfunc, sweep, validate.  One table, _PARSERS,
-types every config key, and write_csv writes every output from named
-columns, floats in 17-significant-digit scientific notation: the bytes of
-Python's %.16e, encoded in numpy a block of rows at a time.  Every file
-header echoes the fully resolved configuration, so identical configs
-produce byte-identical files.  A config or output path that cannot be
-read or written, or a config value that is out of its range or not
-finite, exits 2 before any work.  master and sweep buffer each point's
-gated samples and read them out a chunk at a time, with one
-conditional_density and one moments_from_density call per chunk, so the
-per-sample numpy call overhead is paid per chunk and each sample is
-conditioned once (master's Q snapshots keep their conditioned states);
-a row's bits and the error a run raises do not depend on the chunk.
-validate selects suites from validation.SUITES and only writes their
-reports; validation is imported by validate alone.  Nothing here uses a
-random number generator.
+Subcommands: pure, master, qfunc, sweep, validate.  ExperimentConfig's
+fields are the config keys, each declared once: one table, _TYPES,
+parses and echoes a key by its field's annotation.  write_csv writes
+every output from named columns, floats in 17-significant-digit
+scientific notation: the bytes of Python's %.16e, encoded in numpy a
+block of rows at a time.  Every file header echoes the fully resolved
+configuration, so identical configs produce byte-identical files.  A
+config or output path that cannot be read or written, or a config value
+that is out of its range or not finite, exits 2 before any work.  master
+and sweep buffer each point's gated samples and read them out a chunk at
+a time, with one conditional_density and one moments_from_density call
+per chunk, so the per-sample numpy call overhead is paid per chunk and
+each sample is conditioned once (master's Q snapshots keep their
+conditioned states); a row's bits and the error a run raises do not
+depend on the chunk.  validate selects suites from validation.SUITES and
+only writes their reports; validation is imported by validate alone.
+Nothing here uses a random number generator.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import functools
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +39,8 @@ from .master_eq import (
     TimeGrid,
     conditional_density,
     integrate,
-    step_plan,
 )
 from .pure_measure import (
-    AsymptoticsDomainError,
     DetectionOutcome,
     ImpossibleOutcomeError,
     InteractionSetting,
@@ -173,25 +172,29 @@ def _parse_outcome(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-# one parser per ExperimentConfig field; load_config reports a parser's
+# (parser, echo) per field annotation; load_config reports a parser's
 # ValueError as a ConfigError naming the key and the raw value
-_PARSERS = {
-    "n_atoms": int, "sample_stride": int, "n_theta": int, "n_phi": int,
-    "theta": _parse_float, "phi": _parse_float, "omega": _parse_float, "g": _parse_float,
-    "gamma": _parse_float, "t": _parse_float, "t_max": _parse_float, "dt": _parse_float,
-    "alpha": _parse_complex, "beta": _parse_complex,
-    "alpha_l": _parse_complex, "alpha_r": _parse_complex,
-    "emit_q": _parse_bool,
-    "q_omega_t": _parse_floats, "sweep_values": _parse_floats,
-    "outcome": str, "sweep_param": str, "suites": str,
+_TYPES = {
+    "int": (int, str),
+    "float": (_parse_float, fmt),
+    "complex": (_parse_complex, lambda z: f"{fmt(z.real)},{fmt(z.imag)}"),
+    "bool": (_parse_bool, lambda b: str(b).lower()),
+    "tuple[float, ...]": (_parse_floats, lambda v: ",".join(map(fmt, v))),
+    "str": (str, str),
 }
+# config key -> its _TYPES entry; an optional field takes that of its type
+_FIELDS = {f.name: _TYPES[f.type.removesuffix(" | None")] for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a line-oriented key = value file.
 
     [section] lines are organizational and ignored; '#' starts a comment;
-    keys live in one flat namespace and unknown keys are an error.
+    keys live in one flat namespace, ExperimentConfig's fields, and
+    unknown keys are an error.  Each value is parsed by the _TYPES entry
+    of its field's annotation; an empty value leaves an optional field
+    (one that defaults to None) unset, so config_echo_lines' key = value
+    lines load back to the config they echo.
     """
     values: dict = {}
     try:
@@ -207,12 +210,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _PARSERS:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        # an empty value, the echo of an unset optional field, leaves it unset
+        unset = not raw and getattr(ExperimentConfig, key) is None
         try:
-            values[key] = _PARSERS[key](raw)
+            values[key] = None if unset else _FIELDS[key][0](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     cfg = ExperimentConfig(**values)
@@ -221,24 +226,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-def _echo_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, complex):
-        return f"{fmt(value.real)},{fmt(value.imag)}"
-    if isinstance(value, float):
-        return fmt(value)
-    if isinstance(value, tuple):
-        return ",".join(fmt(v) for v in value)
-    return str(value)
-
-
 def config_echo_lines(cfg: ExperimentConfig, command: str) -> list[str]:
+    """The artifact and command lines, then every key = value in key order.
+
+    A value is echoed by the _TYPES entry of its field's annotation, so a
+    float field prints as fmt even when it holds an int, and load_config
+    reads the echo back to an equal config; an unset optional field
+    echoes an empty value.
+    """
     lines = [f"artifact = dwsqueeze {__version__}", f"command = {command}"]
-    for name in sorted(_PARSERS):
-        lines.append(f"{name} = {_echo_value(getattr(cfg, name))}")
+    for name, (_, echo) in sorted(_FIELDS.items()):
+        value = getattr(cfg, name)
+        lines.append(f"{name} = {'' if value is None else echo(value)}")
     return lines
 
 
@@ -450,7 +449,7 @@ def run_pure(cfg: ExperimentConfig, out_dir: Path) -> int:
     try:
         *_, pdf = conditional_gaussian(cfg.ge(), cfg.n_atoms, light, setting, outcome)
         p_gauss = pdf(np.arange(cfg.n_atoms + 1))
-    except (AsymptoticsDomainError, ValueError) as exc:
+    except ValueError as exc:  # AsymptoticsDomainError included
         print(f"warning: Gaussian column unavailable: {exc}", file=sys.stderr)
         p_gauss = np.full(cfg.n_atoms + 1, np.nan)
     write_csv(
@@ -666,11 +665,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("sweep_values must be a nonempty list")
     # the outcome depends on the light only, never on the swept parameter
     outcome = cfg.resolve_outcome()
-    # every point's model, then its step bound, so a bad value (exit 2) or a
-    # point over the bound (exit 1) is refused before any run
+    # every point's model, so a bad value (exit 2) is refused before any run;
+    # the batched integrate checks every point's step bound before its first
+    # step, so a point over the bound (exit 1) is refused before any run too
     models = [_model(replace(cfg, **{cfg.sweep_param: v})) for v in cfg.sweep_values]
-    for params, _, grid in models:
-        step_plan(params, grid)
     echo = config_echo_lines(cfg, "sweep")
     points, states, grids = zip(*models)
     try:

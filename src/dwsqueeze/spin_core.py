@@ -168,14 +168,12 @@ def _xlogy(n, x, out=None):
     n log x is one multiply, into out when given (of the broadcast shape).
     Then only the entries where n == 0 are set to 0, where the product
     reads nan (x = 0) or -0.0 (x < 1); the mask has n's own shape, so no
-    full-size mask or select pass is made.  Scalar n and x give a scalar.
+    full-size mask or select pass is made.  n or x must be an array (or
+    out given), so that the n == 0 entries can be set in place.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.multiply(n, np.log(x), out=out)
-    zero = np.asarray(n) == 0
-    if np.ndim(out) == 0:
-        return 0.0 if zero else out
-    np.copyto(out, 0.0, where=zero)
+    np.copyto(out, 0.0, where=np.asarray(n) == 0)
     return out
 
 

@@ -112,10 +112,43 @@ def test_load_config_requires_n_atoms(tmp_path):
 
 
 def test_every_config_field_has_one_parser():
-    # a field without a parser could never be set; a parser without a field
-    # would reach ExperimentConfig(**values) as a TypeError
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert set(cli._PARSERS) == fields
+    # every field's annotation, optional or not, has one (parser, echo)
+    # entry, and the keys load_config accepts are exactly the fields
+    fields = dataclasses.fields(ExperimentConfig)
+    for f in fields:
+        entry = cli._TYPES.get(f.type.removesuffix(" | None"))
+        assert entry is not None and cli._FIELDS[f.name] is entry, f.name
+    assert set(cli._FIELDS) == {f.name for f in fields}
+
+
+# every key set to a value other than its default; the two initial-state
+# forms exclude each other, so each gets its own config
+_EVERY_KEY = {
+    "n_atoms": "17", "omega": "0.75", "g": "-0.125", "gamma": "1e-3",
+    "alpha_l": "1.5,-0.25", "alpha_r": "-2,3.5", "t": "0.3", "t_max": "12.5",
+    "dt": "0.0625", "sample_stride": "3", "outcome": "4,7", "n_theta": "9",
+    "n_phi": "11", "emit_q": "true", "q_omega_t": "0.5,-2.25",
+    "sweep_param": "gamma", "sweep_values": "1e-4,2e-4", "suites": "normalization",
+}
+
+
+@pytest.mark.parametrize("state", [
+    {"alpha": "0.6,0.1", "beta": "-0.2,0.7"},
+    {"theta": "0.4", "phi": "1.25"},
+])
+def test_echo_lines_load_back_to_the_config(tmp_path, state):
+    text = "".join(f"{k} = {v}\n" for k, v in {**_EVERY_KEY, **state}.items())
+    cfg = load_config(write(tmp_path / "c.cfg", text))
+    default = ExperimentConfig()
+    for key in (*_EVERY_KEY, *state):
+        assert getattr(cfg, key) != getattr(default, key), key
+    lines = cli.config_echo_lines(cfg, "sweep")
+    assert lines[:2] == [f"artifact = dwsqueeze {cli.__version__}", "command = sweep"]
+    echo = write(tmp_path / "echo.cfg", "\n".join(lines[2:]) + "\n")
+    assert load_config(echo) == cfg
+    # the unset initial-state form echoes as an empty value
+    unset = {"alpha", "beta", "theta", "phi"}.difference(state)
+    assert sorted(l for l in lines if l.endswith(" = ")) == [f"{k} = " for k in sorted(unset)]
 
 
 def test_write_csv_round_trips_cells(tmp_path):
@@ -664,9 +697,11 @@ def test_step_bound_violation_exit(tmp_path, capsys):
 
 def test_sweep_step_bound_refused_before_first_run(tmp_path, capsys, monkeypatch):
     # the second point's dt * gamma N^2 = 18 is over the bound; the sweep
-    # is refused before the first point runs
+    # is refused before the first point runs: no step is taken and no
+    # sample is read out
     calls = []
-    monkeypatch.setattr(cli, "integrate", lambda *a: calls.append(a) or integrate(*a))
+    monkeypatch.setattr(master_eq, "_rk4_step", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "conditional_density", lambda *a: calls.append(a))
     cfg = write(
         tmp_path / "c.cfg", base_config(sweep_param="gamma", sweep_values="1e-5,1")
     )

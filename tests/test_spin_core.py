@@ -330,8 +330,8 @@ def test_xlogy_zero_log_zero():
     # 0 log 0 = 0 and n log 0 = -inf for n > 0, with no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _xlogy(0, 0.0) == 0.0
-        assert _xlogy(3, 0.0) == -np.inf
+        assert np.array_equal(_xlogy(0, np.array([0.0])), [0.0])
+        assert np.array_equal(_xlogy(np.array([3]), 0.0), [-np.inf])
         n = np.arange(4)[None, :]
         x = np.array([0.0, 0.5, 2.0])[:, None]
         out = _xlogy(n, x)
