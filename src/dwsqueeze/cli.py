@@ -483,7 +483,7 @@ def _write_q_csv(path: Path, echo: list[str], qg: QGrid):
     )
 
 
-def _moments_series(points, states, grid, outcome, watch=None) -> list:
+def _moments_series(points, states, grid, outcome, watch=lambda t, cond: None) -> list:
     """(t, conditional moments, trace_err, herm_err) per sample, in time order.
 
     One integrate call runs the points, given as to integrate: one point
@@ -491,9 +491,10 @@ def _moments_series(points, states, grid, outcome, watch=None) -> list:
     point's samples are buffered and read out a chunk at a time, by one
     conditional_density and one moments_from_density call, once the
     buffer holds master_eq._BATCH_ENTRIES state entries and when the run
-    ends, so each sample is conditioned once.  watch, when given, is
-    called as watch(t, conditioned state) for each sample of a chunk, in
-    time order, once that chunk has read out cleanly.  A row's bits do
+    ends, so each sample is conditioned once.  watch is called as
+    watch(t, conditioned state) for each sample of a chunk, in time
+    order, once that chunk has read out cleanly; by default it does
+    nothing.  A row's bits do
     not depend on the chunk.  The error raised is that of a
     sample-by-sample readout: when a chunk fails, every buffered sample is
     read out again alone in (time, point) order, and the first failure is
@@ -518,9 +519,8 @@ def _moments_series(points, states, grid, outcome, watch=None) -> list:
                 if pending[i]:
                     conds, read = read_out(i, pending[i])
                     rows[i] += read
-                    if watch is not None:
-                        for s, cond in zip(pending[i], conds):
-                            watch(s.t, cond)
+                    for s, cond in zip(pending[i], conds):
+                        watch(s.t, cond)
                     pending[i] = []
         except (ValueError, AssertionError, IntegrationError):  # a sample's refusal
             held = [(s.t, i, s) for i, buf in enumerate(pending) for s in buf]

@@ -81,11 +81,11 @@ clamped to W, and the bound reads the rows' own log magnitudes log|R_k|
 (spin_core._log_coherent_amplitudes, the one log-domain coherent
 amplitude) at three k per point.  A full window holds the mode, where
 b_k >= 1/(N+1) (the N+1 values sum to 1), so no point is cut and no
-bound is formed: every full-window call builds the rows it built before
-the cut.  The cut keeps every live point's
-bits: each entry of a row is the same whatever the columns built, and
-each point contracts its own row.  A live point is one whose bound is
-not at most u / 2, so a nan bound keeps its point.  On the pure_wide
+bound is formed: q_grid gives it an all-live mask, whose blocks build
+every phi column.  The cut keeps every live point's bits: each entry of
+a row is the same whatever the columns built, and each point contracts
+its own row.  A live point is one whose bound is not at most u / 2, so a
+nan bound keeps its point.  On the pure_wide
 conditional states of seeds 0, 3, 7 and 41 (N = 2000, 64 x 64, |W| about
 610) 37 % of the points are cut, and each was at most 8e-63 before.
 
@@ -258,8 +258,8 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     those of a call on it alone, bit for bit; otherwise they agree to the
     window's bound and rounding.  On a partial window, the points that no
     source can reach read exactly 0 (the point cut, in the module
-    docstring).  A list that mixes N is refused (ValueError) before any
-    work.
+    docstring); a full window's mask is all live, so it builds every
+    point.  A list that mixes N is refused (ValueError) before any work.
     """
     check_grid(n_theta, n_phi)
     sources = source if isinstance(source, list) else [source]
@@ -274,19 +274,17 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     # a full window holds the mode of every b_k, whose maximum is then at
-    # least 1/(N+1), so no point can be cut and no bound is formed
+    # least 1/(N+1), so every point is live and no bound is formed
     full = window.stop - window.start == n_atoms + 1
-    live = None if full else _live_points(n_atoms, window, thetas, phis)
+    live = np.ones((n_theta, n_phi), bool) if full else _live_points(n_atoms, window, thetas, phis)
     height = max(1, _BLOCK_ENTRIES // (n_phi * (n_atoms + 1)))
     values = [np.empty((n_theta, n_phi)) for _ in sources]
     for start in range(0, n_theta, height):
         block = slice(start, start + height)
-        cols = slice(None)
-        if live is not None:
-            # only the phi columns with a live point in the block are built
-            cols = np.flatnonzero(live[block].any(axis=0))
-            if not cols.size:
-                continue
+        # only the phi columns with a live point in the block are built
+        cols = np.flatnonzero(live[block].any(axis=0))
+        if not cols.size:
+            continue
         rows = _overlap_matrix(n_atoms, thetas[block], phis[cols], window)
         for out, contract in zip(values, contractions):
             out[block, cols] = contract(rows)
@@ -297,8 +295,7 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     norm = np.exp(n_atoms * np.log(np.square(np.abs(eta_l)) + np.square(np.abs(eta_r))))
     grids = []
     for v in values:
-        if live is not None:
-            v[~live] = 0.0  # a cut point reads 0, whether its column was built or not
+        v[~live] = 0.0  # a cut point reads 0, whether its column was built or not
         v /= norm
         v *= (n_atoms + 1) / (4.0 * np.pi)
         # only the density-matrix contraction can round below zero

@@ -392,16 +392,17 @@ def _rho_sample(t: float, rho: np.ndarray, herm_tol: float | None = None) -> Sam
 def _rotation_states(xi: tuple[complex, complex], p: np.ndarray, q: np.ndarray, sampled):
     """The one-atom state xi stepped by the propagators (p, q), one step per pair.
 
-    Returns {j: the state after step j} for each j in sampled, and the
-    last state.  A scalar recurrence that cannot raise: a nan or
-    overflowed state is reported by the gate of the sample it reaches.
+    Returns the states after the steps j in sampled, as a list in step
+    order, and the last state.  A scalar recurrence that cannot raise: a
+    nan or overflowed state is reported by the gate of the sample it
+    reaches.
     """
     x0, x1 = xi
-    kept = {}
+    kept = []
     for j, (a, b) in enumerate(zip(p.tolist(), q.tolist())):
         x0, x1 = a * x0 + b * x1, a.conjugate() * x1 - b.conjugate() * x0
         if j in sampled:
-            kept[j] = x0, x1
+            kept.append((x0, x1))
     return kept, (x0, x1)
 
 
@@ -541,22 +542,18 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
                 i: _rotation_states(xi, *_su2_propagators(points[i], first, count, dt), sampled)
                 for i, xi in xis.items()
             }
-            nodes = [None] * count
             if stacked:
                 t = (first + np.arange(count)) * dt
                 times = np.stack((t, t + 0.5 * dt, t + dt), axis=1)
                 # (steps, 3, B): each stacked point's overlap at each RK4 node
                 nodes = np.stack([coherent_overlaps(p, times) for p in stacked], axis=-1)
-            lifts = {
-                i: _lifts(list(kept.values()), points[i].n_atoms)
-                for i, (kept, _) in turns.items()
-            }
-            for j, ov in enumerate(nodes):
-                if ov is not None:
-                    _rk4_step(gen, rho, ov, dt)
+            # per rotated point, its sampled states and their lifts, in step order
+            pairs = {i: zip(xs, _lifts(xs, points[i].n_atoms)) for i, (xs, _) in turns.items()}
+            for j in range(count):
+                if stacked:
+                    _rk4_step(gen, rho, nodes[j], dt)
                 if j in sampled:
-                    at_j = {i: (kept[j], next(lifts[i])) for i, (kept, _) in turns.items()}
-                    sample((first + j + 1) * dt, at_j, rhos)
+                    sample((first + j + 1) * dt, {i: next(z) for i, z in pairs.items()}, rhos)
             xis = {i: last for i, (_, last) in turns.items()}
     return values
 

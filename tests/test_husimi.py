@@ -655,14 +655,17 @@ def test_analytic_norm_matches_numerical_norm(n_atoms, n_grid):
 @pytest.mark.parametrize("case,n_atoms,n_grid", [("conditional", 2000, 17), ("rho", 200, 33)])
 def test_point_cut_keeps_live_cells(monkeypatch, case, n_atoms, n_grid):
     # a state at N = 2000 like pure_wide's, and a rho at an N where points
-    # are cut; the build with nothing cut is the one before the cut
+    # are cut; the build with nothing cut takes an all-live mask, as a full
+    # window does
     (source,), _ = window_sources(case, n_atoms)
     window = q_window(source)
     live = husimi._live_points(n_atoms, window, *grid_axes(n_grid, n_grid))
     assert np.array_equal(live, brute_live(n_atoms, window, n_grid, n_grid))
     assert 0 < live.sum() < live.size
     got = q_grid(source, n_grid, n_grid).values
-    monkeypatch.setattr(husimi, "_live_points", lambda *args: None)
+    monkeypatch.setattr(
+        husimi, "_live_points", lambda n, w, thetas, phis: np.ones((thetas.size, phis.size), bool)
+    )
     uncut = q_grid(source, n_grid, n_grid).values
     # live cells keep their bits; a cut cell reads 0, and moved by at most
     # u / (8 pi) against its windowed value and u / (4 pi) against full rows
