@@ -483,6 +483,10 @@ def _write_q_csv(path: Path, echo: list[str], qg: QGrid):
     )
 
 
+# what a readout raises to refuse a sample
+_REFUSALS = (ValueError, AssertionError, IntegrationError)
+
+
 def _moments_series(points, states, grid, outcome, watch=lambda t, cond: None) -> list:
     """(t, conditional moments, trace_err, herm_err) per sample, in time order.
 
@@ -498,7 +502,7 @@ def _moments_series(points, states, grid, outcome, watch=lambda t, cond: None) -
     not depend on the chunk.  The error raised is that of a
     sample-by-sample readout: when a chunk fails, every buffered sample is
     read out again alone in (time, point) order, and the first failure is
-    raised, an IntegrationError tagged with its t and point as integrate
+    raised, whatever its type, tagged with its t and point as integrate
     tags its own; an integrate failure is raised only once the buffered
     samples, all made before it, have read out cleanly.
     """
@@ -522,12 +526,12 @@ def _moments_series(points, states, grid, outcome, watch=lambda t, cond: None) -
                     for s, cond in zip(pending[i], conds):
                         watch(s.t, cond)
                     pending[i] = []
-        except (ValueError, AssertionError, IntegrationError):  # a sample's refusal
+        except _REFUSALS:
             held = [(s.t, i, s) for i, buf in enumerate(pending) for s in buf]
             for t, i, s in sorted(held, key=lambda h: h[:2]):
                 try:
                     read_out(i, [s])
-                except IntegrationError as exc:
+                except _REFUSALS as exc:
                     exc.t, exc.point = t, i
                     raise
             raise
@@ -655,9 +659,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     All points run in one batched integrate call: its gamma > 0 points
     step together as one rho stack, and each point's samples are read out
     a chunk at a time (_moments_series), so no trajectory is held.  A
-    failed point exits 1 with its error prefixed by the swept parameter
-    and value; when several fail, the one reported is at the earliest
-    failing sample time and, at that time, the first in sweep order.
+    refused point's error is prefixed by the swept parameter and value and
+    keeps its exit code: 2 for an unreachable outcome, 1 for anything
+    else, the step bound included, where the first point over the bound
+    is named.  When several samples fail, the one reported is at the
+    earliest failing sample time and, at that time, the first in sweep
+    order.
     """
     if cfg.sweep_param not in ("g", "gamma", "omega"):
         raise ConfigError("sweep_param must be one of g, gamma, omega")
@@ -673,9 +680,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     points, states, grids = zip(*models)
     try:
         series = _moments_series(points, states, grids[0], outcome)
-    except IntegrationError as exc:  # tagged with the failing point
-        value = cfg.sweep_values[exc.point]
-        raise IntegrationError(f"sweep {cfg.sweep_param} = {value}: {exc}") from exc
+    except (ValueError, IntegrationError) as exc:
+        if getattr(exc, "point", None) is None:
+            raise
+        # prefixed in place, so the refusal keeps its type and exit code
+        exc.args = (f"sweep {cfg.sweep_param} = {cfg.sweep_values[exc.point]}: {exc}",)
+        raise
     rows = []
     for value, params, point_rows in zip(cfg.sweep_values, points, series):
         ts = _timeseries_columns(params, point_rows)

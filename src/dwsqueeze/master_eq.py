@@ -474,13 +474,21 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
     time, of the first failing point, and no sample after it is made; an
     IntegrationError of reduce counts as a failure of its sample, unless
     reduce set its t (the failure of a sample it held back).  The error
-    carries the time as t and the point's index as point.
+    carries the time as t and the point's index as point; a step-bound
+    ValueError carries the index of the first point over the bound as
+    point.
     """
     if isinstance(params, ModelParams):
         return integrate([params], [initial], grid, None if reduce is None else [reduce])[0]
     points = list(params)
-    # every point's step bound is checked; the plan itself depends on grid only
-    (n_steps, dt), *_ = [step_plan(p, grid) for p in points]
+    # every point's step bound is checked, and a refusal is tagged with its
+    # point; the plan itself depends on grid only
+    for i, p in enumerate(points):
+        try:
+            n_steps, dt = step_plan(p, grid)
+        except ValueError as exc:
+            exc.point = i
+            raise
     reduces = [None] * len(points) if reduce is None else reduce
     # batch index -> one-atom state of a rotated point, or rho of a stacked one
     xis, rhos = {}, {}

@@ -709,6 +709,7 @@ def test_sweep_step_bound_refused_before_first_run(tmp_path, capsys, monkeypatch
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "step bound" in err[0]
+    assert err[0].startswith("error: sweep gamma = 1.0: step bound")
     assert calls == []
     assert not out.exists()
 
@@ -1043,15 +1044,15 @@ def test_readout_failure_beats_later_integrate_failure(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o" / "master_timeseries.csv").exists()
 
 
-def failing_readout(monkeypatch, fail_at):
-    """Refuse, as an IntegrationError, every sample of a point from its given time on."""
+def failing_readout(monkeypatch, fail_at, error=master_eq.IntegrationError):
+    """Refuse, as error, every sample of a point from its given time on."""
     real = cli.conditional_density
 
     def conditional_density(params, state, t, outcome):
         first = fail_at.get(params.gamma, math.inf)
         late = [u for u in (t if isinstance(t, list) else [t]) if u >= first]
         if late:
-            raise master_eq.IntegrationError(f"imaginary residue at {late[0]}")
+            raise error(f"imaginary residue at {late[0]}")
         return real(params, state, t, outcome)
 
     monkeypatch.setattr(cli, "conditional_density", conditional_density)
@@ -1095,3 +1096,57 @@ def test_sweep_readout_failure_names_its_point(
     assert len(errors) == 1
     assert errors[0].startswith(f"error: sweep gamma = {named}: ")
     assert (f"at {at}" in errors[0]) != ("trace drift" in errors[0])
+
+
+def sweep_config(tmp_path, **overrides):
+    """A two-point sweep at N = 5 whose readouts run in a fraction of a second."""
+    return write(tmp_path / "c.cfg", base_config(
+        n_atoms="5", alpha=fmt(math.sqrt(0.3)), beta=fmt(math.sqrt(0.7)), g="0.02",
+        gamma="1e-3", t_max="20", sample_stride="50", **overrides,
+    ))
+
+
+@pytest.mark.parametrize("bound", [1, None])
+def test_sweep_unreachable_outcome_names_its_point(tmp_path, capsys, monkeypatch, bound):
+    # with PROB_FLOOR pinned between the two points' smallest P, one point's
+    # readout refuses the outcome: still exit 2, and the point is named
+    import dwsqueeze.pure_measure as pure_measure
+
+    state = build_spin_coherent(GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7)), 5)
+    grid = TimeGrid(20.0, 0.02, 50)
+    outcome = DetectionOutcome(4, 4)
+    smallest = {}
+    for g in (0.04, 0.02):
+        params = ModelParams(5, FIG6_OMEGA, g, 1e-3, LightPair(2.0, 2.0))
+        smallest[g] = min(
+            pure_measure._reachable_factor(
+                params.light, pure_measure.InteractionSetting(g, s.t), outcome,
+                np.diag(s.state).real,
+            )[2]
+            for s in integrate(params, state, grid)
+        )
+    named = min(smallest, key=smallest.get)
+    monkeypatch.setattr(pure_measure, "PROB_FLOOR", 0.5 * sum(smallest.values()))
+    if bound is not None:
+        monkeypatch.setattr(master_eq, "_BATCH_ENTRIES", bound)
+    cfg = sweep_config(tmp_path, sweep_param="g", sweep_values="0.04,0.02")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: unreachable outcome: sweep g = {named}: impossible")
+    assert f"probability {smallest[named]:.3e}" in errors[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bound", [1, None])
+def test_sweep_value_error_readout_names_its_point(tmp_path, capsys, monkeypatch, bound):
+    # a readout refusal that is neither an IntegrationError nor an
+    # unreachable outcome exits 1 and names its point too
+    if bound is not None:
+        monkeypatch.setattr(master_eq, "_BATCH_ENTRIES", bound)
+    failing_readout(monkeypatch, {2e-3: 3.0}, ValueError)
+    cfg = sweep_config(tmp_path, sweep_param="gamma", sweep_values="0.001,0.002")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert errors == ["error: sweep gamma = 0.002: imaginary residue at 3.0"]
+    assert not (tmp_path / "o").exists()
