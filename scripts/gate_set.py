@@ -25,6 +25,10 @@ Each run gets its own directory OUT_DIR/<name>/ holding the config it read
 - pure at N = 20 with the initial state given as alpha/beta, complex light
   amplitudes with imaginary parts and an explicit outcome, so every kind
   of config value is echoed;
+- pure on the pure_wide seed-0 config with alpha_l = 1e200, finite light
+  whose intensity overflows, refused as bad input;
+- qfunc on the fig6_master seed-0 config with n_theta one over the grid
+  bound MAX_ATOMS + 1 = 4097 and n_phi = 16, refused before any work;
 - the default validate;
 - validate's normalization suite on the fig6_master seed-0 config with
   dt = 5.0, over the step bound, so its FAIL lines show.
@@ -107,6 +111,12 @@ def _jobs() -> dict[str, Job | None]:
         "n_atoms": 20, "alpha": "0.6", "beta": "0,0.8", "g": 0.1, "t": 0.05,
         "alpha_l": "1.5,0.5", "alpha_r": "2,-1", "outcome": "3,5",
     })
+    jobs["pure_wide-seed0-overflowing-light"] = Job(
+        "pure", {**generate("pure_wide", 0).config, "alpha_l": 1e200}
+    )
+    jobs["fig6_master-seed0-qfunc-over-grid-bound"] = Job(
+        "qfunc", {**generate("fig6_master", 0).config, "n_theta": 4098, "n_phi": 16}
+    )
     jobs["validate"] = None
     unstable = {**generate("fig6_master", 0).config, "dt": 5.0, "suites": "normalization"}
     jobs["validate-fault"] = Job("validate", unstable)

@@ -130,7 +130,8 @@ class ExperimentConfig:
 
     def resolve_outcome(self) -> DetectionOutcome:
         if self.outcome == "most-probable":
-            return most_probable_outcome(self.light())
+            with _config_values():  # a count over DetectionOutcome's capacity
+                return most_probable_outcome(self.light())
         try:
             return DetectionOutcome(*_parse_outcome(self.outcome))
         except ValueError as exc:

@@ -123,12 +123,15 @@ import numpy as np
 
 from .spin_core import (
     _UNIT_ROUNDOFF,
+    MAX_ATOMS,
     AtomState,
     _log_coherent_amplitudes,
     _support_window,
 )
 
 MIN_GRID = 16
+# the finest grid check_grid accepts in either direction (derived there)
+MAX_GRID = MAX_ATOMS + 1
 
 # Overlap entries per theta block of q_grid: 2^15 k-entries, 256 kB per real
 # array, so a block's few arrays fit a core's 2 MB L2 cache.  In a sweep
@@ -226,9 +229,17 @@ def _live_points(n_atoms: int, window: slice, thetas: np.ndarray, phis: np.ndarr
 
 
 def check_grid(n_theta: int, n_phi: int):
-    """Refuse a grid coarser than MIN_GRID in either direction (ValueError)."""
-    if n_theta < MIN_GRID or n_phi < MIN_GRID:
-        raise ValueError(f"grid sizes must be >= {MIN_GRID}")
+    """Refuse a grid coarser than MIN_GRID or finer than MAX_GRID in either direction.
+
+    The refusal is a ValueError.  MAX_GRID = MAX_ATOMS + 1: a spin-N/2 Q
+    holds spherical harmonics of degree <= N only, so once n_theta,
+    n_phi > N the grid integrates it exactly (the module docstring), and
+    every state has N <= MAX_ATOMS.  A finer grid adds no accuracy, while
+    _fejer_weights forms an n_theta x n_theta/2 matrix and q_grid a few
+    n_theta x n_phi arrays.
+    """
+    if not (MIN_GRID <= n_theta <= MAX_GRID and MIN_GRID <= n_phi <= MAX_GRID):
+        raise ValueError(f"grid sizes must be in [{MIN_GRID}, {MAX_GRID}]")
 
 
 def _contraction(source, window: slice):

@@ -50,7 +50,13 @@ class AsymptoticsDomainError(ValueError):
 
 @dataclass(frozen=True)
 class LightPair:
-    """Coherent amplitudes of the two interferometer arms."""
+    """Coherent amplitudes of the two interferometer arms.
+
+    Refused (ValueError) unless both amplitudes and the total intensity
+    |alpha_l|^2 + |alpha_r|^2 are finite.  The intensity is checked in
+    numpy, where an overflow reads inf, since Python's float power raises
+    OverflowError instead.
+    """
 
     alpha_l: complex
     alpha_r: complex
@@ -58,6 +64,10 @@ class LightPair:
     def __post_init__(self):
         if not (np.isfinite(self.alpha_l) and np.isfinite(self.alpha_r)):
             raise ValueError("light amplitudes must be finite")
+        with np.errstate(over="ignore"):
+            intensity = np.square(np.abs(self.alpha_l)) + np.square(np.abs(self.alpha_r))
+        if not np.isfinite(intensity):
+            raise ValueError("light intensity |alpha_l|^2 + |alpha_r|^2 is not finite")
 
     @property
     def rel_phase(self) -> float:

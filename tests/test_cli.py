@@ -666,12 +666,26 @@ def test_cli_import_leaves_scipy_out():
         # a step count whose t_max / dt overflows
         ("master", {"t_max": "1e300", "dt": "1e-10"}),
         ("sweep", {"sweep_param": "gamma", "sweep_values": "0", "t_max": "1e300", "dt": "1e-10"}),
+        # finite light whose intensity |alpha_l|^2 + |alpha_r|^2 overflows
+        ("pure", {"alpha_l": "1e200", "t": "0.01", "g": "1.0", "t_max": None}),
+        ("master", {"alpha_l": "1e200"}),
+        ("sweep", {"alpha_l": "1e200", "sweep_param": "g", "sweep_values": "0.01"}),
+        ("validate", {"alpha_l": "1e200"}),
+        # a most-probable count over DetectionOutcome's capacity of 10^6
+        ("pure", {"alpha_l": "1e6", "outcome": "most-probable", "t": "0.01", "t_max": None}),
+        ("master", {"alpha_l": "1e6", "outcome": "most-probable"}),
+        # a Q grid finer than MAX_GRID = MAX_ATOMS + 1
+        ("qfunc", {"n_theta": "4098"}),
+        ("master", {"q_omega_t": "10", "n_phi": "4098"}),
     ],
     ids=[
         "n_atoms", "dt", "gamma", "theta", "pure_t", "pure_light", "light_most_probable",
         "n_theta", "qfunc_n_phi", "sweep_point", "sweep_t_max", "sweep_bound_then_bad",
         "t_max_inf", "dt_nan", "omega_nan", "gamma_nan", "q_omega_t_nan", "pure_t_inf",
         "pure_g_nan", "sweep_values_inf", "step_overflow", "sweep_step_overflow",
+        "pure_intensity", "master_intensity", "sweep_intensity", "validate_intensity",
+        "pure_most_probable_count", "master_most_probable_count", "qfunc_grid_bound",
+        "master_grid_bound",
     ],
 )
 def test_out_of_range_config_exit(tmp_path, capsys, monkeypatch, command, overrides):

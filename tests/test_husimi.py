@@ -18,6 +18,7 @@ from dwsqueeze.pure_measure import (
     conditional_state,
 )
 from dwsqueeze.spin_core import (
+    MAX_ATOMS,
     AtomState,
     BlochAngles,
     GroundExcitedAmplitudes,
@@ -713,3 +714,18 @@ def test_point_cut_at_extreme_nodes(case):
     # x = 1 puts the mode at k = N, x = 0 at k = 0: only the matching end is live
     assert ends.tolist() == ([[False, True]] if case == "touches_0" else [[True, False]])
     assert not np.isnan(values).any() and not values[~live].any()
+
+
+def test_q_grid_max_size_guard(monkeypatch):
+    # MAX_GRID = MAX_ATOMS + 1 nodes integrate any state exactly; a finer
+    # axis is refused before any work
+    def no_work(*args):
+        raise AssertionError("q_grid worked on a refused grid")
+
+    monkeypatch.setattr(husimi, "_fejer_weights", no_work)
+    monkeypatch.setattr(husimi, "_overlap_matrix", no_work)
+    assert husimi.MAX_GRID == MAX_ATOMS + 1
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.4, 0.0)), 4)
+    for n_theta, n_phi in ((husimi.MAX_GRID + 1, MIN_GRID), (MIN_GRID, husimi.MAX_GRID + 1)):
+        with pytest.raises(ValueError, match="grid sizes"):
+            q_grid(state, n_theta, n_phi)

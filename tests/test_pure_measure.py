@@ -176,6 +176,15 @@ def test_most_probable_outcome_examples():
     assert most_probable_outcome(LightPair(0.0, 0.0)) == DetectionOutcome(0, 0)
 
 
+def test_light_intensity_must_be_finite():
+    # finite amplitudes whose |alpha|^2 overflows are refused, with no
+    # OverflowError and no numpy warning; the largest finite intensity is kept
+    for alpha_l, alpha_r in [(1e200, 0.0), (0.0, 1e200j), (1e154, 1e154), (1e308 + 1e308j, 0.0)]:
+        with pytest.raises(ValueError, match="intensity"):
+            LightPair(alpha_l, alpha_r)
+    assert LightPair(1e153, 1e153j).total_intensity == 2e306
+
+
 def test_grid_argmax_at_poisson_mean():
     state = build_spin_coherent(GROUND, 30)
     grid = detection_pmf_grid(state, LightPair(RT20, RT20), InteractionSetting(1, 0.0))
