@@ -499,13 +499,12 @@ def _moments_series(points, states, grid, outcome, watch=lambda t, cond: None) -
     ends, so each sample is conditioned once.  watch is called as
     watch(t, conditioned state) for each sample of a chunk, in time
     order, once that chunk has read out cleanly; by default it does
-    nothing.  A row's bits do
-    not depend on the chunk.  The error raised is that of a
-    sample-by-sample readout: when a chunk fails, every buffered sample is
-    read out again alone in (time, point) order, and the first failure is
-    raised, whatever its type, tagged with its t and point as integrate
-    tags its own; an integrate failure is raised only once the buffered
-    samples, all made before it, have read out cleanly.
+    nothing.  A row's bits do not depend on the chunk.  The error raised
+    is that of a sample-by-sample readout: when a chunk fails, every
+    buffered sample is read out again alone in (time, point) order, and
+    the first failure is raised, whatever its type, tagged with its t and
+    point as integrate tags its own; an integrate failure is raised only
+    once the buffered samples, all made before it, have read out cleanly.
     """
     single = isinstance(points, ModelParams)
     batch = [points] if single else list(points)

@@ -85,9 +85,9 @@ bound is formed: q_grid gives it an all-live mask, whose blocks build
 every phi column.  The cut keeps every live point's bits: each entry of
 a row is the same whatever the columns built, and each point contracts
 its own row.  A live point is one whose bound is not at most u / 2, so a
-nan bound keeps its point.  On the pure_wide
-conditional states of seeds 0, 3, 7 and 41 (N = 2000, 64 x 64, |W| about
-610) 37 % of the points are cut, and each was at most 8e-63 before.
+nan bound keeps its point.  On the pure_wide conditional states of seeds
+0, 3, 7 and 41 (N = 2000, 64 x 64, |W| about 610) 37 % of the points are
+cut, and each was at most 8e-63 before.
 
 The analytic norm against a numerical one.  A numerical norm sums the
 squares of the computed entries, e^(2 L'_k) with L'_k = L_k + D_k the

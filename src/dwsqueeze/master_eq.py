@@ -481,8 +481,7 @@ def integrate(params, initial, grid: TimeGrid, reduce=None) -> list:
     if isinstance(params, ModelParams):
         return integrate([params], [initial], grid, None if reduce is None else [reduce])[0]
     points = list(params)
-    # every point's step bound is checked, and a refusal is tagged with its
-    # point; the plan itself depends on grid only
+    # every point's bound is checked and a refusal names its point; the plan depends on grid only
     for i, p in enumerate(points):
         try:
             n_steps, dt = step_plan(p, grid)

@@ -1058,6 +1058,14 @@ def test_readout_failure_beats_later_integrate_failure(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o" / "master_timeseries.csv").exists()
 
 
+def sweep_config(tmp_path, **overrides):
+    """A sweep at N = 5 whose readouts run in a fraction of a second."""
+    return write(tmp_path / "c.cfg", base_config(
+        n_atoms="5", alpha=fmt(math.sqrt(0.3)), beta=fmt(math.sqrt(0.7)), g="0.02",
+        gamma="1e-3", t_max="20", sample_stride="50", **overrides,
+    ))
+
+
 def failing_readout(monkeypatch, fail_at, error=master_eq.IntegrationError):
     """Refuse, as error, every sample of a point from its given time on."""
     real = cli.conditional_density
@@ -1100,24 +1108,13 @@ def test_sweep_readout_failure_names_its_point(
     with pytest.raises(master_eq.IntegrationError) as err:
         cli._moments_series(params, [state] * 2, grid, DetectionOutcome(4, 4))
     assert (err.value.point, err.value.t) == ((0.001, 0.002).index(float(named)), at)
-    cfg = write(tmp_path / "c.cfg", base_config(
-        n_atoms="5", alpha=fmt(math.sqrt(0.3)), beta=fmt(math.sqrt(0.7)), g="0.02",
-        t_max="20", sample_stride="50", sweep_param="gamma", sweep_values="0.001,0.002",
-    ))
+    cfg = sweep_config(tmp_path, sweep_param="gamma", sweep_values="0.001,0.002")
     poisoned_steps(monkeypatch, poison)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1
     assert errors[0].startswith(f"error: sweep gamma = {named}: ")
     assert (f"at {at}" in errors[0]) != ("trace drift" in errors[0])
-
-
-def sweep_config(tmp_path, **overrides):
-    """A two-point sweep at N = 5 whose readouts run in a fraction of a second."""
-    return write(tmp_path / "c.cfg", base_config(
-        n_atoms="5", alpha=fmt(math.sqrt(0.3)), beta=fmt(math.sqrt(0.7)), g="0.02",
-        gamma="1e-3", t_max="20", sample_stride="50", **overrides,
-    ))
 
 
 @pytest.mark.parametrize("bound", [1, None])
