@@ -37,7 +37,87 @@ holds at most four real arrays of |W| entries per point at once (the log
 magnitudes, the second term of their sum and the phases; then the
 magnitudes, the phases and the complex rows as two).  The block budget
 keeps each of them cache-sized.  Every block contracts whole theta rows
-in the same shapes, so the budget moves no bit of Q.
+in the same shapes, so the budget moves no bit of Q.  All of this is the
+build of a grid at or below the band limit (next), which is the
+requested grid itself unless that is finer than the band.
+
+The band limit.  Q is a polynomial of degree <= N in the unit vector
+(sin theta cos phi, sin theta sin phi, cos theta).  So along phi at fixed
+theta it is a trigonometric polynomial of degree <= N, and so it is
+along each great circle through the poles, t -> (t, phi_j) for t in
+[0, pi) and (2 pi - t, phi_j + pi) for t in [pi, 2 pi).  2N + 1
+equispaced samples fix such a polynomial (the sphere's sampling
+theorem, Driscoll & Healy 1994), so N + 1 theta and 2N + 2 phi nodes fix
+Q.  q_grid builds each axis at min(requested, band) nodes, n'_theta x
+n'_phi, and resamples the built grid to the requested one by FFT:
+
+- theta first.  Column j's nodes (i + 1/2) pi / n'_theta, followed by
+  those of column j + n'_phi / 2 (at phi_j + pi) in reverse order, are the
+  2 n'_theta equispaced nodes (m + 1/2) pi / n'_theta of one great
+  circle.  The pairing needs an even n'_phi, so an odd n_phi <= 2N + 2
+  leaves theta at n_theta too, and that grid is built as requested.  Each
+  circle is resampled to 2 n_theta nodes and split back into its columns.
+- then phi, along each theta row.
+
+A row of n samples at the nodes (m + 1/2) 2 pi / n goes to n_out such
+nodes through an rfft that keeps bins 0..N (n = 2N + 2 drops its Nyquist
+bin, where Q has no weight), a factor e^(i pi m (1/n_out - 1/n)) n_out / n
+for the two half-cell offsets, and an irfft to n_out.  numpy.fft is
+loaded on first use, so `import dwsqueeze.cli` leaves it out.  The built
+grid is internal: check_grid bounds only the requested one, and at
+N = 2 the build is 3 x 6.  The build keeps its window, its point cut and
+its blocks; on a partial window the requested grid's own cut points are
+then set to exactly 0 (a full window has none).  The refusal of values
+below -1e-10 and the clamp at 0 act on the returned values.  A grid that
+is not finer than the band on either axis (pure_wide's 64 x 64 at
+N = 2000) is built as requested and keeps its bits.  A list still builds
+once, and its resampling is per source, so list and single calls agree
+bit for bit as before.
+
+The resampling's error.  In exact arithmetic the resampling returns Q
+itself, so its error comes from the built values and its own rounding,
+with cap = (N+1)/(4 pi) the largest Q:
+
+- An axis resampled from n = 2N + 2 nodes maps the samples g_m to
+  sum_m g_m K(t - t_m), K(s) = (1/n) sum_{|k| <= N} e^(iks).  As the 2N + 1
+  frequencies are distinct mod n, sum_m K(t - t_m)^2 = (2N + 1)/n, so by
+  Cauchy-Schwarz sum_m |K(t - t_m)| <= L = sqrt(2N + 1): an error of at
+  most e in every input moves every output by at most L e.
+- The built values sit within E = 3 u / (8 pi) + cap (g(N) + 4 (N + 4) u)
+  of Q: the window moves Q by at most u / (4 pi) and the cut by
+  u / (8 pi) (below), and the rows' rounding by at most the rest, with
+  g(N) = (9 ln N! + 16 (N + 2)) u the norm gap (below).  To first order
+  the rows' relative rounding enters Q as at most twice its size
+  weighted by b_k; the norm paragraph bounds that for the log
+  magnitudes, and the phases k arg eta_l + (N - k) arg eta_r round by
+  O(N u) under the same weights, inside the N terms.  This is the bound
+  the tests hold the direct build to against a numerically normalized
+  oracle.
+- An FFT of length n has a normwise relative error of at most
+  c_n = 7 u log2 n (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2002, Thm 24.2, with accurate twiddle factors).  With
+  inputs of magnitude at most G = 2 cap (every error here is far below
+  cap), the rfft and the phase factor (6 u) put at most
+  (c_n + 6 u) n_out G into the kept bins in 2-norm, which reach an output
+  through at most 2N + 1 bins of the Hermitian spectrum, so by at most
+  sqrt(2 (2N + 1)) (c_n + 6 u) G; the irfft's own rounding adds at most
+  c_(n_out) sqrt(2 n_out) G, its normwise bound read as a max.  So one
+  axis adds F(n, n_out) = G (sqrt(2 (2N + 1)) (c_n + 6 u) +
+  sqrt(2 n_out) c_(n_out)).
+
+So a theta step from 2 n'_theta to 2 n_theta circle nodes leaves the
+values within L E + F(2 n'_theta, 2 n_theta) of Q, and a phi step from
+e to L e + F(n'_phi, n_phi).  At N = 30 on 128 x 128 that is 1.1e5 cap u,
+far above what is seen: on the three fig6_master-like states the
+resampled values sit within 60 cap u of a direct build of the requested
+grid (6.7e-15 of its maximum), and within 9.4 cap u at N <= 2.
+
+The memory of a resampled grid is the build's, plus the irfft's padded
+spectrum and its result, a complex and a real n_theta x n_phi array per
+source at a time, beside the results.  One N = 30 state at the
+MAX_GRID x MAX_GRID = 4097 x 4097 bound peaks at 269 MB under tracemalloc
+and takes about 1 s, against 1359.7 MB and 28.7 s for the direct build
+(one BLAS thread).
 
 The row norm.  Row (i, j) holds R_k = binom(N,k)^(1/2) conj(eta_l^k
 eta_r^(N-k)), so by the binomial theorem its squared norm over all k is
@@ -258,6 +338,45 @@ def _contraction(source, window: slice):
     return contract
 
 
+def _nodes(n: int, span: float) -> np.ndarray:
+    """The n cell-centered nodes (j + 1/2) span / n of [0, span)."""
+    return (np.arange(n) + 0.5) * span / n
+
+
+def _fft_resample(a: np.ndarray, n_out: int) -> np.ndarray:
+    """Each row of a resampled from its n nodes to n_out, at degree (n - 1) // 2.
+
+    A row holds n samples of a trigonometric polynomial of degree at most
+    (n - 1) // 2 at the nodes (j + 1/2) 2 pi / n, and the result holds its
+    values at the n_out nodes (j + 1/2) 2 pi / n_out.  Bin m of the rfft
+    turns by the phase e^(i pi m (1/n_out - 1/n)) of the two half-cell
+    offsets and scales by n_out / n; an even n drops its Nyquist bin.
+    """
+    from numpy import fft  # loaded on first use, not by import dwsqueeze.cli
+
+    n = a.shape[-1]
+    m = np.arange((n + 1) // 2)
+    shift = np.exp(1j * np.pi * m * (1.0 / n_out - 1.0 / n)) * (n_out / n)
+    return fft.irfft(fft.rfft(a)[..., : m.size] * shift, n_out)
+
+
+def _resample(values: np.ndarray, n_theta: int, n_phi: int) -> np.ndarray:
+    """Band-limited Q on a cell-centered grid no finer, resampled to n_theta x n_phi.
+
+    theta first, along great circles through the poles: the theta nodes
+    of column j, then those of column j + n/2 in reverse order (n the
+    phi count, even wherever theta is resampled), are equispaced on one
+    circle.  Then phi, along each theta row.  An axis that already has
+    its requested count is left as it is.
+    """
+    if values.shape[0] < n_theta:
+        half = values.shape[1] // 2
+        circles = np.concatenate([values[:, :half], values[::-1, half:]]).T
+        circles = _fft_resample(circles, 2 * n_theta).T
+        values = np.concatenate([circles[:n_theta], circles[: n_theta - 1 : -1]], axis=1)
+    return _fft_resample(values, n_phi) if values.shape[1] < n_phi else values
+
+
 def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     """Q sampled on the cell-centered (theta, phi) grid.
 
@@ -271,6 +390,12 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     source can reach read exactly 0 (the point cut, in the module
     docstring); a full window's mask is all live, so it builds every
     point.  A list that mixes N is refused (ValueError) before any work.
+
+    An axis finer than the band limit, N + 1 theta or 2N + 2 phi nodes, is
+    built at the band limit and resampled by FFT to the nodes asked for
+    (the band limit, in the module docstring); theta is resampled only
+    when the built phi count is even.  The nodes and weights are those of
+    the requested grid either way.
     """
     check_grid(n_theta, n_phi)
     sources = source if isinstance(source, list) else [source]
@@ -282,15 +407,21 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
     (n_atoms,) = sizes
     window = _support_window(sources, n_atoms)
     contractions = [_contraction(s, window) for s in sources]
-    thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
-    phis = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    # the band limit: N + 1 theta and 2N + 2 phi nodes fix Q (the module
+    # docstring); theta is coarsened only when the phi nodes pair into
+    # great circles, which takes an even count
+    built_phi = min(n_phi, 2 * n_atoms + 2)
+    built_theta = n_theta if built_phi % 2 else min(n_theta, n_atoms + 1)
+    thetas, phis = _nodes(built_theta, np.pi), _nodes(built_phi, 2.0 * np.pi)
     # a full window holds the mode of every b_k, whose maximum is then at
     # least 1/(N+1), so every point is live and no bound is formed
     full = window.stop - window.start == n_atoms + 1
-    live = np.ones((n_theta, n_phi), bool) if full else _live_points(n_atoms, window, thetas, phis)
-    height = max(1, _BLOCK_ENTRIES // (n_phi * (n_atoms + 1)))
-    values = [np.empty((n_theta, n_phi)) for _ in sources]
-    for start in range(0, n_theta, height):
+    live = np.ones((built_theta, built_phi), bool)
+    if not full:
+        live = _live_points(n_atoms, window, thetas, phis)
+    height = max(1, _BLOCK_ENTRIES // (built_phi * (n_atoms + 1)))
+    values = [np.empty(live.shape) for _ in sources]
+    for start in range(0, built_theta, height):
         block = slice(start, start + height)
         # only the phi columns with a live point in the block are built
         cols = np.flatnonzero(live[block].any(axis=0))
@@ -300,16 +431,23 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
         for out, contract in zip(values, contractions):
             out[block, cols] = contract(rows)
         del rows  # free this block before the next one is built
-    weights = np.outer(_fejer_weights(thetas), np.full(n_phi, 2.0 * np.pi / n_phi))
     eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
     # the rows' squared norm s^N, as exp(N log s)
     norm = np.exp(n_atoms * np.log(np.square(np.abs(eta_l)) + np.square(np.abs(eta_r))))
-    grids = []
     for v in values:
         v[~live] = 0.0  # a cut point reads 0, whether its column was built or not
         v /= norm
         v *= (n_atoms + 1) / (4.0 * np.pi)
-        # only the density-matrix contraction can round below zero
+    values = [_resample(v, n_theta, n_phi) for v in values]
+    thetas, phis = _nodes(n_theta, np.pi), _nodes(n_phi, 2.0 * np.pi)
+    if live.shape != (n_theta, n_phi) and not full:  # the requested grid's own cut points
+        live = _live_points(n_atoms, window, thetas, phis)
+        for v in values:
+            v[~live] = 0.0
+    weights = np.outer(_fejer_weights(thetas), np.full(n_phi, 2.0 * np.pi / n_phi))
+    grids = []
+    for v in values:
+        # only the density-matrix contraction and the resampling can round below zero
         if v.min() < -1e-10:
             raise ValueError(f"Q grid value {v.min()} below roundoff tolerance")
         np.maximum(v, 0.0, out=v)

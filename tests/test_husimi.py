@@ -292,40 +292,204 @@ def spy_builds(monkeypatch):
     return builds
 
 
-# (n_theta, n_phi, block budget in theta rows, or None for the default).
-# At N = 200 the default holds 8 of the 20-wide rows, so 17 rows end in a
-# ragged block, and 2 of the 64-wide ones; 2.5 rows gives blocks of 2 and
-# a ragged last block; at 0.5 rows a single theta row exceeds the budget,
-# so every block is one row
+def built_grid(n_atoms, n_theta, n_phi):
+    """(theta, phi) node counts of q_grid's build: each axis at most at the band
+    limit, N + 1 and 2N + 2, and theta coarsened only when the built phi count is even."""
+    built_phi = min(n_phi, 2 * n_atoms + 2)
+    return (n_theta if built_phi % 2 else min(n_theta, n_atoms + 1)), built_phi
+
+
+def direct_error(n_atoms):
+    """The husimi docstring's E: a built value's error against Q.
+
+    The window's u / (4 pi), the cut's u / (8 pi) and the rows' rounding,
+    cap (g(N) + 4 (N + 4) u) with g the norm gap.
+    """
+    cap = (n_atoms + 1) / (4.0 * math.pi)
+    return 3.0 * U / (8.0 * math.pi) + cap * (norm_gap(n_atoms) + 4 * (n_atoms + 4) * U)
+
+
+def resampled_error(n_atoms, n_theta, n_phi):
+    """The husimi docstring's bound on a returned value's error against Q.
+
+    Each resampled axis takes the error e of its inputs to L e + F(n, n_out),
+    L = sqrt(2N + 1) and F = G (sqrt(2 (2N + 1)) (c_n + 6 u) + sqrt(2 n_out)
+    c_(n_out)), with c_n = 7 u log2 n and G = 2 cap; theta goes first, over
+    2 n'_theta circle nodes.  A grid built as requested keeps E.
+    """
+    cap = (n_atoms + 1) / (4.0 * math.pi)
+    lebesgue = math.sqrt(2 * n_atoms + 1)
+
+    def fft(n):
+        return 7 * U * math.log2(n)
+
+    def step(n, n_out):
+        return 2 * cap * (math.sqrt(2 * (2 * n_atoms + 1)) * (fft(n) + 6 * U)
+                          + math.sqrt(2 * n_out) * fft(n_out))
+
+    built_theta, built_phi = built_grid(n_atoms, n_theta, n_phi)
+    error = direct_error(n_atoms)
+    if built_theta < n_theta:
+        error = lebesgue * error + step(2 * built_theta, 2 * n_theta)
+    if built_phi < n_phi:
+        error = lebesgue * error + step(built_phi, n_phi)
+    return error
+
+
+def resampled_tolerance(n_atoms, n_theta, n_phi):
+    """How far q_grid may sit from window_tensor_q, a direct build of the
+    requested grid: the resampled bound plus the oracle's own E."""
+    return resampled_error(n_atoms, n_theta, n_phi) + direct_error(n_atoms)
+
+
+# (n_theta, n_phi, block budget in theta rows of the built grid, or None
+# for the default).  At N = 200 the default holds 8 of the 20-wide rows, so
+# 17 rows end in a ragged block, and 2 of the 64-wide ones; 2.5 rows gives
+# blocks of 2 and a ragged last block; at 0.5 rows a single theta row
+# exceeds the budget, so every block is one row
 BLOCKINGS = [(17, 20, None), (50, 64, None), (17, 20, 2.5), (17, 20, 0.5)]
 
 
 @pytest.mark.parametrize("n_theta,n_phi,budget_rows", BLOCKINGS)
 @pytest.mark.parametrize("n_atoms", [1, 2, 30, 200])
 def test_q_grid_blocks_match_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi, budget_rows):
-    row_entries = n_phi * (n_atoms + 1)
+    # N = 1 and 2 on every grid, and N = 30 on 50 x 64, are finer than the
+    # band limit: they build the band-limited grid in blocks and resample it
+    built_theta, built_phi = built_grid(n_atoms, n_theta, n_phi)
+    resampled = (built_theta, built_phi) != (n_theta, n_phi)
+    assert resampled == (n_atoms <= 2 or (n_atoms, n_phi) == (30, 64))
+    row_entries = built_phi * (n_atoms + 1)
     if budget_rows is not None:
         monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", int(budget_rows * row_entries))
-    height = block_height(n_atoms, n_phi)
+    height = block_height(n_atoms, built_phi)
     builds = spy_builds(monkeypatch)
     # at N = 200 this state's window is k = 0..141, so blocks of a partial
     # window, and of only their live columns, are checked too
     state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms)
-    live = brute_live(n_atoms, q_window(state), n_theta, n_phi)
+    live = brute_live(n_atoms, q_window(state), built_theta, built_phi)
     assert live.all() == (n_atoms < 200)
     got = q_grid(state, n_theta, n_phi).values
     oracle = window_tensor_q(state, n_theta, n_phi, q_window(state))
-    assert np.array_equal(got[live], oracle[live])
-    # a cut point reads 0, and its Q on the window was at most u / (8 pi)
-    assert not got[~live].any()
-    assert np.all(oracle[~live] <= U / (8.0 * math.pi))
     rho = random_density(n_atoms, seed=n_atoms)
     q_rho = q_grid(rho, n_theta, n_phi).values
-    assert np.max(np.abs(q_rho - window_tensor_q(rho, n_theta, n_phi, q_window(rho)))) <= 1e-14
+    rho_oracle = window_tensor_q(rho, n_theta, n_phi, q_window(rho))
+    if resampled:
+        tol = resampled_tolerance(n_atoms, n_theta, n_phi)
+        assert np.max(np.abs(got - oracle)) <= tol
+        assert np.max(np.abs(q_rho - rho_oracle)) <= tol
+    else:
+        assert np.array_equal(got[live], oracle[live])
+        # a cut point reads 0, and its Q on the window was at most u / (8 pi)
+        assert not got[~live].any()
+        assert np.all(oracle[~live] <= U / (8.0 * math.pi))
+        assert np.max(np.abs(q_rho - rho_oracle)) <= 1e-14
     # the random rho has a full window: whole theta rows, every column
     assert [b[:2] for b in builds] == (
         expected_builds(live, height) + expected_builds(np.ones_like(live), height)
     )
+
+
+# (N, n_theta, n_phi) of grids finer than the band limit, N + 1 theta and
+# 2N + 2 phi nodes: theta only, phi only, both, and an odd n_phi above the
+# band, which the phi step reaches from the even 2N + 2
+RESAMPLED = [
+    (1, 16, 16), (1, 17, 17), (2, 16, 16), (2, 16, 17),
+    (30, 40, 20), (30, 17, 70), (30, 50, 64), (30, 33, 63),
+    (200, 210, 20), (200, 16, 410),
+]
+
+
+@pytest.mark.parametrize("n_atoms,n_theta,n_phi", RESAMPLED)
+def test_resampled_q_matches_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi):
+    built_theta, built_phi = built_grid(n_atoms, n_theta, n_phi)
+    assert (built_theta, built_phi) != (n_theta, n_phi)
+    height = block_height(n_atoms, built_phi)
+    builds = spy_builds(monkeypatch)
+    state = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms)
+    rho = random_density(n_atoms, seed=n_atoms)
+    singles = [q_grid(s, n_theta, n_phi) for s in (state, rho)]
+    live = brute_live(n_atoms, q_window(state), built_theta, built_phi)
+    full = np.ones_like(live)
+    assert builds == [
+        (rows, cols, w.stop - w.start)
+        for b, w in ((live, q_window(state)), (full, q_window(rho)))
+        for rows, cols in expected_builds(b, height)
+    ]
+    tol = resampled_tolerance(n_atoms, n_theta, n_phi)
+    thetas, phis = grid_axes(n_theta, n_phi)
+    weights = np.outer(husimi._fejer_weights(thetas), np.full(n_phi, 2.0 * np.pi / n_phi))
+    for source, grid in zip((state, rho), singles):
+        oracle = window_tensor_q(source, n_theta, n_phi, q_window(source))
+        assert np.max(np.abs(grid.values - oracle)) <= tol
+        # the requested grid's nodes and weights
+        assert grid.thetas.tobytes() == thetas.tobytes() and grid.phis.tobytes() == phis.tobytes()
+        assert grid.weights.tobytes() == weights.tobytes()
+    # a list builds the band-limited grid once, on the window of both, the
+    # rho's full one: a source whose own window that is (the rho, and the
+    # state at N <= 30) gets its single call's values bit for bit, and the
+    # state at N = 200 agrees with its single call to the bound
+    builds.clear()
+    grids = q_grid([state, rho], n_theta, n_phi)
+    assert builds == [(rows, cols, n_atoms + 1) for rows, cols in expected_builds(full, height)]
+    assert same_grid(grids[1], singles[1])
+    if q_window(state) == q_window(rho):
+        assert same_grid(grids[0], singles[0])
+    assert np.max(np.abs(grids[0].values - singles[0].values)) <= 2 * tol
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(40, 20), (50, 64)])
+def test_resampled_partial_window_cuts_to_zero(n_theta, n_phi):
+    # Fock states have one-point windows, so at N = 30 both the built grid
+    # and the requested one have cut points; after the resampling, the
+    # requested grid's own cut points read exactly 0, for a state and for
+    # a list whose window spans both of its sources
+    n_atoms = 30
+    for sources in ([fock_state(n_atoms, 5)], [fock_state(n_atoms, 3), fock_state(n_atoms, 8)]):
+        window = husimi._support_window(sources, n_atoms)
+        assert window.stop - window.start < n_atoms + 1
+        live = brute_live(n_atoms, window, n_theta, n_phi)
+        built_live = brute_live(n_atoms, window, *built_grid(n_atoms, n_theta, n_phi))
+        assert 0 < live.sum() < live.size and 0 < built_live.sum() < built_live.size
+        tol = resampled_tolerance(n_atoms, n_theta, n_phi)
+        for source, grid in zip(sources, q_grid(sources, n_theta, n_phi)):
+            assert not grid.values[~live].any()
+            oracle = window_tensor_q(source, n_theta, n_phi, window)
+            assert np.max(np.abs(grid.values - oracle)) <= tol
+
+
+@pytest.mark.parametrize(
+    "n_atoms,n_theta,n_phi", [(2000, 64, 64), (30, 17, 20), (30, 40, 21)],
+    ids=["pure_wide", "n30", "n30_odd_phi"],
+)
+def test_grid_within_band_is_built_as_requested(monkeypatch, n_atoms, n_theta, n_phi):
+    # a grid not finer than the band limit on either axis is built on its
+    # own nodes, each theta row once, and is never resampled, so it keeps
+    # the build's bits: pure_wide's conditional state on 64 x 64, and N = 30
+    # on 17 x 20.  An odd n_phi <= 2N + 2 cannot pair its columns into great
+    # circles, so 40 x 21 at N = 30 is built as requested too.
+    built = []
+
+    def spy(n, thetas, phis, window):
+        built.append((thetas, phis))
+        return _overlap_matrix(n, thetas, phis, window)
+
+    def no_resampling(*args):
+        raise AssertionError("a grid within the band was resampled")
+
+    monkeypatch.setattr(husimi, "_overlap_matrix", spy)
+    monkeypatch.setattr(husimi, "_fft_resample", no_resampling)
+    assert built_grid(n_atoms, n_theta, n_phi) == (n_theta, n_phi)
+    if n_atoms == 2000:
+        source = conditional(2000)
+    else:
+        source = build_spin_coherent(bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms)
+    grid = q_grid(source, n_theta, n_phi)
+    thetas, phis = grid_axes(n_theta, n_phi)
+    assert np.concatenate([t for t, _ in built]).tobytes() == thetas.tobytes()
+    assert all(np.isin(p, phis).all() for _, p in built)
+    live = brute_live(n_atoms, q_window(source), n_theta, n_phi)
+    oracle = window_tensor_q(source, n_theta, n_phi, q_window(source))
+    assert np.array_equal(grid.values[live], oracle[live]) and not grid.values[~live].any()
 
 
 def same_grid(a, b):
@@ -366,9 +530,11 @@ def test_q_grid_list_matches_each_source(monkeypatch, budget_rows):
 def test_q_grid_values_do_not_depend_on_budget(monkeypatch, n_atoms):
     # each block contracts whole theta rows in the same shapes, so the
     # budget moves no bit of Q: for a state, a rho and a list of both (at
-    # N = 200 the conditional state's window is partial).  The default
-    # splits the grid into blocks of 16 rows (N = 30) or 2 (N = 200), and
-    # is checked against one row per block and one block for all rows.
+    # N = 200 the conditional state's window is partial).  At N = 30 the 64
+    # phi nodes are finer than the band, so the build has 62 and is
+    # resampled.  The default splits the build into blocks of 17 rows
+    # (N = 30) or 2 (N = 200), and is checked against one row per block and
+    # one block for all rows.
     n_theta, n_phi = 23, 64
     state = conditional(200) if n_atoms == 200 else build_spin_coherent(
         bloch_to_ge(BlochAngles(0.9, 2.3)), n_atoms
@@ -380,7 +546,7 @@ def test_q_grid_values_do_not_depend_on_budget(monkeypatch, n_atoms):
         return np.stack([g.values for g in grid]) if isinstance(grid, list) else grid.values
 
     default = [values(s) for s in sources]
-    assert 1 < block_height(n_atoms, n_phi) < n_theta
+    assert 1 < block_height(n_atoms, built_grid(n_atoms, n_theta, n_phi)[1]) < n_theta
     for budget in (1, n_theta * n_phi * (n_atoms + 1)):
         monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", budget)
         assert all(np.array_equal(values(s), d) for s, d in zip(sources, default))
@@ -456,24 +622,35 @@ def test_q_grid_memory_stays_blocked(monkeypatch):
     assert three - build <= 3 * result + 16384
 
 
-def test_q_grid_memory_fits_the_cache_at_fig6_size(monkeypatch):
-    # the Fig-6 point of a master run: three N = 30 snapshots on 128 x 128.
-    # Besides the three 128 kB results, a block and its build's
-    # temporaries must stay within 2 MB, one core's L2 cache on the 2-vCPU
-    # VM the benchmark runs on.  A budget of 2^18 entries (66 theta rows a
-    # block) peaks at about 9 MB here, which this must refuse.
+def fig6_peak(n_phi):
+    """tracemalloc's peak of q_grid on three N = 30 snapshots on 128 x n_phi,
+    less their three results."""
     states = [
         build_spin_coherent(bloch_to_ge(BlochAngles(theta, phi)), 30)
         for theta, phi in [(0.1, 0.4), (0.9, 2.3), (2.6, 5.0)]
     ]
-    result = 128 * 128 * 8
+    return traced_peak(q_grid, states, 128, n_phi) - 3 * 128 * n_phi * 8
 
-    def within_cache():
-        return traced_peak(q_grid, states, 128, 128) <= 3 * result + 2**21
 
-    assert within_cache()
+def test_q_grid_memory_fits_the_cache_at_fig6_size():
+    # the Fig-6 point of a master run: three N = 30 snapshots on 128 x 128.
+    # Besides the three results, a block and its build's temporaries must
+    # stay within 2 MB, one core's L2 cache on the 2-vCPU VM the benchmark
+    # runs on.  The grid is built at the band limit, 31 x 62 points, and
+    # resampled; test_q_grid_budget_sets_the_peak_within_band holds the
+    # negative control.
+    assert fig6_peak(128) <= 2**21
+
+
+def test_q_grid_budget_sets_the_peak_within_band(monkeypatch):
+    # an odd n_phi within the band cannot pair its columns into great
+    # circles, so 128 x 61 at N = 30 is built as requested, 242 k entries;
+    # it fits the cache at the default budget, while a budget of 2^18
+    # entries (one block of all 128 theta rows) peaks at about 8 MB, which
+    # the same check must refuse
+    assert fig6_peak(61) <= 2**21
     monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", 1 << 18)
-    assert not within_cache()
+    assert fig6_peak(61) > 2**21
 
 
 # The support window: the overlap rows of q_grid cover only the k range W
