@@ -49,6 +49,7 @@ from .pure_measure import (
     conditional_state,
     detection_pmf_grid,
     most_probable_outcome,
+    outcome_cutoff,
 )
 from .spin_core import (
     AtomState,
@@ -74,12 +75,15 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _config_values():
-    """Report a domain object's refusal of a config value as bad input (exit 2)."""
+def _config_values(prefix: str = ""):
+    """Report a domain object's refusal of a config value as bad input (exit 2).
+
+    prefix, if given, leads the error text, so a caller can name the value.
+    """
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -441,6 +445,8 @@ def run_pure(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.emit_q:
         _check_q_grid(cfg)
     light = cfg.light()
+    with _config_values():  # the detection grid's size, refused before any work
+        outcome_cutoff(light)
     outcome = cfg.resolve_outcome()
     _warn_asymptotics(cfg, outcome, setting.gt)
     echo = config_echo_lines(cfg, "pure")
@@ -672,10 +678,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("sweep_values must be a nonempty list")
     # the outcome depends on the light only, never on the swept parameter
     outcome = cfg.resolve_outcome()
-    # every point's model, so a bad value (exit 2) is refused before any run;
-    # the batched integrate checks every point's step bound before its first
-    # step, so a point over the bound (exit 1) is refused before any run too
-    models = [_model(replace(cfg, **{cfg.sweep_param: v})) for v in cfg.sweep_values]
+    # every point's model, so a bad value (exit 2) is refused, and named,
+    # before any run; the batched integrate checks every point's step bound
+    # before its first step, so a point over the bound (exit 1) is refused
+    # before any run too
+    models = []
+    for value in cfg.sweep_values:
+        with _config_values(f"sweep {cfg.sweep_param} = {value}: "):
+            models.append(_model(replace(cfg, **{cfg.sweep_param: value})))
     echo = config_echo_lines(cfg, "sweep")
     points, states, grids = zip(*models)
     try:
@@ -718,7 +728,11 @@ def run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
         raise ConfigError(f"unknown suites {sorted(unknown)}; choose from {tuple(SUITES)}")
     suites = {name: suite for name, suite in SUITES.items() if name in selected}
     if cfg and "normalization" in suites:
-        entry = _model(cfg)  # refused (exit 2) before any suite runs
+        # the model, and the size of its light's detection grid, which the
+        # suite builds, are refused (exit 2) before any suite runs
+        entry = _model(cfg)
+        with _config_values():
+            outcome_cutoff(entry[0].light)
         suites["normalization"] = lambda: normalization_sweep([entry])
     reports = [r for suite in suites.values() for r in suite()]
     echo = config_echo_lines(cfg or ExperimentConfig(n_atoms=2), "validate")

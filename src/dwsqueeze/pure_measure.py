@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_core import (
+    MAX_ATOMS,
     AtomState,
     GroundExcitedAmplitudes,
     _support_window,
@@ -34,6 +35,16 @@ from .spin_core import (
 # Counts beyond this bound have no physical use here and make n*log(n)
 # bookkeeping pointless; refuse instead of silently degrading.
 MAX_COUNT = 10**6
+
+# Resource guard, like husimi.MAX_GRID: the largest outcome_cutoff.  The
+# detection grid holds (cutoff + 1)^2 doubles, beside two |W| x (cutoff + 1)
+# Poisson tables, and pure writes each cell as one CSV row (about 33 bytes).
+# A cap of MAX_ATOMS keeps the grid at most MAX_ATOMS + 1 = 4097 cells on a
+# side, the size of the largest Q grid husimi.check_grid accepts: 16.8
+# million cells, 134 MB of doubles.  It is met at a mean count of about
+# 3500 photons per detector; light like pure_wide's (|alpha| = 10 per arm)
+# needs a cutoff of 200.
+MAX_CUTOFF = MAX_ATOMS
 
 # Conditional states on outcomes less likely than this are dominated by
 # floating-point noise; treat them as unreachable.
@@ -198,9 +209,15 @@ def most_probable_outcome(light: LightPair) -> DetectionOutcome:
 
 
 def outcome_cutoff(light: LightPair) -> int:
-    """Per-detector enumeration cap keeping the Poisson tail below 1e-6."""
+    """Per-detector enumeration cap keeping the Poisson tail below 1e-6.
+
+    Refused (ValueError) over MAX_CUTOFF, before any table is formed.
+    """
     mean = light.total_intensity / 2.0
-    return max(20, int(math.ceil(mean + 10.0 * math.sqrt(mean))))
+    cutoff = max(20, int(math.ceil(mean + 10.0 * math.sqrt(mean))))
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"detection grid cutoff {cutoff} exceeds {MAX_CUTOFF}")
+    return cutoff
 
 
 def _poisson_rows(lam: np.ndarray, n_max: int) -> np.ndarray:

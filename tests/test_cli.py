@@ -677,6 +677,11 @@ def test_cli_import_leaves_scipy_out():
         # a Q grid finer than MAX_GRID = MAX_ATOMS + 1
         ("qfunc", {"n_theta": "4098"}),
         ("master", {"q_omega_t": "10", "n_phi": "4098"}),
+        # light whose detection grid would be over MAX_CUTOFF a side: a
+        # most-probable count of 500000 asks for 507074, and validate's
+        # normalization suite builds the grid of alpha_l = 1e6
+        ("pure", {"alpha_l": "1e3", "outcome": "most-probable", "t": "0.01", "t_max": None}),
+        ("validate", {"alpha_l": "1e6"}),
     ],
     ids=[
         "n_atoms", "dt", "gamma", "theta", "pure_t", "pure_light", "light_most_probable",
@@ -685,7 +690,7 @@ def test_cli_import_leaves_scipy_out():
         "pure_g_nan", "sweep_values_inf", "step_overflow", "sweep_step_overflow",
         "pure_intensity", "master_intensity", "sweep_intensity", "validate_intensity",
         "pure_most_probable_count", "master_most_probable_count", "qfunc_grid_bound",
-        "master_grid_bound",
+        "master_grid_bound", "pure_detection_grid_bound", "validate_detection_grid_bound",
     ],
 )
 def test_out_of_range_config_exit(tmp_path, capsys, monkeypatch, command, overrides):
@@ -699,6 +704,17 @@ def test_out_of_range_config_exit(tmp_path, capsys, monkeypatch, command, overri
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert calls == []
+    assert not out.exists()
+
+
+def test_sweep_bad_value_names_its_point(tmp_path, capsys):
+    # a point's value that its model refuses is bad input (exit 2), named
+    # by the swept parameter and value, before any run
+    cfg = write(tmp_path / "c.cfg", base_config(sweep_param="gamma", sweep_values="0.001,-1"))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sweep gamma = -1.0: gamma must be nonnegative"]
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwsqueeze import pure_measure
 from dwsqueeze.pure_measure import (
     AsymptoticsDomainError,
     DetectionOutcome,
@@ -26,6 +27,7 @@ from dwsqueeze.pure_measure import (
     _window_geometry,
 )
 from dwsqueeze.spin_core import (
+    MAX_ATOMS,
     BlochAngles,
     GroundExcitedAmplitudes,
     bloch_to_ge,
@@ -321,6 +323,23 @@ def test_detection_grid_window_keeps_fock_oracle():
 def test_outcome_cutoff_floor():
     assert outcome_cutoff(LightPair(0.5, 0.5)) == 20
     assert outcome_cutoff(LightPair(RT20, RT20)) == math.ceil(20 + 10 * RT20)
+
+
+def test_outcome_cutoff_refuses_a_grid_over_the_bound(monkeypatch):
+    # MAX_CUTOFF = MAX_ATOMS keeps the detection grid at most MAX_ATOMS + 1
+    # cells a side: a mean of 3000 photons per detector needs 3548, while
+    # 3600 needs about 4200, refused before any Poisson table is formed
+    def no_table(*args):
+        raise AssertionError("a table was formed for refused light")
+
+    monkeypatch.setattr(pure_measure, "_poisson_rows", no_table)
+    assert pure_measure.MAX_CUTOFF == MAX_ATOMS
+    mean = 3000.0
+    cutoff = math.ceil(mean + 10 * math.sqrt(mean))
+    assert outcome_cutoff(LightPair(math.sqrt(2 * mean), 0.0)) == cutoff <= MAX_ATOMS
+    state = build_spin_coherent(GroundExcitedAmplitudes(0.0, 1.0), 10)
+    with pytest.raises(ValueError, match=f"exceeds {MAX_ATOMS}"):
+        detection_pmf_grid(state, LightPair(math.sqrt(7200.0), 0.0), InteractionSetting(1.0, 0.1))
 
 
 def test_conditional_state_neutral_at_gt0():
