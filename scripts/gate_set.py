@@ -29,6 +29,12 @@ Each run gets its own directory OUT_DIR/<name>/ holding the config it read
   whose intensity overflows, refused as bad input;
 - qfunc on the fig6_master seed-0 config with n_theta one over the grid
   bound MAX_ATOMS + 1 = 4097 and n_phi = 16, refused before any work;
+- qfunc on the fig6_master seed-0 config at N = 2 on 16 x 16, which q_grid
+  builds at the band limit, 3 x 6, below MIN_GRID, and resamples;
+- pure on the pure_wide seed-0 config at N = 200 with a 208 x 416 Q grid,
+  finer than the band limit (201 x 402) on both axes, whose conditional
+  state has a partial support window (tests/test_scripts.py checks it),
+  so the requested grid's cut points read 0 after the resampling;
 - the default validate;
 - validate's normalization suite on the fig6_master seed-0 config with
   dt = 5.0, over the step bound, so its FAIL lines show.
@@ -116,6 +122,12 @@ def _jobs() -> dict[str, Job | None]:
     )
     jobs["fig6_master-seed0-qfunc-over-grid-bound"] = Job(
         "qfunc", {**generate("fig6_master", 0).config, "n_theta": 4098, "n_phi": 16}
+    )
+    jobs["fig6_master-seed0-n2-qfunc"] = Job(
+        "qfunc", {**generate("fig6_master", 0).config, "n_atoms": 2, "n_theta": 16, "n_phi": 16}
+    )
+    jobs["pure_wide-seed0-n200-fine-q"] = Job(
+        "pure", {**generate("pure_wide", 0).config, "n_atoms": 200, "n_theta": 208, "n_phi": 416}
     )
     jobs["validate"] = None
     unstable = {**generate("fig6_master", 0).config, "dt": 5.0, "suites": "normalization"}

@@ -1,5 +1,6 @@
 """The repository's tooling scripts, run as their users run them."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -103,3 +104,38 @@ def test_src_lines_against_a_revision(tmp_path):
     # the working tree's files are left as they are
     assert sorted(p.name for p in src.iterdir()) == ["a.py", "new.py"]
     assert run_script("src_lines.py", "--against", "no-such-rev", str(src)).returncode != 0
+
+
+# reads the gate set's fine-grid run as the CLI would and prints its Q source's
+# support window and N
+WINDOW_PROBE = """
+import sys, tempfile
+from pathlib import Path
+import gate_set
+from dwsqueeze import cli, husimi
+from dwsqueeze.pure_measure import conditional_state
+job = gate_set._jobs()["pure_wide-seed0-n200-fine-q"]
+with tempfile.TemporaryDirectory() as work:
+    cfg = cli.load_config(job.argv(Path(work))[2])
+state, setting = cli._pure_model(cfg)
+cond = conditional_state(state, cfg.light(), setting, cfg.resolve_outcome())
+window = husimi._support_window([cond], cfg.n_atoms)
+print(window.start, window.stop, cfg.n_atoms, cfg.n_theta, cfg.n_phi)
+"""
+
+
+def test_gate_set_fine_grid_run_has_a_partial_window():
+    # the run that checks the requested grid's own point cut after the
+    # resampling needs a partial window and a grid finer than the band
+    src = SCRIPTS.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), str(SCRIPTS), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", WINDOW_PROBE], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    start, stop, n_atoms, n_theta, n_phi = map(int, done.stdout.split())
+    assert 0 < stop - start < n_atoms + 1
+    assert n_theta > n_atoms + 1 and n_phi > 2 * n_atoms + 2
