@@ -421,6 +421,9 @@ def test_resampled_q_matches_whole_tensor(monkeypatch, n_atoms, n_theta, n_phi):
     for source, grid in zip((state, rho), singles):
         oracle = window_tensor_q(source, n_theta, n_phi, q_window(source))
         assert np.max(np.abs(grid.values - oracle)) <= tol
+        # the requested grid's own cut points read 0 (at N = 200 the
+        # state's window is partial; elsewhere every point is live)
+        assert not grid.values[~brute_live(n_atoms, q_window(source), n_theta, n_phi)].any()
         # the requested grid's nodes and weights
         assert grid.thetas.tobytes() == thetas.tobytes() and grid.phis.tobytes() == phis.tobytes()
         assert grid.weights.tobytes() == weights.tobytes()
