@@ -28,7 +28,10 @@ squared norm s^N (below), one number per grid point.  The work is
 built points * |W| complex entries, plus as many for a state (|rows C_W|^2)
 and built points * |W|^2 for a density matrix (one matrix product
 rows rho_WW, then a real row-wise dot with the rows); the cut itself
-takes the rows' log magnitudes at three k per grid point.  A list of
+takes the rows' log magnitudes at three k per grid point, a block of
+theta rows at a time (at most _BLOCK_ENTRIES / 3 points, about 240
+bytes each while the block's bound is formed), so its memory beside
+the mask, a byte per point, is that of one block.  A list of
 sources that share one N shares each block: it is built once,
 contracted with every source in turn and freed before the next build.
 The live memory is one block plus one n_theta x n_phi result per source.
@@ -296,7 +299,17 @@ def _live_points(n_atoms: int, window: slice, thetas: np.ndarray, phis: np.ndarr
     neighbours are passed as an index array in the window slot, which
     covers a mode moved by the rounding of x.  x = 0 or 1 gives
     log|R_k| = -inf away from the matching end.
+
+    The mask is formed a block of theta rows at a time, at most
+    _BLOCK_ENTRIES // (3 n_phi) rows (but at least one), and the blocks
+    are concatenated: each point's bound is its own, so the blocks move
+    no bit, and the memory stays that of one block, about 240 bytes per
+    point, beside the mask.
     """
+    height = max(1, _BLOCK_ENTRIES // (3 * phis.size))
+    if thetas.size > height:
+        blocks = [thetas[i : i + height] for i in range(0, thetas.size, height)]
+        return np.concatenate([_live_points(n_atoms, window, b, phis) for b in blocks])
     eta_l, eta_r = _eta_pair(thetas[:, None], phis[None, :])
     x_l = np.square(np.abs(eta_l))
     s = x_l + np.square(np.abs(eta_r))

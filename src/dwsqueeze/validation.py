@@ -1,10 +1,15 @@
-"""Independent oracles and cross-model equivalence checks.
+"""Independent oracles for the measurement and the asymptotics, and invariant sweeps.
 
 The brute-force Fock-expansion oracle is deliberately built from nothing
 but coherent-state Fock coefficients and an explicit two-mode
 beamsplitter unitary, so it shares no math with the production detection
 path.  It is exponential in the photon cutoff and only meant for small
-instances.
+instances.  It returns the detection amplitude A(k) of every outcome and
+every k, phase included, and the fock suite checks two things against
+it: the production pmf, and the conditional states of both models (the
+pure conditional state, and the master model's conditioned density
+matrix at omega = gamma = 0).  Every production call is made in the
+reports, none in the oracle.
 
 SUITES is validate's one table of suites, in report order.  Every entry
 has one shape: a function of no arguments that returns its reports.
@@ -52,7 +57,6 @@ ORACLE_MAX_INTENSITY = 4.0
 ORACLE_MAX_CUTOFF = 25
 ORACLE_TAIL_TOL = 1e-10
 FOCK_TOL = 1e-8
-CROSSCHECK_TOL = 1e-8
 STIRLING_TOL = 0.05
 Q_NORM_TOL = 1e-3
 
@@ -111,12 +115,18 @@ def fock_expansion_oracle(
     setting: InteractionSetting,
     outcome_cutoff: int,
 ) -> np.ndarray:
-    """Detection pmf over 0..outcome_cutoff per detector, by brute force.
+    """Detection amplitudes <n_c, n_d|U|mu_l(k), mu_r(k)> by brute force, as (n_c, n_d, k).
 
-    Each arm's coherent state (dressed by the k-dependent phase) is
-    expanded in the photon Fock basis, pushed through the beamsplitter
-    unitary, and projected on |n_c, n_d>.  Photon number is conserved, so
-    only n_l + n_r = n_c + n_d terms contribute.
+    For each k = 0..N, each arm's coherent state, dressed by the
+    k-dependent phase (mu_l = alpha_l e^{-i gt (k - N/2)}, mu_r = alpha_r
+    e^{+i gt (k - N/2)}), is expanded in the photon Fock basis, pushed
+    through the beamsplitter unitary and projected on |n_c, n_d> for
+    0 <= n_c, n_d <= outcome_cutoff.  Photon number is conserved, so only
+    n_l + n_r = n_c + n_d terms contribute, and the Fock cutoff of at
+    least 2 outcome_cutoff holds every one of them.  The amplitude is the
+    detection factor A(k), phase included: the pmf is
+    sum_k p_k |A(k)|^2, and the conditional state of an outcome is
+    C_k A(k), renormalized.
     """
     mean = max(abs(light.alpha_l) ** 2, abs(light.alpha_r) ** 2)
     if mean > ORACLE_MAX_INTENSITY:
@@ -127,29 +137,19 @@ def fock_expansion_oracle(
     fock_cutoff = max(
         2 * outcome_cutoff, int(math.ceil(mean + 12.0 * math.sqrt(max(mean, 1.0))))
     )
-    pmf = np.zeros((outcome_cutoff + 1, outcome_cutoff + 1))
-    p_k = state.pmf()
-    for k in range(n_atoms + 1):
-        phase = setting.gt * (k - n_atoms / 2.0)
-        mu_l = light.alpha_l * np.exp(-1j * phase)
-        mu_r = light.alpha_r * np.exp(1j * phase)
-        cl = _coherent_fock(mu_l, fock_cutoff)
-        cr = _coherent_fock(mu_r, fock_cutoff)
-        tail = 2.0 - np.sum(np.abs(cl) ** 2) - np.sum(np.abs(cr) ** 2)
-        if tail > ORACLE_TAIL_TOL:
-            raise OracleInconclusiveError(
-                f"Fock cutoff {fock_cutoff} leaves tail mass {tail:.2e}"
-            )
-        for n_c in range(outcome_cutoff + 1):
-            for n_d in range(outcome_cutoff + 1):
-                amp = 0j
-                for n_l in range(min(n_c + n_d, fock_cutoff) + 1):
-                    n_r = n_c + n_d - n_l
-                    if n_r > fock_cutoff:
-                        continue
-                    amp += cl[n_l] * cr[n_r] * _bs_unitary_amp(n_l, n_r, n_c, n_d)
-                pmf[n_c, n_d] += p_k[k] * abs(amp) ** 2
-    return pmf
+    phase = setting.gt * (np.arange(n_atoms + 1) - n_atoms / 2.0)
+    cl = np.array([_coherent_fock(light.alpha_l * np.exp(-1j * x), fock_cutoff) for x in phase])
+    cr = np.array([_coherent_fock(light.alpha_r * np.exp(1j * x), fock_cutoff) for x in phase])
+    tail = np.max(2.0 - np.sum(np.abs(cl) ** 2, axis=1) - np.sum(np.abs(cr) ** 2, axis=1))
+    if tail > ORACLE_TAIL_TOL:
+        raise OracleInconclusiveError(f"Fock cutoff {fock_cutoff} leaves tail mass {tail:.2e}")
+    amp = np.zeros((outcome_cutoff + 1, outcome_cutoff + 1, n_atoms + 1), dtype=complex)
+    for n_c in range(outcome_cutoff + 1):
+        for n_d in range(outcome_cutoff + 1):
+            for n_l in range(n_c + n_d + 1):
+                n_r = n_c + n_d - n_l
+                amp[n_c, n_d] += cl[:, n_l] * cr[:, n_r] * _bs_unitary_amp(n_l, n_r, n_c, n_d)
+    return amp
 
 
 def fock_oracle_report(
@@ -158,10 +158,10 @@ def fock_oracle_report(
     setting: InteractionSetting,
     outcome_cutoff: int,
 ) -> OracleReport:
-    """Compare the brute-force pmf against the production detection pmf."""
-    oracle = fock_expansion_oracle(state, light, setting, outcome_cutoff)
+    """Compare the brute-force pmf, sum_k p_k |A(k)|^2, against the production detection pmf."""
+    amp = fock_expansion_oracle(state, light, setting, outcome_cutoff)
     prod = detection_pmf_grid(state, light, setting, n_max=outcome_cutoff)
-    err = float(np.max(np.abs(oracle - prod)))
+    err = float(np.max(np.abs(np.abs(amp) ** 2 @ state.pmf() - prod)))
     return OracleReport.make(
         f"fock_expansion_vs_detection_pmf[gt={setting.gt:g}]",
         err,
@@ -172,38 +172,44 @@ def fock_oracle_report(
     )
 
 
-def me_vs_pure_crosscheck(
-    params: ModelParams,
-    state: AtomState,
-    outcome: DetectionOutcome,
-    t: float,
-) -> OracleReport:
-    """With tunneling and dephasing off, both models must condition identically.
+def _polar(z: complex) -> str:
+    return f"{abs(z):g}" + (f"e^{np.angle(z):g}i" if np.angle(z) else "")
 
-    The hybrid equation has a vanishing generator at omega = gamma = 0, so
-    the readout-time matrix is the initial projector; conditioning it must
-    reproduce the pure conditional state's projector elementwise.  Both
-    models take A(k) from the same pure_measure kernel, so this checks
-    the wiring (coupling, readout time, outer product, normalization),
-    not a second derivation of A(k); the Fock oracle checks A(k) itself.
+
+def fock_conditioning_report(
+    state: AtomState,
+    light: LightPair,
+    setting: InteractionSetting,
+    outcome_cutoff: int,
+) -> OracleReport:
+    """Compare both conditioning paths against the oracle's conditional states.
+
+    On every outcome up to outcome_cutoff whose oracle probability P
+    exceeds FOCK_TOL, the oracle's state is C_k A(k) / sqrt(P).  Two
+    production projectors must match its projector elementwise:
+    conditional_state's, and conditional_density's rho at omega = gamma = 0
+    from rho0 = C C^dagger.  The hybrid generator vanishes there, so
+    rho0 is the readout-time matrix, and the coupling g and the readout
+    time t enter through the setting.  Projectors do not depend on the
+    global phase.  With identical beams, A(k) is real up to one global
+    phase, so a flipped sign of arg A(k) changes no projector there; it
+    shows on beams that differ.
     """
-    if params.omega != 0.0 or params.gamma != 0.0:
-        raise ValueError("crosscheck requires omega = 0 and gamma = 0")
+    amp = fock_expansion_oracle(state, light, setting, outcome_cutoff) * state.amplitudes
+    p = np.sum(np.abs(amp) ** 2, axis=-1)
+    params = ModelParams(state.n_atoms, omega=0.0, g=setting.g, gamma=0.0, light=light)
     rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
-    cond_me = conditional_density(params, rho0, t, outcome)
-    pure = conditional_state(
-        state, params.light, InteractionSetting(g=params.g, t=t), outcome
-    )
-    proj = np.outer(pure.amplitudes, pure.amplitudes.conj())
-    err = float(np.max(np.abs(cond_me - proj)))
-    return OracleReport.make(
-        "master_vs_pure_conditional",
-        err,
-        CROSSCHECK_TOL,
-        n_atoms=params.n_atoms,
-        gt=params.g * t,
-        outcome=(outcome.n_c, outcome.n_d),
-    )
+    errors = [0.0]
+    for n_c, n_d in zip(*np.nonzero(p > FOCK_TOL)):
+        target = amp[n_c, n_d] / math.sqrt(p[n_c, n_d])
+        outcome = DetectionOutcome(int(n_c), int(n_d))
+        pure = conditional_state(state, light, setting, outcome).amplitudes
+        both = [np.outer(pure, pure.conj()), conditional_density(params, rho0, setting.t, outcome)]
+        errors.append(np.max(np.abs(np.array(both) - np.outer(target, target.conj()))))
+    beams = f"{_polar(light.alpha_l)}:{_polar(light.alpha_r)}"
+    name = f"fock_expansion_vs_conditioning[N={state.n_atoms};gt={setting.gt:g};light={beams}]"
+    # np.max, not max, so that a nan error fails the report
+    return OracleReport.make(name, np.max(errors), FOCK_TOL, outcomes=len(errors) - 1)
 
 
 def stirling_regime_check(
@@ -347,17 +353,17 @@ _SUITE_GE = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
 
 
 def _fock_suite() -> list[OracleReport]:
-    state, light = build_spin_coherent(_SUITE_GE, 2), LightPair(1.0, 1.0)
-    return [
-        fock_oracle_report(state, light, InteractionSetting(1.0, gt), 12)
-        for gt in (0.0, 0.3)
+    n2, n30 = (build_spin_coherent(_SUITE_GE, n) for n in (2, 30))
+    # (state, light, setting, outcome cutoff); A(k) is real up to one global
+    # phase on identical beams, so a phase error shows on the last two only
+    instances = [
+        (n2, LightPair(1.0, 1.0), InteractionSetting(1.0, 0.0), 12),
+        (n2, LightPair(1.0, 1.0), InteractionSetting(1.0, 0.3), 12),
+        (n2, LightPair(1.0, 1.2 * np.exp(0.5j)), InteractionSetting(1.0, 0.3), 12),
+        (n30, LightPair(2.0, 1.5 * np.exp(0.5j)), InteractionSetting(1.0, 0.1), 8),
     ]
-
-
-def _crosscheck_suite() -> list[OracleReport]:
-    params = ModelParams(n_atoms=30, omega=0.0, g=1.0, gamma=0.0, light=LightPair(2.0, 2.0))
-    state = build_spin_coherent(_SUITE_GE, 30)
-    return [me_vs_pure_crosscheck(params, state, DetectionOutcome(4, 4), t=0.1)]
+    pmf = [fock_oracle_report(*i) for i in instances[:2]]
+    return pmf + [fock_conditioning_report(*i) for i in instances]
 
 
 def _stirling_suite() -> list[OracleReport]:
@@ -369,6 +375,5 @@ def _stirling_suite() -> list[OracleReport]:
 SUITES = {
     "normalization": normalization_sweep,
     "fock": _fock_suite,
-    "crosscheck": _crosscheck_suite,
     "stirling": _stirling_suite,
 }

@@ -5,14 +5,22 @@ coherent state are independent of the package's banded moments and of
 its integrators, and the dense conditioning, A(k) from its definition
 in plain complex arithmetic, is independent of the log-domain readout;
 rhs evaluates the production generator once, so the tests can check it
-against closed forms and a rebuilt oracle.
+against closed forms and a rebuilt oracle.  master_vs_pure_conditional
+compares the two models' conditioning where their dynamics agree.
 """
 
 import math
 
 import numpy as np
 
-from dwsqueeze.master_eq import ModelParams, _Generator, _Stack, coherent_overlaps
+from dwsqueeze.master_eq import (
+    ModelParams,
+    _Generator,
+    _Stack,
+    coherent_overlaps,
+    conditional_density,
+)
+from dwsqueeze.pure_measure import InteractionSetting, conditional_state
 from dwsqueeze.spin_core import GroundExcitedAmplitudes, SpinMoments
 
 
@@ -97,3 +105,18 @@ def dense_conditioning(rho: np.ndarray, light, gt: float, n_c: int, n_d: int) ->
     d = np.diag(detection_factor(light, gt, n_c, n_d, len(rho) - 1))
     cond = d @ rho @ d.conj().T
     return cond / np.trace(cond).real
+
+
+def master_vs_pure_conditional(params: ModelParams, state, outcome, t: float) -> float:
+    """Largest elementwise |rho_cond - P| of the two models' conditioning at time t.
+
+    rho_cond is the master model's conditioning of rho0 = C C^dagger, and P
+    the projector of the pure model's conditional state.  The hybrid
+    generator vanishes at omega = gamma = 0, so rho0 is then the
+    readout-time matrix and the two must agree.
+    """
+    assert params.omega == 0.0 and params.gamma == 0.0, "needs omega = gamma = 0"
+    rho0 = np.outer(state.amplitudes, state.amplitudes.conj())
+    cond = conditional_density(params, rho0, t, outcome)
+    pure = conditional_state(state, params.light, InteractionSetting(params.g, t), outcome)
+    return float(np.max(np.abs(cond - np.outer(pure.amplitudes, pure.amplitudes.conj()))))

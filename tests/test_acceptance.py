@@ -31,8 +31,8 @@ from dwsqueeze.spin_core import (
     build_spin_coherent,
     moments_from_density,
 )
-from dwsqueeze.validation import fock_oracle_report, me_vs_pure_crosscheck
-from reference import analytic_precession, spin_operator_matrices
+from dwsqueeze.validation import fock_oracle_report
+from reference import analytic_precession, master_vs_pure_conditional, spin_operator_matrices
 
 OMEGA = math.pi / 4
 GE_POLAR = GroundExcitedAmplitudes(0.0, 1.0)
@@ -191,8 +191,8 @@ def test_06_conditioning_matches_pure_projector():
         for nd in range(pmf.shape[1]):
             if pmf[nc, nd] <= 1e-8:
                 continue
-            rep = me_vs_pure_crosscheck(params, state, DetectionOutcome(nc, nd), t)
-            worst = max(worst, rep.max_abs_error)
+            err = master_vs_pure_conditional(params, state, DetectionOutcome(nc, nd), t)
+            worst = max(worst, err)
             n_checked += 1
     check(
         6,

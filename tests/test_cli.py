@@ -490,8 +490,11 @@ SUITE_ROWS = {
     "fock": [
         "fock_expansion_vs_detection_pmf[gt=0]",
         "fock_expansion_vs_detection_pmf[gt=0.3]",
+        "fock_expansion_vs_conditioning[N=2;gt=0;light=1:1]",
+        "fock_expansion_vs_conditioning[N=2;gt=0.3;light=1:1]",
+        "fock_expansion_vs_conditioning[N=2;gt=0.3;light=1:1.2e^0.5i]",
+        "fock_expansion_vs_conditioning[N=30;gt=0.1;light=2:1.5e^0.5i]",
     ],
-    "crosscheck": ["master_vs_pure_conditional"],
     "stirling": ["stirling_asymptotics"],
 }
 
@@ -546,7 +549,9 @@ def test_validate_empty_suite_selection(tmp_path, capsys):
 
 
 def test_validate_unknown_suite_name(tmp_path, capsys):
-    for suites in ("fock,crosschek", "typo"):
+    # the fock suite checks both conditioning paths, so there is no
+    # crosscheck suite: its name is unknown like any other
+    for suites in ("fock,crosschek", "typo", "crosscheck"):
         cfg = write(tmp_path / "c.cfg", base_config(suites=suites))
         code = main(["validate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_BAD_INPUT

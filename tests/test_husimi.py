@@ -896,6 +896,27 @@ def test_point_cut_at_extreme_nodes(case):
     assert not np.isnan(values).any() and not values[~live].any()
 
 
+def test_point_cut_memory_stays_blocked(monkeypatch):
+    # the cut holds about 240 bytes per point while it forms its mask (the
+    # eta pair, x, s, the mode, three k and their log magnitudes and
+    # phases), about 16 MB over a whole 256 x 256 grid.  Formed a block of
+    # theta rows at a time, it may add to one block's peak only the
+    # blocks' masks and their concatenation, a byte per point each, and
+    # 8 kB of small objects; the mask keeps every bit
+    n_atoms, n_grid = 200, 256
+    window = q_window(conditional(n_atoms))
+    thetas, phis = grid_axes(n_grid, n_grid)
+    height = husimi._BLOCK_ENTRIES // (3 * n_grid)
+    assert 1 < height < n_grid // 4
+    block = traced_peak(husimi._live_points, n_atoms, window, thetas[:height], phis)
+    whole = traced_peak(husimi._live_points, n_atoms, window, thetas, phis)
+    assert whole <= block + 2 * n_grid * n_grid + 8192
+    live = husimi._live_points(n_atoms, window, thetas, phis)
+    assert 0 < live.sum() < live.size
+    monkeypatch.setattr(husimi, "_BLOCK_ENTRIES", 1 << 40)
+    assert np.array_equal(live, husimi._live_points(n_atoms, window, thetas, phis))
+
+
 def test_q_grid_max_size_guard(monkeypatch):
     # MAX_GRID = MAX_ATOMS + 1 nodes integrate any state exactly; a finer
     # axis is refused before any work

@@ -1,10 +1,12 @@
-"""Oracle suite: brute-force Fock expansion, cross-model checks, sweeps."""
+"""Oracle suite: brute-force Fock expansion of the pmf and of both conditioning paths, sweeps."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+import dwsqueeze.pure_measure as pure_measure
 import dwsqueeze.validation as validation
 from dwsqueeze.master_eq import ModelParams, Sample, TimeGrid
 from dwsqueeze.pure_measure import (
@@ -12,16 +14,16 @@ from dwsqueeze.pure_measure import (
     ImpossibleOutcomeError,
     InteractionSetting,
     LightPair,
-    _reachable_factor,
+    _log_detection_amplitudes,
     detection_pmf_grid,
     outcome_cutoff,
 )
 from dwsqueeze.spin_core import GroundExcitedAmplitudes, build_spin_coherent
 from dwsqueeze.validation import (
     OracleReport,
+    fock_conditioning_report,
     fock_expansion_oracle,
     fock_oracle_report,
-    me_vs_pure_crosscheck,
     normalization_sweep,
     stirling_regime_check,
 )
@@ -37,6 +39,11 @@ def small_state():
     )
 
 
+def oracle_pmf(state, light, setting, cutoff):
+    """The oracle's pmf, sum_k p_k |A(k)|^2, as fock_oracle_report forms it."""
+    return np.abs(fock_expansion_oracle(state, light, setting, cutoff)) ** 2 @ state.pmf()
+
+
 def test_report_consistency_enforced():
     # the verdict is derived from error and tolerance, so a report cannot
     # carry one that disagrees with them
@@ -49,9 +56,7 @@ def test_report_consistency_enforced():
 
 
 def test_fock_oracle_poisson_product_at_gt0():
-    pmf = fock_expansion_oracle(
-        small_state(), LightPair(1.0, 1.0), InteractionSetting(1.0, 0.0), 8
-    )
+    pmf = oracle_pmf(small_state(), LightPair(1.0, 1.0), InteractionSetting(1.0, 0.0), 8)
     for nc in range(9):
         for nd in range(9):
             assert pmf[nc, nd] == pytest.approx(
@@ -69,9 +74,7 @@ def test_fock_oracle_matches_detection_pmf(gt):
 
 
 def test_fock_oracle_vacuum_light():
-    pmf = fock_expansion_oracle(
-        small_state(), LightPair(0.0, 0.0), InteractionSetting(1.0, 0.7), 4
-    )
+    pmf = oracle_pmf(small_state(), LightPair(0.0, 0.0), InteractionSetting(1.0, 0.7), 4)
     assert pmf[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -87,47 +90,83 @@ def test_fock_oracle_preconditions():
         )
 
 
+# complex beams whose arms differ in magnitude and phase, and a dark arm
+BEAMS = {
+    "complex": LightPair(1.1 * cmath.exp(-0.7j), 1.6 * cmath.exp(0.5j)),
+    "dark_arm": LightPair(0.0, 1.5 * cmath.exp(0.5j)),
+}
+
+
+@pytest.mark.parametrize("beams", BEAMS)
+def test_oracle_amplitudes_match_the_detection_factor(beams):
+    # the oracle's amplitude of every outcome, the vacuum (0, 0) among
+    # them, is A(k), phase included, at gt > 0
+    light, setting = BEAMS[beams], InteractionSetting(1.0, 0.23)
+    state = build_spin_coherent(GroundExcitedAmplitudes(math.sqrt(0.4), math.sqrt(0.6)), 6)
+    amp = fock_expansion_oracle(state, light, setting, 10)
+    assert amp.shape == (11, 11, 7)
+    for n_c in range(11):
+        for n_d in range(11):
+            outcome = DetectionOutcome(n_c, n_d)
+            log_mag, phase = _log_detection_amplitudes(light, setting, outcome, 6)
+            prod = np.exp(log_mag + 1j * phase)
+            assert np.max(np.abs(amp[n_c, n_d] - prod)) <= 1e-13 * np.max(np.abs(prod))
+    # the vacuum amplitude is e^{-(|alpha_l|^2 + |alpha_r|^2) / 2} at every k
+    assert np.allclose(amp[0, 0], math.exp(-light.total_intensity / 2.0), rtol=1e-14, atol=0)
+
+
 def test_crosscheck_published_example():
     ge = GroundExcitedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
-    params = ModelParams(n_atoms=30, omega=0.0, g=1.0, gamma=0.0, light=LightPair(2, 2))
-    report = me_vs_pure_crosscheck(
-        params, build_spin_coherent(ge, 30), DetectionOutcome(4, 4), t=0.1
+    report = fock_conditioning_report(
+        build_spin_coherent(ge, 30), LightPair(2, 2), InteractionSetting(1.0, 0.1), 8
     )
     assert report.passed and report.max_abs_error < 1e-8
+    assert report.context["outcomes"] > 0
 
 
 def test_crosscheck_gt0_identity():
+    # at gt = 0 every conditional state is the prior
     ge = GroundExcitedAmplitudes(0.0, 1.0)
-    params = ModelParams(n_atoms=10, omega=0.0, g=1.0, gamma=0.0, light=LightPair(2, 2))
-    report = me_vs_pure_crosscheck(
-        params, build_spin_coherent(ge, 10), DetectionOutcome(4, 4), t=0.0
+    report = fock_conditioning_report(
+        build_spin_coherent(ge, 10), LightPair(2, 2), InteractionSetting(1.0, 0.0), 8
     )
     assert report.passed
 
 
 def test_crosscheck_exhaustive_small_instance():
+    # every outcome of the detection grid whose probability exceeds 1e-8
     ge = GroundExcitedAmplitudes(math.sqrt(0.4), math.sqrt(0.6))
     light = LightPair(2.0, 2.0)
-    params = ModelParams(n_atoms=5, omega=0.0, g=1.0, gamma=0.0, light=light)
     state = build_spin_coherent(ge, 5)
-    t = 0.12
+    setting = InteractionSetting(1.0, 0.12)
     cutoff = outcome_cutoff(light)
-    for nc in range(cutoff + 1):
-        for nd in range(cutoff + 1):
-            outcome = DetectionOutcome(nc, nd)
-            p = _reachable_factor(
-                light, InteractionSetting(1.0, t), outcome, state.pmf()
-            )[2]
-            if p <= 1e-8:
-                continue
-            assert me_vs_pure_crosscheck(params, state, outcome, t=t).passed
+    report = fock_conditioning_report(state, light, setting, cutoff)
+    assert report.passed
+    pmf = detection_pmf_grid(state, light, setting, n_max=cutoff)
+    assert report.context["outcomes"] == np.count_nonzero(pmf > 1e-8)
 
 
-def test_crosscheck_requires_closed_dynamics():
-    ge = GroundExcitedAmplitudes(0.0, 1.0)
-    params = ModelParams(n_atoms=4, omega=0.5, g=1.0, gamma=0.0, light=LightPair(1, 1))
-    with pytest.raises(ValueError):
-        me_vs_pure_crosscheck(params, build_spin_coherent(ge, 4), DetectionOutcome(1, 1), 0.1)
+def test_flipped_phase_fails_the_conditioning_rows_on_differing_beams(monkeypatch):
+    # a sign error in arg A(k) leaves every pmf unchanged; on identical
+    # real beams A(k) is real up to one global phase, so the conjugated
+    # factor conditions to the same projectors, and only the rows on
+    # beams that differ fail
+    log_detection_amplitudes = pure_measure._log_detection_amplitudes
+
+    def flipped(*args):
+        log_mag, phase = log_detection_amplitudes(*args)
+        return log_mag, -phase
+
+    monkeypatch.setattr(pure_measure, "_log_detection_amplitudes", flipped)
+    verdicts = {r.name: r.passed for r in validation.SUITES["fock"]()}
+    assert verdicts == {
+        "fock_expansion_vs_detection_pmf[gt=0]": True,
+        "fock_expansion_vs_detection_pmf[gt=0.3]": True,
+        "fock_expansion_vs_conditioning[N=2;gt=0;light=1:1]": True,
+        "fock_expansion_vs_conditioning[N=2;gt=0.3;light=1:1]": True,
+        "fock_expansion_vs_conditioning[N=2;gt=0.3;light=1:1.2e^0.5i]": False,
+        "fock_expansion_vs_conditioning[N=30;gt=0.1;light=2:1.5e^0.5i]": False,
+    }
 
 
 def test_stirling_regime_check_passes_in_design_regime():
@@ -240,6 +279,6 @@ def test_oracle_independence_spot_check():
     state = build_spin_coherent(ge, 3)
     light = LightPair(0.9, 1.1j)
     setting = InteractionSetting(1.0, 0.21)
-    oracle = fock_expansion_oracle(state, light, setting, 10)
+    oracle = oracle_pmf(state, light, setting, 10)
     prod = detection_pmf_grid(state, light, setting, n_max=10)
     assert np.max(np.abs(oracle - prod)) < 1e-10
