@@ -5,18 +5,22 @@ fields are the config keys, each declared once: one table, _TYPES,
 parses and echoes a key by its field's annotation.  write_csv writes
 every output from named columns, floats in 17-significant-digit
 scientific notation: the bytes of Python's %.16e, encoded in numpy a
-block of rows at a time.  Every file header echoes the fully resolved
-configuration, so identical configs produce byte-identical files.  A
-config or output path that cannot be read or written, or a config value
-that is out of its range or not finite, exits 2 before any work.  master
-and sweep buffer each point's gated samples and read them out a chunk at
-a time, with one conditional_density and one moments_from_density call
-per chunk, so the per-sample numpy call overhead is paid per chunk and
-each sample is conditioned once (master's Q snapshots keep their
-conditioned states); a row's bits and the error a run raises do not
-depend on the chunk.  validate selects suites from validation.SUITES and
-only writes their reports; validation is imported by validate alone.
-Nothing here uses a random number generator.
+block of rows at a time.  Its columns broadcast against each other and
+the rows are the cells of their broadcast shape in C order, so a grid
+file (a Q grid, the detection grid) is written from its two axes and its
+value plane, and each axis cell is encoded once.  Every file header
+echoes the fully resolved configuration, so identical configs produce
+byte-identical files.  A config or output path that cannot be read or
+written, or a config value that is out of its range or not finite,
+exits 2 before any work.  master and sweep buffer each point's gated
+samples and read them out a chunk at a time, with one
+conditional_density and one moments_from_density call per chunk, so the
+per-sample numpy call overhead is paid per chunk and each sample is
+conditioned once (master's Q snapshots keep their conditioned states); a
+row's bits and the error a run raises do not depend on the chunk.
+validate selects suites from validation.SUITES and only writes their
+reports; validation is imported by validate alone.  Nothing here uses a
+random number generator.
 """
 
 from __future__ import annotations
@@ -318,9 +322,15 @@ def _groups(u):
 
 
 def _fallback(out, undecided, cells, form):
-    """Write each undecided cell as Python's form % cell, NUL padded."""
-    for i in np.flatnonzero(undecided):
-        out[i] = np.frombuffer((form % cells[i]).encode().ljust(4 * out.shape[1], b"\0"), "<u4")
+    """Write the undecided cells as Python's form % cell, NUL padded, in one batch.
+
+    cells are 8-byte; each distinct bit pattern among the undecided is
+    formatted once, so 0.0 and -0.0 keep their own text.
+    """
+    bits, inverse = np.unique(cells[undecided].view(np.uint64), return_inverse=True)
+    text = [(form % v).encode() for v in bits.view(cells.dtype).tolist()]
+    words = np.array(text, f"S{4 * out.shape[1]}").view("<u4").reshape(-1, out.shape[1])
+    out[undecided] = words[inverse]
 
 
 def _float_words(x: np.ndarray) -> np.ndarray:
@@ -373,43 +383,66 @@ _WORDS = {"f": _float_words, "i": _int_words}
 def _text_words(a: np.ndarray) -> np.ndarray:
     """%s of each cell in UTF-8, as '<u4' words a row that end in a NUL."""
     cells = [("%s" % v).encode() for v in a.tolist()]
-    width = 4 * (max(map(len, cells)) // 4 + 1)
-    return np.array(cells, f"S{width}").view("<u4").reshape(len(cells), -1)
+    width = 4 * (max(map(len, cells), default=0) // 4 + 1)
+    return np.array(cells, f"S{width}").view("<u4").reshape(-1, width // 4)
 
 
-def _block_text(block: list[np.ndarray]) -> bytes:
-    """One block of rows as CSV text.
+def _column_words(a: np.ndarray, shape: tuple[int, ...]):
+    """rows -> the words of flat slice rows of a broadcast to shape, cells in C order.
+
+    A column of at most _BLOCK_ROWS cells is encoded once, and a slice
+    gathers its words by cell index; a larger one is encoded a slice at a
+    time, so neither is materialized at the broadcast shape.
+    """
+    encode = _WORDS.get(a.dtype.kind, _text_words)
+    if a.size > _BLOCK_ROWS:
+        cells = np.broadcast_to(a, shape)
+        return lambda rows: encode(cells.flat[rows])
+    words = encode(a.ravel())
+    index = np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
+    return lambda rows: words.take(index.flat[rows], 0)
+
+
+def _block_text(parts: list[np.ndarray]) -> bytes:
+    """One block of rows as CSV text, from each column's words.
 
     Each cell's words, its ',' or '\\n' in the top byte of its last word,
     go into one (rows, words) matrix, whose NUL pad bytes one pass drops.
     """
-    parts = [_WORDS.get(a.dtype.kind, _text_words)(a) for a in block]
     for words, sep in zip(parts, [44] * (len(parts) - 1) + [10]):
         words[:, -1] |= sep << 24
     return np.concatenate(parts, 1).tobytes().translate(None, b"\0")
 
 
 def write_csv(path: Path, header_lines: list[str], columns: dict):
-    """Header lines, a '# columns:' line, then one row per column index.
+    """Header lines, a '# columns:' line, then one row per cell of the broadcast columns.
 
-    columns maps each name to a sequence, all of one length.  Float columns
-    print as %.16e, the bytes of fmt (nan, inf and -0.0 included), integer
-    columns as %d and anything else as %s, which must hold no NUL.  Rows
-    are encoded a block at a time in numpy, so memory stays O(block), not
-    O(file).  A float cell is the 17 digits of a double-double within 2^-45
-    of y = |x| 10^(16 - E).  Zero, nan and inf, a y within 1e-6 of a
+    columns maps each name to an array; the arrays must broadcast against
+    each other (numpy's rule, so a length-1 column repeats on every row),
+    and the rows are the cells of the broadcast shape in C order: a grid
+    file is its axes, as (n, 1) and (m,) arrays, beside its (n, m) values.
+    Shapes that do not broadcast, such as two 1-D columns of unequal
+    lengths, are refused before the file is opened.  Float columns print
+    as %.16e, the bytes of fmt (nan, inf and -0.0 included), integer
+    columns as %d and anything else as %s, which must hold no NUL.  A
+    column of at most _BLOCK_ROWS cells is encoded once, however many rows
+    repeat its cells; the rows are written a block at a time and no column
+    is materialized at the broadcast shape, so memory stays O(block), not
+    O(file).  A float cell is the 17 digits of a double-double within
+    2^-45 of y = |x| 10^(16 - E).  Zero, nan and inf, a y within 1e-6 of a
     rounding tie and the rare y that log10's E puts outside [1e16, 1e17)
-    are Python's own %, so every byte is as %.16e, ties half to even.
+    are Python's own %, one batch per block with each distinct bit pattern
+    formatted once, so every byte is as %.16e, ties half to even.
     """
     arrays = [np.asarray(c) for c in columns.values()]
-    if len({len(a) for a in arrays}) != 1:
-        raise ValueError(f"columns of unequal lengths {[len(a) for a in arrays]}")
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    sources = [_column_words(a, shape) for a in arrays]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         lines = [*header_lines, f"columns: {','.join(columns)}"]
         f.write("".join(f"# {line}\n" for line in lines).encode())
-        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
-            f.write(_block_text([a[start:start + _BLOCK_ROWS] for a in arrays]))
+        for start in range(0, math.prod(shape), _BLOCK_ROWS):
+            f.write(_block_text([words(slice(start, start + _BLOCK_ROWS)) for words in sources]))
 
 
 def _warn_asymptotics(cfg: ExperimentConfig, outcome: DetectionOutcome, gt: float):
@@ -466,11 +499,10 @@ def run_pure(cfg: ExperimentConfig, out_dir: Path) -> int:
     )
 
     grid = detection_pmf_grid(state, light, setting)
-    n_c, n_d = np.indices(grid.shape)
     write_csv(
         out_dir / "pure_detection_grid.csv",
         echo,
-        {"n_c": n_c.ravel(), "n_d": n_d.ravel(), "p": grid.ravel()},
+        {"n_c": np.arange(grid.shape[0])[:, None], "n_d": np.arange(grid.shape[1]), "p": grid},
     )
 
     if cfg.emit_q:
@@ -482,11 +514,7 @@ def _write_q_csv(path: Path, echo: list[str], qg: QGrid):
     write_csv(
         path,
         echo + ["orientation: physics convention, theta = 0 is the +z pole (no flip)"],
-        {
-            "theta": np.repeat(qg.thetas, qg.n_phi),
-            "phi": np.tile(qg.phis, qg.n_theta),
-            "q": qg.values.ravel(),
-        },
+        {"theta": qg.thetas[:, None], "phi": qg.phis, "q": qg.values},
     )
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -206,6 +207,88 @@ def test_write_csv_matches_per_row_formatting(tmp_path, monkeypatch):
         row % r for r in zip(*(a.tolist() for a in arrays))
     )
     assert (tmp_path / "t.csv").read_bytes() == naive.encode()
+
+
+def test_write_csv_grid_from_axes_matches_flat_columns(tmp_path, monkeypatch):
+    # 7-row blocks cut through the 6-cell grid rows; the 5- and 6-cell axes
+    # are encoded once and gathered by cell index, the 30-cell plane a block
+    # at a time; float axes and values hold every kind of cell the encoder
+    # hands to Python's % (0.0, -0.0, both nan bit patterns, +-inf and an
+    # exact tie), and the int axis pair, as the detection grid's, holds
+    # counts that %d formats too
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    nan, neg_nan = np.array([0x7FF8000000000000, 0xFFF8000000000000], np.uint64).view(float)
+    tie = 1 + 2.0**-17
+    thetas = np.array([0.0, -0.0, nan, tie, math.pi])
+    phis = np.array([np.inf, -np.inf, neg_nan, -2.5e-300, -0.0, tie])
+    nodes = [0.0, -0.0, nan, neg_nan, np.inf, -np.inf, tie, math.pi, 1e23, 5e-324, -1e-5]
+    values = np.resize(np.array(nodes), (5, 6))
+    n_c = np.array([0, -(2**63), 10**16, 9999, -3])
+    n_d = np.array([10**16 - 1, 7, 0, -(10**16), 2**63 - 1, 10000])
+    axes = {"theta": thetas[:, None], "phi": phis, "n_c": n_c[:, None], "n_d": n_d,
+            "q": values}
+    flat = {"theta": np.repeat(thetas, 6), "phi": np.tile(phis, 5),
+            "n_c": np.repeat(n_c, 6), "n_d": np.tile(n_d, 5), "q": values.ravel()}
+    write_csv(tmp_path / "axes.csv", ["a = 1"], axes)
+    write_csv(tmp_path / "flat.csv", ["a = 1"], flat)
+    row = "%.16e,%.16e,%d,%d,%.16e\n"
+    naive = "# a = 1\n# columns: theta,phi,n_c,n_d,q\n" + "".join(
+        row % r for r in zip(*(a.tolist() for a in flat.values()))
+    )
+    assert (tmp_path / "flat.csv").read_bytes() == naive.encode()
+    assert (tmp_path / "axes.csv").read_bytes() == naive.encode()
+
+
+def test_write_csv_broadcast_shapes(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    x = np.linspace(0.0, 1.0, 30)
+    # a length-1 column broadcasts: it repeats on every row, past the first block
+    write_csv(tmp_path / "t.csv", [], {"a": [2.5], "name": ["r"], "x": x})
+    _, data = read_rows(tmp_path / "t.csv")
+    assert data == [[fmt(2.5), "r", fmt(v)] for v in x]
+    # shapes that do not broadcast are refused before the file is opened
+    for columns in (
+        {"theta": np.zeros((5, 1)), "phi": np.zeros(6), "q": np.zeros((4, 6))},
+        {"i": np.arange(5), "x": np.zeros(6)},
+        {"x": np.zeros((5, 6)), "y": np.zeros(5)},
+    ):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "u" / "u.csv", [], columns)
+        assert not (tmp_path / "u").exists()
+    # no rows: the file is its header, whatever the columns' kinds
+    write_csv(tmp_path / "e.csv", ["a = 1"], {"s": np.array([], str), "x": [], "k": []})
+    assert (tmp_path / "e.csv").read_bytes() == b"# a = 1\n# columns: s,x,k\n"
+
+
+def test_write_csv_grid_memory_stays_blocked(tmp_path):
+    # a 1024 x 512 grid given as two axes and a value plane of zeros, so
+    # every value cell falls back to Python's %.  One block's words are
+    # W = _BLOCK_ROWS x 21 words x 4 bytes (7 per float cell).  A block
+    # holds its three word matrices, their concatenation and its bytes
+    # (3 W) and its text (under W), and the two axes are encoded once
+    # (at most 2 x 28 x _BLOCK_ROWS bytes, 2/3 W), so the peak stays under
+    # 5 W (about 3.4 W measured); one axis materialized at the grid's shape
+    # would add 4 MB, 25 W
+    cli._tables()  # the encoder's lookups, built once per process
+    thetas = np.linspace(0.0, math.pi, 1024)
+    phis = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
+    values = np.zeros((1024, 512))
+    path = tmp_path / "g.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, [], {"theta": thetas[:, None], "phi": phis, "q": values})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * cli._BLOCK_ROWS * 21 * 4
+    spots = {0, 511, 512, 2047, 2048, 2049, 300_001, values.size - 1}
+    with open(path, "rb") as f:
+        assert f.readline() == b"# columns: theta,phi,q\n"
+        for r, line in enumerate(f):
+            if r in spots:
+                i, j = divmod(r, 512)
+                assert line == b"%.16e,%.16e,%.16e\n" % (thetas[i], phis[j], 0.0)
+    assert r == values.size - 1
 
 
 def _written_cells(tmp_path, column: np.ndarray) -> list[bytes]:
