@@ -388,7 +388,7 @@ def _text_words(a: np.ndarray) -> np.ndarray:
 
 
 def _column_words(a: np.ndarray, shape: tuple[int, ...]):
-    """rows -> the words of flat slice rows of a broadcast to shape, cells in C order.
+    """The function rows -> the words of a's cells, broadcast to shape, at flat slice rows.
 
     A column of at most _BLOCK_ROWS cells is encoded once, and a slice
     gathers its words by cell index; a larger one is encoded a slice at a

@@ -229,8 +229,6 @@ _LOG_CUT = math.log(_UNIT_ROUNDOFF / 2.0)
 
 @dataclass
 class QGrid:
-    n_theta: int
-    n_phi: int
     thetas: np.ndarray
     phis: np.ndarray
     values: np.ndarray
@@ -464,5 +462,5 @@ def q_grid(source, n_theta: int, n_phi: int) -> QGrid | list[QGrid]:
         if v.min() < -1e-10:
             raise ValueError(f"Q grid value {v.min()} below roundoff tolerance")
         np.maximum(v, 0.0, out=v)
-        grids.append(QGrid(n_theta, n_phi, thetas, phis, v, weights))
+        grids.append(QGrid(thetas, phis, v, weights))
     return grids if isinstance(source, list) else grids[0]

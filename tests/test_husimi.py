@@ -499,7 +499,7 @@ def same_grid(a, b):
     return all(
         getattr(a, f).tobytes() == getattr(b, f).tobytes()
         for f in ("thetas", "phis", "values", "weights")
-    ) and (a.n_theta, a.n_phi) == (b.n_theta, b.n_phi)
+    ) and a.values.shape == b.values.shape
 
 
 # a theta block budget of None (the default: all 17 rows in one block) or
